@@ -20,6 +20,7 @@ paths with central finite differences.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,27 @@ class QuadraticObjective:
     def stochastic_gradient(
         self, w: np.ndarray, batch: BatchDescriptor, shard: tuple[int, int] | None = None
     ) -> np.ndarray:
-        # Pure noise model: the sampled batch only sets the noise
-        # magnitude, so a shard assignment changes nothing here.
-        noise_sd = self.noise_scale / np.sqrt(batch.batch_size)
-        return self.gradient(w) + noise_sd * batch.rng().standard_normal(self.dimension)
+        column = np.asarray(w, dtype=float)[:, None]
+        return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
+
+    def stochastic_gradients(
+        self,
+        Phi: np.ndarray,
+        batch_size: int,
+        rngs: Iterable[np.random.Generator],
+        shards: Sequence[tuple[int, int] | None] | None = None,
+    ) -> np.ndarray:
+        """Stochastic gradients of the columns of Phi, column l drawing from the l-th rng.
+
+        Pure noise model: the sampled batch only sets the noise
+        magnitude, so a shard assignment changes nothing here.
+        """
+        Phi = np.asarray(Phi, dtype=float)
+        noise = np.empty((Phi.shape[1], self.dimension))
+        for row, rng in zip(noise, rngs, strict=True):
+            rng.standard_normal(out=row)
+        noise_sd = self.noise_scale / np.sqrt(batch_size)
+        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + noise_sd * noise.T
 
 
 class LogisticObjective:
@@ -132,14 +150,32 @@ class LogisticObjective:
     def stochastic_gradient(
         self, w: np.ndarray, batch: BatchDescriptor, shard: tuple[int, int] | None = None
     ) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        pool = self._shard_indices(shard)
-        picks = pool[batch.rng().integers(0, len(pool), batch.batch_size)]
-        X = self.features[picks]
-        y = self.labels[picks]
-        margins = y * (X @ w)
-        coeff = -y * _sigmoid(-margins)
-        return (X.T @ coeff) / batch.batch_size + self.ridge * w
+        column = np.asarray(w, dtype=float)[:, None]
+        return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
+
+    def stochastic_gradients(
+        self,
+        Phi: np.ndarray,
+        batch_size: int,
+        rngs: Iterable[np.random.Generator],
+        shards: Sequence[tuple[int, int] | None] | None = None,
+    ) -> np.ndarray:
+        """Stochastic gradients of the columns of Phi, column l sampling its
+        minibatch with the l-th rng from its shard (all data when None)."""
+        Phi = np.asarray(Phi, dtype=float)
+        G = np.empty_like(Phi)
+        if shards is None:
+            shards = [None] * Phi.shape[1]
+        for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
+            w = Phi[:, l]
+            pool = self._shard_indices(shard)
+            picks = pool[rng.integers(0, len(pool), batch_size)]
+            X = self.features[picks]
+            y = self.labels[picks]
+            margins = y * (X @ w)
+            coeff = -y * _sigmoid(-margins)
+            G[:, l] = (X.T @ coeff) / batch_size + self.ridge * w
+        return G
 
 
 def quadratic_oracle(

@@ -34,6 +34,7 @@ straggler is amortized instead of serializing everyone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -42,7 +43,6 @@ import numpy as np
 
 from . import seeding
 from .mixing import apply_mixing, build_ring_matrix, build_uniform_matrix, permutation_for_step
-from .objectives import BatchDescriptor
 from .spectral import second_eigenvalue_ring
 
 
@@ -223,6 +223,40 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
     return cfg.lr
 
 
+# Iterations whose stream states are derived together; one block is cached.
+_BLOCK = 64
+
+
+@functools.lru_cache(maxsize=1)
+def _stream_block(seed: int, n_learners: int, block: int) -> dict[int, np.ndarray]:
+    """Seed words of the streams of iterations block*_BLOCK up to the next block.
+
+    By tag: (seed, TAG_GRADIENT, k, l) for every learner l, shaped
+    (4, _BLOCK, n_learners), and (seed, TAG_CLOCK, k), shaped (4, _BLOCK, 1).
+    Kept as uint64 words; only the current iteration's become Python ints.
+    """
+    k = np.arange(block * _BLOCK, (block + 1) * _BLOCK)
+    learner_rows = np.stack(np.meshgrid(k, np.arange(n_learners), indexing="ij"), axis=-1)
+    words = {
+        seeding.TAG_GRADIENT: seeding.seed_words(
+            (seed, seeding.TAG_GRADIENT), learner_rows.reshape(-1, 2)
+        ).reshape(4, _BLOCK, n_learners),
+        seeding.TAG_CLOCK: seeding.seed_words(
+            (seed, seeding.TAG_CLOCK), k[:, None]
+        ).reshape(4, _BLOCK, 1),
+    }
+    for w in words.values():
+        w.setflags(write=False)
+    return words
+
+
+def _stream_states(cfg: RunConfig, tag: int, k: int) -> list[dict]:
+    """PCG64 states of iteration k's streams under `tag`, equal to those of
+    seeding.stream(cfg.seed, tag, k[, l])."""
+    words = _stream_block(cfg.seed, cfg.n_learners, k // _BLOCK)[tag]
+    return seeding.pcg64_states(words[:, k % _BLOCK])
+
+
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
     """Stochastic gradients of all learners at their staleness-resolved weights.
 
@@ -230,12 +264,10 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     (seed, k, l) and independent of the strategy, so strategies sharing
     a seed share gradient noise.
     """
-    G = np.empty_like(Phi)
-    for l in range(cfg.n_learners):
-        batch = BatchDescriptor(cfg.batch_size, (cfg.seed, seeding.TAG_GRADIENT, k, l))
-        shard = (l, cfg.n_learners) if cfg.data_partition == "sharded" else None
-        G[:, l] = oracle.stochastic_gradient(Phi[:, l], batch, shard)
-    return G
+    L = cfg.n_learners
+    rngs = seeding.generators(_stream_states(cfg, seeding.TAG_GRADIENT, k))
+    shards = [(l, L) for l in range(L)] if cfg.data_partition == "sharded" else None
+    return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
 
 
 def _advance(state: SimState, W_next: np.ndarray, G: np.ndarray) -> SimState:
@@ -423,6 +455,9 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     diverged = False
     last_recorded = 0
+    clocks = seeding.generators(
+        _stream_states(cfg, seeding.TAG_CLOCK, k)[0] for k in range(cfg.iterations)
+    )
     for k in range(cfg.iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
@@ -432,9 +467,7 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
             diverged = True
             break
         state = new_state
-        state, _ = advance_clock(
-            state, strategy, cfg.cost_model, seeding.stream(cfg.seed, seeding.TAG_CLOCK, k)
-        )
+        state, _ = advance_clock(state, strategy, cfg.cost_model, next(clocks))
         if state.iteration % cfg.log_every == 0 or k == cfg.iterations - 1:
             records.append(_record(state, oracle, rho))
             last_recorded = state.iteration

@@ -63,6 +63,28 @@ def test_gradient_matrix_is_strategy_free_and_replays():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("partition", ["shared", "sharded"])
+def test_gradient_matrix_equals_per_learner_streams_across_blocks(partition):
+    # gradient_matrix derives its learners' states a block of iterations at
+    # a time; per-learner BatchDescriptor streams are the reference.
+    cfg = _cfg(n_learners=3, seed=2**40 + 1, data_partition=partition)
+    Phi = stream(8, 0).standard_normal((4, 3))
+    for oracle in (_oracle(d=4), logistic_oracle(dimension=4, n_samples=30, separation=1.0)):
+        for k in (0, 63, 64, 130, 63):
+            expected = np.stack(
+                [
+                    oracle.stochastic_gradient(
+                        Phi[:, l],
+                        BatchDescriptor(cfg.batch_size, (cfg.seed, TAG_GRADIENT, k, l)),
+                        (l, 3) if partition == "sharded" else None,
+                    )
+                    for l in range(3)
+                ],
+                axis=1,
+            )
+            assert np.array_equal(gradient_matrix(oracle, Phi, cfg, k), expected)
+
+
 def test_spsgd_matches_hand_rolled_update():
     oracle = _oracle()
     cfg = _cfg()
