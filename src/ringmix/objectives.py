@@ -139,13 +139,17 @@ class LogisticObjective:
         coeff = -self.labels * _sigmoid(-margins)
         return (self.features.T @ coeff) / self.n_samples + self.ridge * w
 
-    def _shard_indices(self, shard: tuple[int, int] | None) -> np.ndarray:
+    def _sample_indices(
+        self, rng: np.random.Generator, batch_size: int, shard: tuple[int, int] | None
+    ) -> np.ndarray:
+        """batch_size sample indices drawn uniformly, with replacement, from
+        the shard: samples index, index + count, ... (all data when None)."""
         if shard is None:
-            return np.arange(self.n_samples)
+            return rng.integers(0, self.n_samples, batch_size)
         index, count = shard
         if not 0 <= index < count:
             raise ValueError(f"shard index {index} outside 0..{count - 1}")
-        return np.arange(index, self.n_samples, count)
+        return index + count * rng.integers(0, len(range(index, self.n_samples, count)), batch_size)
 
     def stochastic_gradient(
         self, w: np.ndarray, batch: BatchDescriptor, shard: tuple[int, int] | None = None
@@ -168,8 +172,7 @@ class LogisticObjective:
             shards = [None] * Phi.shape[1]
         for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
             w = Phi[:, l]
-            pool = self._shard_indices(shard)
-            picks = pool[rng.integers(0, len(pool), batch_size)]
+            picks = self._sample_indices(rng, batch_size, shard)
             X = self.features[picks]
             y = self.labels[picks]
             margins = y * (X @ w)

@@ -11,7 +11,7 @@ perturbing the streams of existing ones.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import functools
 
 import numpy as np
 
@@ -39,13 +39,12 @@ def stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(*entropy))
 
 
-# Batched derivation.  numpy's SeedSequence hashing and PCG64's seeding
-# step are fixed by its stream-compatibility policy (NEP 19), so they are
-# reimplemented here to derive many streams' states in one vectorized pass;
-# `stream` stays the reference they are tested against.  Constants from
-# numpy/random/bit_generator.pyx and numpy/random/src/pcg64/pcg64.h.
+# Batched derivation.  numpy's SeedSequence hashing is fixed by its
+# stream-compatibility policy (NEP 19), so it is reimplemented here to
+# derive many streams' seed words in one vectorized pass; PCG64 then seeds
+# itself from them as usual.  `stream` stays the reference they are tested
+# against.  Constants from numpy/random/bit_generator.pyx.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -53,7 +52,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _int_words(n: int) -> list[int]:
@@ -97,9 +95,9 @@ def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
     """PCG64 seed words of `stream(*prefix, *row)` for every row, in one pass.
 
     `rows` is an (n, m) array of indices, each a single 32-bit word;
-    prefix ints may span several words.  Column j of the (4, n) uint64
+    prefix ints may span several words.  Row j of the (n, 4) uint64
     result equals `seed_sequence(*prefix, *rows[j]).generate_state(4,
-    np.uint64)`; `pcg64_states` turns columns into bit-generator states.
+    np.uint64)`; `generator` turns a row into that stream's Generator.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
@@ -127,39 +125,41 @@ def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
         value = pool[i % _POOL_SIZE] ^ const
         const = const * _MULT_B & _MASK32
         halves.append(_xorshift(value * const & _MASK32))
-    words = np.empty((4, len(rows)), dtype=np.uint64)
+    words = np.empty((len(rows), 4), dtype=np.uint64)
     for j in range(4):
-        words[j] = halves[2 * j] | (halves[2 * j + 1] << 32)
+        words[:, j] = halves[2 * j] | (halves[2 * j + 1] << 32)
     return words
 
 
-def pcg64_states(words: np.ndarray) -> list[dict]:
-    """PCG64 bit-generator states seeded by the columns of `seed_words`.
+@functools.cache
+def _seed_words_class() -> type:
+    # Made on first use: the base class lives in numpy.random, which
+    # `import ringmix` otherwise leaves unloaded (it takes about 14 ms).
+    from numpy.random.bit_generator import ISeedSequence
 
-    PCG64's srandom step in 128-bit Python int arithmetic: the first two
-    words are the initial state and the last two the stream selector,
-    high word first.
-    """
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*words.tolist()):
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
+    class SeedWords(ISeedSequence):
+        """Four `seed_words` posing as the SeedSequence a PCG64 is built from.
+
+        PCG64 asks its seed sequence for generate_state(4, uint64) and seeds
+        itself from those words, exactly as it does for `stream`'s
+        SeedSequence; any other request is refused.
+        """
+
+        def __init__(self, words: np.ndarray):
+            # PCG64 reads the four words straight from the array's buffer.
+            self.words = np.ascontiguousarray(words, dtype=np.uint64)
+            if self.words.shape != (4,):
+                raise ValueError(f"need one row of four seed words, got {self.words.shape}")
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("seed words serve PCG64's generate_state(4, np.uint64) only")
+            return self.words
+
+    return SeedWords
 
 
-def generators(states: Iterable[dict]) -> Iterator[np.random.Generator]:
-    """One Generator set to each state in turn.
-
-    The same Generator object is yielded every time, so draw from it
-    before asking for the next.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))  # seed irrelevant: every state replaces it
-    for state in states:
-        rng.bit_generator.state = state
-        yield rng
+def generator(words: np.ndarray) -> np.random.Generator:
+    """Generator seeded by one row of `seed_words`: it draws exactly as
+    `stream(*prefix, *row)` does."""
+    return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))

@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from . import seeding
-from .mixing import apply_mixing, build_ring_matrix, build_uniform_matrix, permutation_for_step
+from .mixing import apply_mixing, build_ring_matrix, build_uniform_matrix, sample_permutation
 from .spectral import second_eigenvalue_ring
 
 
@@ -232,29 +232,27 @@ def _stream_block(seed: int, n_learners: int, block: int) -> dict[int, np.ndarra
     """Seed words of the streams of iterations block*_BLOCK up to the next block.
 
     By tag: (seed, TAG_GRADIENT, k, l) for every learner l, shaped
-    (4, _BLOCK, n_learners), and (seed, TAG_CLOCK, k), shaped (4, _BLOCK, 1).
-    Kept as uint64 words; only the current iteration's become Python ints.
+    (_BLOCK, n_learners, 4), and (seed, TAG_CLOCK, k) and
+    (seed, TAG_PERMUTATION, k), shaped (_BLOCK, 1, 4).
     """
     k = np.arange(block * _BLOCK, (block + 1) * _BLOCK)
     learner_rows = np.stack(np.meshgrid(k, np.arange(n_learners), indexing="ij"), axis=-1)
     words = {
         seeding.TAG_GRADIENT: seeding.seed_words(
             (seed, seeding.TAG_GRADIENT), learner_rows.reshape(-1, 2)
-        ).reshape(4, _BLOCK, n_learners),
-        seeding.TAG_CLOCK: seeding.seed_words(
-            (seed, seeding.TAG_CLOCK), k[:, None]
-        ).reshape(4, _BLOCK, 1),
+        ).reshape(_BLOCK, n_learners, 4),
     }
+    for tag in (seeding.TAG_CLOCK, seeding.TAG_PERMUTATION):
+        words[tag] = seeding.seed_words((seed, tag), k[:, None]).reshape(_BLOCK, 1, 4)
     for w in words.values():
         w.setflags(write=False)
     return words
 
 
-def _stream_states(cfg: RunConfig, tag: int, k: int) -> list[dict]:
-    """PCG64 states of iteration k's streams under `tag`, equal to those of
-    seeding.stream(cfg.seed, tag, k[, l])."""
-    words = _stream_block(cfg.seed, cfg.n_learners, k // _BLOCK)[tag]
-    return seeding.pcg64_states(words[:, k % _BLOCK])
+def _stream_words(seed: int, n_learners: int, tag: int, k: int) -> np.ndarray:
+    """Seed words (n, 4) of iteration k's streams under `tag`: row l seeds
+    the stream of seeding.stream(seed, tag, k[, l])."""
+    return _stream_block(seed, n_learners, k // _BLOCK)[tag][k % _BLOCK]
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
@@ -265,7 +263,7 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     a seed share gradient noise.
     """
     L = cfg.n_learners
-    rngs = seeding.generators(_stream_states(cfg, seeding.TAG_GRADIENT, k))
+    rngs = map(seeding.generator, _stream_words(cfg.seed, L, seeding.TAG_GRADIENT, k))
     shards = [(l, L) for l in range(L)] if cfg.data_partition == "sharded" else None
     return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
 
@@ -328,9 +326,16 @@ def step_rand_psgd(
     if mode not in ("sync", "async"):
         raise ValueError(f"staleness_mode must be sync|async, got {mode!r}")
     L = cfg.n_learners
-    perm = permutation_for_step(L, state.seed, state.iteration)
+    perm = _permutation(L, state.seed, state.iteration)
     T = _ring(L)[np.ix_(perm, perm)]
     return _gossip_step(state, oracle, cfg, T, stale=(mode == "async"))
+
+
+def _permutation(n_learners: int, seed: int, k: int) -> np.ndarray:
+    """`mixing.permutation_for_step(n_learners, seed, k)`, its stream taken
+    from the cached block."""
+    words = _stream_words(seed, n_learners, seeding.TAG_PERMUTATION, k)
+    return sample_permutation(n_learners, seeding.generator(words[0]))
 
 
 def step_d1d(state: SimState, oracle, cfg: RunConfig) -> SimState:
@@ -455,9 +460,6 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     diverged = False
     last_recorded = 0
-    clocks = seeding.generators(
-        _stream_states(cfg, seeding.TAG_CLOCK, k)[0] for k in range(cfg.iterations)
-    )
     for k in range(cfg.iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
@@ -467,7 +469,9 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
             diverged = True
             break
         state = new_state
-        state, _ = advance_clock(state, strategy, cfg.cost_model, next(clocks))
+        clock_words = _stream_words(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k)
+        clock = seeding.generator(clock_words[0])
+        state, _ = advance_clock(state, strategy, cfg.cost_model, clock)
         if state.iteration % cfg.log_every == 0 or k == cfg.iterations - 1:
             records.append(_record(state, oracle, rho))
             last_recorded = state.iteration

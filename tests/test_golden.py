@@ -3,8 +3,10 @@
 `golden.json` holds SHA-256 digests of the final state and trace records
 of small `run_training` calls (every strategy, both oracles, shared and
 sharded data, short and multi-word seeds, runs that cross the 64-iteration
-mark) and of every artifact of a small `ringmix run` sweep, together with
-the fingerprint of the environment that recorded them.  Paths through BLAS
+mark), of every artifact of a small `ringmix run` sweep, and of consensus
+curves (Monte Carlo under both norms, exhaustive enumeration, fixed-ring
+powering), together with the fingerprint of the environment that recorded
+them.  Paths through BLAS
 (mixing products, logistic matvecs) can change in their last bits with the
 numpy or BLAS build, so a fingerprint difference fails by name instead of
 being skipped.
@@ -30,6 +32,7 @@ import pytest
 from ringmix import cli
 from ringmix.objectives import logistic_oracle, quadratic_oracle
 from ringmix.simulation import CostModel, RunConfig, Strategy, run_training
+from ringmix.spectral import fixed_consensus_curve, monte_carlo_consensus
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -63,6 +66,20 @@ compute_sigma = 0.3
 straggler_factor = 4.0
 straggler_count = 1
 """
+
+
+# Monte Carlo consensus cases (L, k_max, trials).  Trial counts run from 2
+# to a few hundred so that batched evaluations see trial counts just below,
+# at and just above any power-of-two-ish group size at each ring size.
+CONSENSUS_MC = (
+    (3, 4, 2), (3, 4, 7),
+    (5, 6, 11),
+    (8, 5, 40), (8, 3, 255), (8, 3, 256), (8, 3, 257),
+    (33, 4, 2), (33, 4, 15), (33, 4, 16), (33, 3, 31),
+    (64, 4, 3), (64, 4, 4), (64, 4, 5), (64, 3, 9),
+)
+NORMS = ("frobenius", "spectral")
+FIXED_RINGS = (3, 5, 8, 33, 64)
 
 
 def fingerprint() -> dict[str, str]:
@@ -142,6 +159,29 @@ def sweep_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
+def curve_digest(curve) -> str:
+    arrays = (curve.steps, curve.distances, curve.halfwidths,
+              curve.squared_distances, curve.squared_halfwidths)
+    return _sha(
+        curve.norm_kind.encode(), str(curve.trials).encode(),
+        *(b"-" if a is None else np.ascontiguousarray(a).tobytes() for a in arrays),
+    )
+
+
+def consensus_digests() -> dict[str, str]:
+    """Digest of every consensus curve case, by name."""
+    digests = {}
+    for norm in NORMS:
+        for L, k_max, trials in CONSENSUS_MC:
+            curve = monte_carlo_consensus(L, k_max, trials, seed=L + trials, norm_kind=norm)
+            digests[f"mc/{norm}/L{L}/k{k_max}/t{trials}"] = curve_digest(curve)
+        exact = monte_carlo_consensus(5, 1, trials=0, seed=0, norm_kind=norm, exhaustive=True)
+        digests[f"exhaustive/{norm}/L5"] = curve_digest(exact)
+    for L in FIXED_RINGS:
+        digests[f"fixed/L{L}"] = curve_digest(fixed_consensus_curve(L, 20))
+    return digests
+
+
 def _training_key(strategy: Strategy, kind: str, partition: str) -> str:
     return f"{strategy.value}/{kind}/{partition}"
 
@@ -187,6 +227,11 @@ def test_sweep_artifact_digests(tmp_path):
     assert sweep_digests(tmp_path) == golden["sweep"], _environment_note(golden["fingerprint"])
 
 
+def test_consensus_curve_digests():
+    golden = _load()
+    assert consensus_digests() == golden["consensus"], _environment_note(golden["fingerprint"])
+
+
 def record() -> dict:
     training = {
         _training_key(s, kind, part): training_digest(s, kind, part)
@@ -194,7 +239,10 @@ def record() -> dict:
     }
     with tempfile.TemporaryDirectory() as tmp:
         sweep = sweep_digests(Path(tmp))
-    return {"fingerprint": fingerprint(), "training": training, "sweep": sweep}
+    return {
+        "fingerprint": fingerprint(), "training": training, "sweep": sweep,
+        "consensus": consensus_digests(),
+    }
 
 
 if __name__ == "__main__":

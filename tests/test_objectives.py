@@ -110,11 +110,13 @@ def test_finite_difference_error_shrinks_with_step():
 def test_logistic_shards_partition_the_dataset():
     oracle = logistic_oracle(dimension=4, n_samples=30, separation=1.0, seed=7)
     count = 4
-    pools = [oracle._shard_indices((i, count)) for i in range(count)]
-    joined = np.sort(np.concatenate(pools))
-    assert np.array_equal(joined, np.arange(30))
-    for i, pool in enumerate(pools):
-        assert np.array_equal(pool % count, np.full(len(pool), i))
+    drawn = [oracle._sample_indices(stream(5, i), 2000, (i, count)) for i in range(count)]
+    assert np.array_equal(np.unique(np.concatenate(drawn)), np.arange(30))
+    for i, picks in enumerate(drawn):
+        assert np.array_equal(picks % count, np.full(len(picks), i))
+        # Same draws as indexing the shard's explicit index pool.
+        pool = np.arange(i, 30, count)
+        assert np.array_equal(picks, pool[stream(5, i).integers(0, len(pool), 2000)])
 
 
 def test_logistic_stochastic_gradient_unbiased_on_full_pool():
@@ -147,8 +149,8 @@ def test_logistic_validation():
     with pytest.raises(ValueError):
         LogisticObjective(np.zeros((4, 2)), np.array([1.0, 1.0, -1.0, 2.0]))
     oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
-    with pytest.raises(ValueError):
-        oracle._shard_indices((5, 4))
+    with pytest.raises(ValueError, match="shard index"):
+        oracle.stochastic_gradient(np.zeros(3), BatchDescriptor(2, (0,)), shard=(5, 4))
 
 
 def test_evaluate_loss_and_gradient_check_validation():

@@ -8,8 +8,7 @@ from ringmix.seeding import (
     TAG_GRADIENT,
     TAG_INIT,
     TAG_PERMUTATION,
-    generators,
-    pcg64_states,
+    generator,
     seed_sequence,
     seed_words,
     stream,
@@ -78,10 +77,10 @@ def _index_rows(draw):
 )
 def test_batched_states_draw_bit_identical_to_stream(prefix, rows, d, n, b):
     words = seed_words(prefix, rows)
-    rngs = generators(pcg64_states(words))
-    for j, (row, rng) in enumerate(zip(rows.tolist(), rngs, strict=True)):
+    for j, row in enumerate(rows.tolist()):
         expected_words = seed_sequence(*prefix, *row).generate_state(4, np.uint64)
-        assert np.array_equal(words[:, j], expected_words)
+        assert np.array_equal(words[j], expected_words)
+        rng = generator(words[j])
         ref = stream(*prefix, *row)
         # An odd count of 32-bit integers leaves PCG64's cached half-word,
         # which the second integers call consumes.
@@ -92,6 +91,14 @@ def test_batched_states_draw_bit_identical_to_stream(prefix, rows, d, n, b):
             lambda g: g.lognormal(0.5, 2.0, 3),
         ):
             assert np.array_equal(draw(rng), draw(ref))
+
+
+def test_seed_words_serve_pcg64_only():
+    words = seed_words((1, TAG_GRADIENT), np.array([[0, 0]]))[0]
+    with pytest.raises(ValueError, match="PCG64"):
+        np.random.MT19937(generator(words).bit_generator.seed_seq)
+    with pytest.raises(ValueError, match="four seed words"):
+        generator(words[:3])
 
 
 def test_seed_words_rejects_wide_or_negative_indices():

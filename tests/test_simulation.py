@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ringmix.mixing import apply_mixing, build_uniform_matrix, permutation_for_step
+from ringmix.mixing import (
+    apply_mixing,
+    build_ring_matrix,
+    build_uniform_matrix,
+    permutation_for_step,
+)
 from ringmix.objectives import BatchDescriptor, logistic_oracle, quadratic_oracle
 from ringmix.seeding import TAG_CLOCK, TAG_GRADIENT, stream
 from ringmix.simulation import (
@@ -153,6 +160,22 @@ def test_rand_psgd_matches_manual_conjugation():
     G = gradient_matrix(oracle, state.prev_weights, cfg, 1)
     expected = state.weights @ T - cfg.lr * G
     assert np.allclose(state2.weights, expected, rtol=0, atol=1e-15)
+
+
+def test_rand_psgd_permutations_equal_permutation_for_step_across_blocks():
+    # step_rand_psgd takes its permutation stream from the cached block of
+    # seed words; mixing.permutation_for_step is the reference.
+    oracle = _oracle()
+    for L, seed in ((5, 11), (8, 2**40 + 9)):
+        cfg = _cfg(n_learners=L, seed=seed, staleness_mode="sync")
+        W = stream(8, L).standard_normal((6, L))
+        state = replace(initial_state(oracle, cfg), weights=W, prev_weights=W)
+        for k in (0, 62, 63, 64, 65, 127, 128, 63):
+            perm = permutation_for_step(L, seed, k)
+            T = build_ring_matrix(L)[np.ix_(perm, perm)]
+            G = gradient_matrix(oracle, W, cfg, k)
+            stepped = step_rand_psgd(replace(state, iteration=k), oracle, cfg)
+            assert np.array_equal(stepped.weights, W @ T - learning_rate(cfg, k) * G)
 
 
 def test_rand_psgd_staleness_override():

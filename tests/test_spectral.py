@@ -1,10 +1,20 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringmix.mixing import build_ring_matrix, build_uniform_matrix, conjugate_by_permutation
+from ringmix import spectral
+from ringmix.mixing import (
+    build_ring_matrix,
+    build_uniform_matrix,
+    conjugate_by_permutation,
+    sample_permutation,
+)
+from ringmix.seeding import TAG_TRIAL, stream
 from ringmix.spectral import (
     expected_gram,
     fixed_consensus_curve,
@@ -153,3 +163,44 @@ def test_norm_helpers():
     assert frobenius_norm(D) == pytest.approx(5.0, rel=1e-15)
     assert spectral_norm(D) == pytest.approx(5.0, rel=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def _trial_by_trial(L, k_max, trials, seed, norm_kind):
+    """Reference Monte Carlo loop: one trial, one step and one 2-d norm at
+    a time."""
+    T0 = build_ring_matrix(L)
+    U = build_uniform_matrix(L)
+    measure = spectral_norm if norm_kind == "spectral" else frobenius_norm
+    values = np.empty((trials, k_max))
+    for t in range(trials):
+        rng = stream(seed, TAG_TRIAL, t)
+        product = np.eye(L)
+        for k in range(k_max):
+            Tk = conjugate_by_permutation(T0, sample_permutation(L, rng))
+            product = product @ Tk
+            values[t, k] = measure(product - U)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.integers(3, 70),
+    k_max=st.integers(1, 6),
+    norm_kind=st.sampled_from(["frobenius", "spectral"]),
+    seed=st.one_of(st.integers(0, 50), st.integers(2**32, 2**64)),
+    data=st.data(),
+)
+def test_batched_monte_carlo_equals_trial_by_trial_loop(L, k_max, norm_kind, seed, data):
+    # Chunks of the real byte budget, and of one to three trials so that
+    # small rings cross chunk boundaries too.
+    budget_chunk = max(1, spectral._CHUNK_BYTES // (8 * L * L))
+    chunk = data.draw(st.sampled_from([budget_chunk, 1, 2, 3]), label="chunk")
+    trials = data.draw(st.integers(2, min(chunk, 40) + 3), label="trials")
+    expected = _trial_by_trial(L, k_max, trials, seed, norm_kind)
+    with mock.patch.object(spectral, "_CHUNK_BYTES", chunk * 8 * L * L):
+        curve = monte_carlo_consensus(L, k_max, trials, seed, norm_kind=norm_kind)
+        values = spectral._trial_distances(
+            build_ring_matrix(L), build_uniform_matrix(L), k_max, trials, seed, norm_kind
+        )
+    assert values.tobytes() == expected.tobytes()
+    assert curve.distances.tobytes() == expected.mean(axis=0).tobytes()
