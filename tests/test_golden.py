@@ -3,10 +3,10 @@
 `golden.json` holds SHA-256 digests of the final state and trace records
 of small `run_training` calls (every strategy, both oracles, shared and
 sharded data, short and multi-word seeds, runs that cross the 64-iteration
-mark), of every artifact of a small `ringmix run` sweep, and of consensus
+mark), of every artifact of a small `ringmix run` sweep, of consensus
 curves (Monte Carlo under both norms, exhaustive enumeration, fixed-ring
-powering), together with the fingerprint of the environment that recorded
-them.  Paths through BLAS
+powering) and of the canonical config echo of two INI files, together with
+the fingerprint of the environment that recorded them.  Paths through BLAS
 (mixing products, logistic matvecs) can change in their last bits with the
 numpy or BLAS build, so a fingerprint difference fails by name instead of
 being skipped.
@@ -30,11 +30,13 @@ import numpy as np
 import pytest
 
 from ringmix import cli
+from ringmix.config import echo_config, parse_config
 from ringmix.objectives import logistic_oracle, quadratic_oracle
 from ringmix.simulation import CostModel, RunConfig, Strategy, run_training
 from ringmix.spectral import fixed_consensus_curve, monte_carlo_consensus
 
 GOLDEN = Path(__file__).with_name("golden.json")
+DEMO_INI = Path(__file__).parents[1] / "demos" / "experiment.ini"
 
 ORACLES = ("quadratic", "logistic")
 PARTITIONS = ("shared", "sharded")
@@ -65,6 +67,40 @@ separation = 1.5
 compute_sigma = 0.3
 straggler_factor = 4.0
 straggler_count = 1
+"""
+
+# A quadratic config that sets every optional key, every [cost_model] key
+# among them, some with integer text in float fields.
+QUADRATIC_INI = """\
+[experiment]
+strategies = d1d, rand_psgd, spsgd
+learners = 4, 12
+iterations = 40
+trials = 3
+seed = 18446744073709551615
+lr = 0.30000000000000004
+batch_mode = per-learner-fixed
+batch_size = 7
+warmup_iters = 5
+staleness_mode = sync
+init_scale = 0
+data_partition = sharded
+log_every = 4
+
+[oracle]
+kind = quadratic
+dimension = 9
+seed = 12
+condition_number = 3
+noise_scale = 1e-300
+
+[cost_model]
+message_size_mb = 97.5
+bandwidth_gbps = 10
+compute_median_s = 0.025
+compute_sigma = 0.0
+straggler_factor = 6.25
+straggler_count = 4
 """
 
 
@@ -182,6 +218,13 @@ def consensus_digests() -> dict[str, str]:
     return digests
 
 
+def echo_digests() -> dict[str, str]:
+    """Digest of `echo_config(parse_config(text))` for each INI file, by name."""
+    texts = {"demos/experiment.ini": DEMO_INI.read_text(encoding="utf-8"),
+             "quadratic_all_keys": QUADRATIC_INI}
+    return {name: _sha(echo_config(parse_config(text)).encode()) for name, text in texts.items()}
+
+
 def _training_key(strategy: Strategy, kind: str, partition: str) -> str:
     return f"{strategy.value}/{kind}/{partition}"
 
@@ -232,6 +275,10 @@ def test_consensus_curve_digests():
     assert consensus_digests() == golden["consensus"], _environment_note(golden["fingerprint"])
 
 
+def test_config_echo_digests():
+    assert echo_digests() == _load()["echo"]
+
+
 def record() -> dict:
     training = {
         _training_key(s, kind, part): training_digest(s, kind, part)
@@ -241,7 +288,7 @@ def record() -> dict:
         sweep = sweep_digests(Path(tmp))
     return {
         "fingerprint": fingerprint(), "training": training, "sweep": sweep,
-        "consensus": consensus_digests(),
+        "consensus": consensus_digests(), "echo": echo_digests(),
     }
 
 
