@@ -46,84 +46,15 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+import operator
+import typing
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 
 from .simulation import Strategy
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    strategies: tuple[Strategy, ...]
-    learner_counts: tuple[int, ...]
-    iterations: int
-    trials: int
-    master_seed: int
-    lr: float
-    batch_mode: str
-    batch_size: int
-    warmup_iters: int = 0
-    staleness_mode: str = "async"
-    init_scale: float = 1.0
-    data_partition: str = "shared"
-    log_every: int = 1
-    oracle_kind: str = "quadratic"
-    dimension: int = 16
-    oracle_seed: int = 0
-    condition_number: float = 10.0
-    noise_scale: float = 1.0
-    n_samples: int = 512
-    separation: float = 2.0
-    ridge: float = 1e-4
-    message_size_mb: float = 165.0
-    bandwidth_gbps: float = 25.0
-    compute_median_s: float = 0.1
-    compute_sigma: float = 0.1
-    straggler_factor: float = 1.0
-    straggler_count: int = 0
-
-    def per_learner_batch(self, n_learners: int) -> int:
-        if self.batch_mode == "per-learner-fixed":
-            return self.batch_size
-        return self.batch_size // n_learners
-
-
-_REQUIRED_EXPERIMENT = (
-    "strategies", "learners", "iterations", "trials", "seed", "lr", "batch_mode", "batch_size",
-)
-_EXPERIMENT_KEYS = _REQUIRED_EXPERIMENT + (
-    "warmup_iters", "staleness_mode", "init_scale", "data_partition", "log_every",
-)
-_ORACLE_KEYS_COMMON = ("kind", "dimension", "seed")
-_ORACLE_KEYS_QUADRATIC = ("condition_number", "noise_scale")
-_ORACLE_KEYS_LOGISTIC = ("n_samples", "separation", "ridge")
-_COST_KEYS = (
-    "message_size_mb", "bandwidth_gbps", "compute_median_s", "compute_sigma",
-    "straggler_factor", "straggler_count",
-)
-
-
-def _convert(section: str, key: str, raw: str, kind):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected {kind.__name__}, got {raw!r}"
-        ) from None
-    raise AssertionError(kind)
-
-
-def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"[{section}] {key}: expected a comma-separated list")
-    return tuple(_convert(section, key, p, int) for p in parts)
 
 
 def _parse_strategies(raw: str) -> tuple[Strategy, ...]:
@@ -145,6 +76,96 @@ def _parse_strategies(raw: str) -> tuple[Strategy, ...]:
     return tuple(out)
 
 
+def _parse_learners(raw: str) -> tuple[int, ...]:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError("[experiment] learners: expected a comma-separated list")
+    return tuple(_convert("experiment", "learners", p, int) for p in parts)
+
+
+def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, parse=None):
+    """A config field: `check` is ">= bound", "> bound" or a tuple of choices;
+    `scope` is the oracle kind the key applies to (None: every kind)."""
+    meta = {"section": section, "key": key, "check": check, "scope": scope, "parse": parse}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    strategies: tuple[Strategy, ...] = _key("experiment", parse=_parse_strategies)
+    learner_counts: tuple[int, ...] = _key("experiment", key="learners", parse=_parse_learners)
+    iterations: int = _key("experiment", check=">= 1")
+    trials: int = _key("experiment", check=">= 1")
+    master_seed: int = _key("experiment", key="seed", check=">= 0")
+    lr: float = _key("experiment", check="> 0")
+    batch_mode: str = _key("experiment", check=("total-fixed", "per-learner-fixed"))
+    batch_size: int = _key("experiment", check=">= 1")
+    warmup_iters: int = _key("experiment", 0, check=">= 0")
+    staleness_mode: str = _key("experiment", "async", check=("sync", "async"))
+    init_scale: float = _key("experiment", 1.0, check=">= 0")
+    data_partition: str = _key("experiment", "shared", check=("shared", "sharded"))
+    log_every: int = _key("experiment", 1, check=">= 1")
+    oracle_kind: str = _key("oracle", "quadratic", key="kind", check=("quadratic", "logistic"))
+    dimension: int = _key("oracle", 16, check=">= 1")
+    oracle_seed: int = _key("oracle", 0, key="seed", check=">= 0")
+    condition_number: float = _key("oracle", 10.0, check=">= 1", scope="quadratic")
+    noise_scale: float = _key("oracle", 1.0, check=">= 0", scope="quadratic")
+    n_samples: int = _key("oracle", 512, check=">= 2", scope="logistic")
+    separation: float = _key("oracle", 2.0, check=">= 0", scope="logistic")
+    ridge: float = _key("oracle", 1e-4, check=">= 0", scope="logistic")
+    message_size_mb: float = _key("cost_model", 165.0, check="> 0")
+    bandwidth_gbps: float = _key("cost_model", 25.0, check="> 0")
+    compute_median_s: float = _key("cost_model", 0.1, check="> 0")
+    compute_sigma: float = _key("cost_model", 0.1, check=">= 0")
+    straggler_factor: float = _key("cost_model", 1.0, check="> 0")
+    straggler_count: int = _key("cost_model", 0, check=">= 0")
+
+    def per_learner_batch(self, n_learners: int) -> int:
+        if self.batch_mode == "per-learner-fixed":
+            return self.batch_size
+        return self.batch_size // n_learners
+
+
+class _Entry(typing.NamedTuple):
+    field: Field
+    section: str
+    key: str
+    type: type
+
+
+# One entry per field in declaration order, which is also the echo order.
+_FIELDS = tuple(
+    _Entry(f, f.metadata["section"], f.metadata["key"] or f.name, kind)
+    for f, kind in zip(fields(ExperimentConfig), typing.get_type_hints(ExperimentConfig).values())
+)
+_KIND = next(e for e in _FIELDS if e.field.name == "oracle_kind")
+_SECTIONS = ("experiment", "oracle", "cost_model")
+_FAILS = {">=": operator.lt, ">": operator.le}  # value fails its range check when op(value, bound)
+
+
+def _convert(section: str, key: str, raw: str, kind):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from None
+
+
+def _check(entry: _Entry, value) -> None:
+    check = entry.field.metadata["check"]
+    if isinstance(check, tuple) and value not in check:
+        raise ConfigError(
+            f"[{entry.section}] {entry.key}: expected {'|'.join(check)}, got {value!r}"
+        )
+    if isinstance(check, str):
+        op, bound = check.split()
+        if _FAILS[op](value, float(bound)):
+            raise ConfigError(f"[{entry.section}] {entry.key}: must be {check}")
+
+
+def _entries(oracle_kind: str) -> list[_Entry]:
+    return [e for e in _FIELDS if e.field.metadata["scope"] in (None, oracle_kind)]
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate configuration text.  Raises ConfigError."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
@@ -153,227 +174,78 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    known_sections = {"experiment", "oracle", "cost_model"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("experiment"):
         raise ConfigError("missing required section [experiment]")
+    raw = {s: dict(parser[s]) if parser.has_section(s) else {} for s in _SECTIONS}
 
-    exp = parser["experiment"]
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"[experiment] unknown key {key!r}")
-    for key in _REQUIRED_EXPERIMENT:
-        if key not in exp:
-            raise ConfigError(f"[experiment] missing required key {key!r}")
+    kind = raw["oracle"].get("kind", ExperimentConfig.oracle_kind)
+    _check(_KIND, kind)
+    entries = _entries(kind)
+    known = {(e.section, e.key) for e in entries}
+    for section, table in raw.items():
+        for key in table:
+            if (section, key) not in known:
+                scope = f" for kind {kind!r}" if section == "oracle" else ""
+                raise ConfigError(f"[{section}] unknown key {key!r}{scope}")
 
-    oracle = parser["oracle"] if parser.has_section("oracle") else {}
-    kind = oracle.get("kind", "quadratic")
-    if kind not in ("quadratic", "logistic"):
-        raise ConfigError(f"[oracle] kind: expected quadratic|logistic, got {kind!r}")
-    allowed_oracle = set(_ORACLE_KEYS_COMMON) | set(
-        _ORACLE_KEYS_QUADRATIC if kind == "quadratic" else _ORACLE_KEYS_LOGISTIC
-    )
-    for key in oracle:
-        if key not in allowed_oracle:
-            raise ConfigError(
-                f"[oracle] key {key!r} not recognized for kind {kind!r}"
-            )
-
-    cost = parser["cost_model"] if parser.has_section("cost_model") else {}
-    for key in cost:
-        if key not in _COST_KEYS:
-            raise ConfigError(f"[cost_model] unknown key {key!r}")
-
-    def exp_int(key, default=None):
-        if key not in exp:
-            return default
-        return _convert("experiment", key, exp[key], int)
-
-    def exp_float(key, default=None):
-        if key not in exp:
-            return default
-        return _convert("experiment", key, exp[key], float)
-
-    cfg = ExperimentConfig(
-        strategies=_parse_strategies(exp["strategies"]),
-        learner_counts=_int_list("experiment", "learners", exp["learners"]),
-        iterations=exp_int("iterations"),
-        trials=exp_int("trials"),
-        master_seed=exp_int("seed"),
-        lr=exp_float("lr"),
-        batch_mode=exp["batch_mode"].strip(),
-        batch_size=exp_int("batch_size"),
-        warmup_iters=exp_int("warmup_iters", 0),
-        staleness_mode=exp.get("staleness_mode", "async").strip(),
-        init_scale=exp_float("init_scale", 1.0),
-        data_partition=exp.get("data_partition", "shared").strip(),
-        log_every=exp_int("log_every", 1),
-        oracle_kind=kind,
-        dimension=_convert("oracle", "dimension", oracle.get("dimension", "16"), int),
-        oracle_seed=_convert("oracle", "seed", oracle.get("seed", "0"), int),
-        condition_number=_convert(
-            "oracle", "condition_number", oracle.get("condition_number", "10.0"), float
-        ),
-        noise_scale=_convert("oracle", "noise_scale", oracle.get("noise_scale", "1.0"), float),
-        n_samples=_convert("oracle", "n_samples", oracle.get("n_samples", "512"), int),
-        separation=_convert("oracle", "separation", oracle.get("separation", "2.0"), float),
-        ridge=_convert("oracle", "ridge", oracle.get("ridge", "0.0001"), float),
-        message_size_mb=_convert(
-            "cost_model", "message_size_mb", cost.get("message_size_mb", "165.0"), float
-        ),
-        bandwidth_gbps=_convert(
-            "cost_model", "bandwidth_gbps", cost.get("bandwidth_gbps", "25.0"), float
-        ),
-        compute_median_s=_convert(
-            "cost_model", "compute_median_s", cost.get("compute_median_s", "0.1"), float
-        ),
-        compute_sigma=_convert(
-            "cost_model", "compute_sigma", cost.get("compute_sigma", "0.1"), float
-        ),
-        straggler_factor=_convert(
-            "cost_model", "straggler_factor", cost.get("straggler_factor", "1.0"), float
-        ),
-        straggler_count=_convert(
-            "cost_model", "straggler_count", cost.get("straggler_count", "0"), int
-        ),
-    )
+    values = {}
+    for e in entries:
+        if e.key in raw[e.section]:
+            v, parse = raw[e.section][e.key], e.field.metadata["parse"]
+            values[e.field.name] = parse(v) if parse else _convert(e.section, e.key, v, e.type)
+        elif e.field.default is MISSING:
+            raise ConfigError(f"[{e.section}] missing required key {e.key!r}")
+    cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Range and consistency checks; raises ConfigError naming the field."""
-    if cfg.iterations < 1:
-        raise ConfigError("[experiment] iterations: must be >= 1")
-    if cfg.trials < 1:
-        raise ConfigError("[experiment] trials: must be >= 1")
-    if cfg.master_seed < 0:
-        raise ConfigError("[experiment] seed: must be >= 0")
-    if cfg.lr <= 0:
-        raise ConfigError("[experiment] lr: must be > 0")
-    if cfg.warmup_iters < 0:
-        raise ConfigError("[experiment] warmup_iters: must be >= 0")
-    if cfg.batch_mode not in ("total-fixed", "per-learner-fixed"):
-        raise ConfigError(
-            f"[experiment] batch_mode: expected total-fixed|per-learner-fixed, "
-            f"got {cfg.batch_mode!r}"
-        )
-    if cfg.batch_size < 1:
-        raise ConfigError("[experiment] batch_size: must be >= 1")
-    if cfg.staleness_mode not in ("sync", "async"):
-        raise ConfigError("[experiment] staleness_mode: expected sync|async")
-    if cfg.init_scale < 0:
-        raise ConfigError("[experiment] init_scale: must be >= 0")
-    if cfg.data_partition not in ("shared", "sharded"):
-        raise ConfigError("[experiment] data_partition: expected shared|sharded")
-    if cfg.log_every < 1:
-        raise ConfigError("[experiment] log_every: must be >= 1")
+    for e in _entries(cfg.oracle_kind):
+        _check(e, getattr(cfg, e.field.name))
     if not cfg.learner_counts:
         raise ConfigError("[experiment] learners: expected at least one count")
-    needs_ring = any(
-        s in (Strategy.DPSGD_FIXED, Strategy.ADPSGD_FIXED, Strategy.RAND_PSGD)
-        for s in cfg.strategies
-    )
+    needs_ring = any(s.uses_ring for s in cfg.strategies)
     for L in cfg.learner_counts:
         if L < 1:
             raise ConfigError(f"[experiment] learners: must be >= 1, got {L}")
         if needs_ring and L < 3:
+            raise ConfigError(f"[experiment] learners: ring strategies need >= 3 learners, got {L}")
+        # With batch_size >= 1, a divisible total leaves each learner a sample.
+        if cfg.batch_mode == "total-fixed" and cfg.batch_size % L != 0:
             raise ConfigError(
-                f"[experiment] learners: ring strategies need >= 3 learners, got {L}"
+                f"[experiment] batch_size: total-fixed size {cfg.batch_size} "
+                f"not divisible by learners={L}"
             )
-        if cfg.batch_mode == "total-fixed":
-            if cfg.batch_size % L != 0:
-                raise ConfigError(
-                    f"[experiment] batch_size: total-fixed size {cfg.batch_size} "
-                    f"not divisible by learners={L}"
-                )
-            if cfg.batch_size // L < 1:
-                raise ConfigError(
-                    f"[experiment] batch_size: total-fixed size {cfg.batch_size} "
-                    f"leaves no samples per learner at learners={L}"
-                )
         if cfg.straggler_count > L:
             raise ConfigError(
                 f"[cost_model] straggler_count: {cfg.straggler_count} exceeds learners={L}"
             )
-    if cfg.dimension < 1:
-        raise ConfigError("[oracle] dimension: must be >= 1")
-    if cfg.oracle_seed < 0:
-        raise ConfigError("[oracle] seed: must be >= 0")
-    if cfg.oracle_kind == "quadratic":
-        if cfg.condition_number < 1:
-            raise ConfigError("[oracle] condition_number: must be >= 1")
-        if cfg.noise_scale < 0:
-            raise ConfigError("[oracle] noise_scale: must be >= 0")
-    else:
-        if cfg.n_samples < 2:
-            raise ConfigError("[oracle] n_samples: must be >= 2")
-        if cfg.separation < 0:
-            raise ConfigError("[oracle] separation: must be >= 0")
-        if cfg.ridge < 0:
-            raise ConfigError("[oracle] ridge: must be >= 0")
-    if cfg.message_size_mb <= 0:
-        raise ConfigError("[cost_model] message_size_mb: must be > 0")
-    if cfg.bandwidth_gbps <= 0:
-        raise ConfigError("[cost_model] bandwidth_gbps: must be > 0")
-    if cfg.compute_median_s <= 0:
-        raise ConfigError("[cost_model] compute_median_s: must be > 0")
-    if cfg.compute_sigma < 0:
-        raise ConfigError("[cost_model] compute_sigma: must be >= 0")
-    if cfg.straggler_factor <= 0:
-        raise ConfigError("[cost_model] straggler_factor: must be > 0")
-    if cfg.straggler_count < 0:
-        raise ConfigError("[cost_model] straggler_count: must be >= 0")
+
+
+def _text(value, type_) -> str:
+    if type_ is float:
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ", ".join(_text(v, None) for v in value)
+    return value.value if isinstance(value, Strategy) else str(value)
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config: parse(echo(cfg)) == cfg, byte-stable."""
-    f = lambda x: repr(float(x))
-    lines = [
-        "[experiment]",
-        "strategies = " + ", ".join(s.value for s in cfg.strategies),
-        "learners = " + ", ".join(str(n) for n in cfg.learner_counts),
-        f"iterations = {cfg.iterations}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.master_seed}",
-        f"lr = {f(cfg.lr)}",
-        f"batch_mode = {cfg.batch_mode}",
-        f"batch_size = {cfg.batch_size}",
-        f"warmup_iters = {cfg.warmup_iters}",
-        f"staleness_mode = {cfg.staleness_mode}",
-        f"init_scale = {f(cfg.init_scale)}",
-        f"data_partition = {cfg.data_partition}",
-        f"log_every = {cfg.log_every}",
-        "",
-        "[oracle]",
-        f"kind = {cfg.oracle_kind}",
-        f"dimension = {cfg.dimension}",
-        f"seed = {cfg.oracle_seed}",
-    ]
-    if cfg.oracle_kind == "quadratic":
+    entries, lines = _entries(cfg.oracle_kind), []
+    for section in _SECTIONS:
+        lines.append(f"[{section}]")
         lines += [
-            f"condition_number = {f(cfg.condition_number)}",
-            f"noise_scale = {f(cfg.noise_scale)}",
+            f"{e.key} = {_text(getattr(cfg, e.field.name), e.type)}"
+            for e in entries
+            if e.section == section
         ]
-    else:
-        lines += [
-            f"n_samples = {cfg.n_samples}",
-            f"separation = {f(cfg.separation)}",
-            f"ridge = {f(cfg.ridge)}",
-        ]
-    lines += [
-        "",
-        "[cost_model]",
-        f"message_size_mb = {f(cfg.message_size_mb)}",
-        f"bandwidth_gbps = {f(cfg.bandwidth_gbps)}",
-        f"compute_median_s = {f(cfg.compute_median_s)}",
-        f"compute_sigma = {f(cfg.compute_sigma)}",
-        f"straggler_factor = {f(cfg.straggler_factor)}",
-        f"straggler_count = {cfg.straggler_count}",
-        "",
-    ]
+        lines.append("")
     return "\n".join(lines)
 
 

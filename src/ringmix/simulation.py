@@ -53,6 +53,12 @@ class Strategy(Enum):
     RAND_PSGD = "rand_psgd"
     D1D = "d1d"
 
+    @property
+    def uses_ring(self) -> bool:
+        """True if the strategy gossips over a ring and pays its spectral gap;
+        False if it averages exactly behind a barrier (SPSGD, D1D)."""
+        return self not in (Strategy.SPSGD, Strategy.D1D)
+
 
 # Stable small integers for seed derivation; never renumber.
 STRATEGY_IDS = {
@@ -357,28 +363,20 @@ _STEP_FUNCTIONS = {
     Strategy.D1D: step_d1d,
 }
 
-_BARRIER_STRATEGIES = (Strategy.SPSGD, Strategy.D1D)
 
-_ring_cache: dict[int, np.ndarray] = {}
-_uniform_cache: dict[int, np.ndarray] = {}
+def _read_only(T: np.ndarray) -> np.ndarray:
+    T.setflags(write=False)
+    return T
 
 
+@functools.cache
 def _ring(L: int) -> np.ndarray:
-    T = _ring_cache.get(L)
-    if T is None:
-        T = build_ring_matrix(L)
-        T.setflags(write=False)
-        _ring_cache[L] = T
-    return T
+    return _read_only(build_ring_matrix(L))
 
 
+@functools.cache
 def _uniform(L: int) -> np.ndarray:
-    T = _uniform_cache.get(L)
-    if T is None:
-        T = build_uniform_matrix(L)
-        T.setflags(write=False)
-        _uniform_cache[L] = T
-    return T
+    return _read_only(build_uniform_matrix(L))
 
 
 def mixing_rho(strategy: Strategy, n_learners: int) -> float:
@@ -388,9 +386,7 @@ def mixing_rho(strategy: Strategy, n_learners: int) -> float:
     it); exact-averaging strategies collapse all non-principal
     eigenvalues to 0.
     """
-    if strategy in (Strategy.SPSGD, Strategy.D1D):
-        return 0.0
-    return second_eigenvalue_ring(n_learners)
+    return second_eigenvalue_ring(n_learners) if strategy.uses_ring else 0.0
 
 
 def consensus_distance(W: np.ndarray) -> float:
@@ -404,18 +400,18 @@ def advance_clock(
 ) -> tuple[SimState, float]:
     """Account one iteration of simulated wall-clock time.
 
-    Barrier strategies (SPSGD, D1D) wait for the slowest learner's
-    compute, then pay a slowest-link allreduce.  Gossip strategies
-    overlap compute with their own exchanges: each learner's iteration
-    costs max(compute, own exchange), and the recorded duration is the
-    mean over learners.
+    Barrier strategies (not `strategy.uses_ring`) wait for the slowest
+    learner's compute, then pay a slowest-link allreduce.  Ring (gossip)
+    strategies overlap compute with their own exchanges: each learner's
+    iteration costs max(compute, own exchange), and the recorded duration
+    is the mean over learners.
     """
     L = len(state.compute_time_s)
     compute = cost_model.sample_compute_times(L, rng)
-    if strategy in _BARRIER_STRATEGIES:
-        duration = float(compute.max()) + cost_model.allreduce_time(L)
-    else:
+    if strategy.uses_ring:
         duration = float(np.maximum(compute, cost_model.comm_times(L)).mean())
+    else:
+        duration = float(compute.max()) + cost_model.allreduce_time(L)
     new_state = replace(
         state,
         compute_time_s=state.compute_time_s + compute,

@@ -1,5 +1,11 @@
-import pytest
+import math
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringmix import config as config_module
 from ringmix.config import (
     ConfigError,
     ExperimentConfig,
@@ -158,3 +164,235 @@ def test_direct_construction_validates_via_parse_path():
         batch_size=2,
     )
     assert with_overrides(cfg, trials=2).trials == 2
+
+
+def _ini(sections: dict[str, dict[str, str]]) -> str:
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def _merged(*layers: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
+    out: dict[str, dict[str, str]] = {}
+    for layer in layers:
+        for name, keys in layer.items():
+            out.setdefault(name, {}).update(keys)
+    return out
+
+
+# A valid config whose cross-field checks leave every single key free to
+# sit at its own bound.
+BOUNDARY_BASE = {
+    "experiment": {
+        "strategies": "rand_psgd", "learners": "4", "iterations": "5", "trials": "1",
+        "seed": "0", "lr": "0.1", "batch_mode": "per-learner-fixed", "batch_size": "4",
+    },
+}
+LOGISTIC = {"oracle": {"kind": "logistic"}}
+BARRIER_ONLY = {"experiment": {"strategies": "d1d"}}
+
+# (section, key, comparison, bound, type, extra layer) of every range check.
+RANGES = [
+    ("experiment", "learners", ">=", 1, int, BARRIER_ONLY),
+    ("experiment", "learners", ">=", 3, int, {}),
+    ("experiment", "iterations", ">=", 1, int, {}),
+    ("experiment", "trials", ">=", 1, int, {}),
+    ("experiment", "seed", ">=", 0, int, {}),
+    ("experiment", "lr", ">", 0, float, {}),
+    ("experiment", "batch_size", ">=", 1, int, {}),
+    ("experiment", "warmup_iters", ">=", 0, int, {}),
+    ("experiment", "init_scale", ">=", 0, float, {}),
+    ("experiment", "log_every", ">=", 1, int, {}),
+    ("oracle", "dimension", ">=", 1, int, {}),
+    ("oracle", "seed", ">=", 0, int, {}),
+    ("oracle", "condition_number", ">=", 1, float, {}),
+    ("oracle", "noise_scale", ">=", 0, float, {}),
+    ("oracle", "n_samples", ">=", 2, int, LOGISTIC),
+    ("oracle", "separation", ">=", 0, float, LOGISTIC),
+    ("oracle", "ridge", ">=", 0, float, LOGISTIC),
+    ("cost_model", "message_size_mb", ">", 0, float, {}),
+    ("cost_model", "bandwidth_gbps", ">", 0, float, {}),
+    ("cost_model", "compute_median_s", ">", 0, float, {}),
+    ("cost_model", "compute_sigma", ">=", 0, float, {}),
+    ("cost_model", "straggler_factor", ">", 0, float, {}),
+    ("cost_model", "straggler_count", ">=", 0, int, {}),
+]
+
+
+def _step(value, type_, direction: float):
+    if type_ is int:
+        return value + int(direction)
+    return math.nextafter(float(value), direction * math.inf)
+
+
+@pytest.mark.parametrize(
+    "section, key, op, bound, type_, extra", RANGES,
+    ids=[f"{s}.{k}{op}{b}" for s, k, op, b, _, _ in RANGES],
+)
+def test_range_boundaries(section, key, op, bound, type_, extra):
+    if op == ">=":
+        accepted, rejected = bound, _step(bound, type_, -1)
+    else:
+        accepted, rejected = _step(bound, type_, +1), bound
+    text = repr if type_ is float else str
+
+    def config(value):
+        return _ini(_merged(BOUNDARY_BASE, extra, {section: {key: text(type_(value))}}))
+
+    parse_config(config(accepted))
+    with pytest.raises(ConfigError) as err:
+        parse_config(config(rejected))
+    assert f"[{section}] {key}" in str(err.value)
+
+
+CHOICES = [
+    ("experiment", "batch_mode", ("total-fixed", "per-learner-fixed")),
+    ("experiment", "staleness_mode", ("sync", "async")),
+    ("experiment", "data_partition", ("shared", "sharded")),
+    ("oracle", "kind", ("quadratic", "logistic")),
+]
+
+
+@pytest.mark.parametrize("section, key, choices", CHOICES, ids=[k for _, k, _ in CHOICES])
+def test_choice_keys(section, key, choices):
+    for choice in choices:
+        parse_config(_ini(_merged(BOUNDARY_BASE, {section: {key: choice}})))
+    for wrong in (choices[0].upper(), choices[0] + "x"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_ini(_merged(BOUNDARY_BASE, {section: {key: wrong}})))
+        assert f"[{section}] {key}" in str(err.value)
+
+
+# Generated configs are built field by field, independently of the config
+# module's own description of its keys.
+BARRIER_STRATEGIES = {Strategy.SPSGD, Strategy.D1D}
+AWKWARD = [0.1 + 0.2, 1.0 / 3.0, 5e-324, 2.2250738585072014e-308, 1e-300, 2.0**53 + 2, 1e300,
+           1.7976931348623157e308, math.inf]
+
+
+def _float_values(low: float, inclusive: bool):
+    def ok(x):
+        return x >= low if inclusive else x > low
+
+    return st.one_of(
+        st.floats(min_value=low, exclude_min=not inclusive, allow_nan=False),
+        st.integers(min_value=int(low) + (not inclusive), max_value=10**6),
+        st.sampled_from([x for x in AWKWARD if ok(x)]),
+    )
+
+
+@st.composite
+def valid_configs(draw):
+    strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
+    ring = any(s not in BARRIER_STRATEGIES for s in strategies)
+    learners = draw(st.lists(st.integers(3 if ring else 1, 64), min_size=1, max_size=4))
+    batch_mode = draw(st.sampled_from(["total-fixed", "per-learner-fixed"]))
+    if batch_mode == "total-fixed":
+        batch_size = math.lcm(*learners) * draw(st.integers(1, 50))
+    else:
+        batch_size = draw(st.integers(1, 10**6))
+    kind = draw(st.sampled_from(["quadratic", "logistic"]))
+    if kind == "quadratic":
+        oracle = dict(condition_number=draw(_float_values(1, True)),
+                      noise_scale=draw(_float_values(0, True)))
+    else:
+        oracle = dict(n_samples=draw(st.integers(2, 10**6)),
+                      separation=draw(_float_values(0, True)),
+                      ridge=draw(_float_values(0, True)))
+    return ExperimentConfig(
+        strategies=tuple(strategies),
+        learner_counts=tuple(learners),
+        iterations=draw(st.integers(1, 10**6)),
+        trials=draw(st.integers(1, 1000)),
+        master_seed=draw(st.integers(min_value=0)),
+        lr=draw(_float_values(0, False)),
+        batch_mode=batch_mode,
+        batch_size=batch_size,
+        warmup_iters=draw(st.integers(0, 10**6)),
+        staleness_mode=draw(st.sampled_from(["sync", "async"])),
+        init_scale=draw(_float_values(0, True)),
+        data_partition=draw(st.sampled_from(["shared", "sharded"])),
+        log_every=draw(st.integers(1, 1000)),
+        oracle_kind=kind,
+        dimension=draw(st.integers(1, 4096)),
+        oracle_seed=draw(st.integers(min_value=0)),
+        message_size_mb=draw(_float_values(0, False)),
+        bandwidth_gbps=draw(_float_values(0, False)),
+        compute_median_s=draw(_float_values(0, False)),
+        compute_sigma=draw(_float_values(0, True)),
+        straggler_factor=draw(_float_values(0, False)),
+        straggler_count=draw(st.integers(0, min(learners))),
+        **oracle,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=valid_configs())
+def test_echo_round_trip_property(cfg):
+    text = echo_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert echo_config(again) == text
+
+
+def test_echo_of_integer_valued_float_fields():
+    cfg = ExperimentConfig(
+        strategies=(Strategy.SPSGD,), learner_counts=(2,), iterations=3, trials=1,
+        master_seed=0, lr=1, batch_mode="per-learner-fixed", batch_size=4, init_scale=0,
+        oracle_kind="logistic", separation=3, ridge=0, message_size_mb=100, compute_sigma=0,
+    )
+    text = echo_config(cfg)
+    for line in ("lr = 1.0", "init_scale = 0.0", "separation = 3.0", "ridge = 0.0",
+                 "message_size_mb = 100.0", "compute_sigma = 0.0"):
+        assert line in text.splitlines()
+    assert parse_config(text) == cfg
+    assert echo_config(parse_config(text)) == text
+
+
+def _documented(block: str):
+    """(section, key, value, comment) of each `key = value ; comment` line."""
+    section = None
+    for line in (raw.strip() for raw in block.splitlines()):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith(";"):
+            entry, _, comment = line.partition(";")
+            key, _, value = entry.partition("=")
+            yield section, key.strip(), value.strip(), comment
+
+
+def _readme_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Configuration format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+
+
+def _docstring_block() -> str:
+    doc = config_module.__doc__
+    return doc[doc.index("[experiment]"):doc.index("Unknown sections")]
+
+
+MINIMAL_SECTIONS = {
+    "experiment": dict(line.split(" = ") for line in MINIMAL.strip().splitlines()[1:]),
+}
+MINIMAL_FIELDS = dict(
+    strategies=(Strategy.DPSGD_FIXED, Strategy.D1D), learner_counts=(8, 16), iterations=50,
+    trials=3, master_seed=42, lr=0.05, batch_mode="total-fixed", batch_size=64,
+)
+
+
+@pytest.mark.parametrize("block", [_readme_block, _docstring_block], ids=["readme", "docstring"])
+def test_documented_defaults_equal_field_defaults(block):
+    entries = list(_documented(block()))
+    echoed = set()
+    for kind in ("quadratic", "logistic"):
+        echo = echo_config(ExperimentConfig(**MINIMAL_FIELDS, oracle_kind=kind))
+        echoed |= {(section, key) for section, key, _, _ in _documented(echo)}
+    assert {(section, key) for section, key, _, _ in entries} == echoed
+    for section, key, value, comment in entries:
+        if "required" in comment:
+            continue
+        kind = "logistic" if "logistic only" in comment else "quadratic"
+        text = _ini(_merged(MINIMAL_SECTIONS, {"oracle": {"kind": kind}}, {section: {key: value}}))
+        defaults = ExperimentConfig(**MINIMAL_FIELDS, oracle_kind=kind)
+        assert parse_config(text) == defaults, f"[{section}] {key} = {value}"
