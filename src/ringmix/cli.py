@@ -81,6 +81,9 @@ def _cmd_verify_bounds(args) -> int:
     if args.trials < 2:
         print("error: --trials must be >= 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     report = verify_bounds(trials=args.trials, seed=args.seed)
     if args.quiet:
         print("PASS" if report.ok else "FAIL")

@@ -140,7 +140,7 @@ _FIELDS = tuple(
 )
 _KIND = next(e for e in _FIELDS if e.field.name == "oracle_kind")
 _SECTIONS = ("experiment", "oracle", "cost_model")
-_FAILS = {">=": operator.lt, ">": operator.le}  # value fails its range check when op(value, bound)
+_PASSES = {">=": operator.ge, ">": operator.gt}  # op(value, bound) must hold; NaN never does
 
 
 def _convert(section: str, key: str, raw: str, kind):
@@ -158,7 +158,7 @@ def _check(entry: _Entry, value) -> None:
         )
     if isinstance(check, str):
         op, bound = check.split()
-        if _FAILS[op](value, float(bound)):
+        if not _PASSES[op](value, float(bound)):
             raise ConfigError(f"[{entry.section}] {entry.key}: must be {check}")
 
 

@@ -27,6 +27,7 @@ from .simulation import (
     run_training,
 )
 from .spectral import (
+    Z95,
     fixed_consensus_curve,
     fixed_mixing_consensus_bound,
     monte_carlo_consensus,
@@ -48,8 +49,6 @@ AGGREGATE_HEADER = (
     "strategy,n_learners,trials,completed,median_final_loss,iqr_final_loss,"
     "median_total_sim_time_s"
 )
-
-_Z95 = 1.959963984540054
 
 
 def _fmt(x) -> str:
@@ -317,7 +316,7 @@ def verify_bounds(
         spec_ratio = 0.0
         for k in range(k_max):
             closed = randomized_frobenius_expectation(L, k + 1)
-            se = mc_fro.squared_halfwidths[k] / _Z95
+            se = mc_fro.squared_halfwidths[k] / Z95
             tol = 3.0 * se + 1e-12 * max(1.0, closed)
             fro_ratio = max(fro_ratio, abs(mc_fro.squared_distances[k] - closed) / tol)
             bound = randomized_consensus_bound(L, k + 1)

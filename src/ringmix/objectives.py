@@ -228,11 +228,6 @@ def logistic_oracle(
     return LogisticObjective(features, labels, ridge)
 
 
-def evaluate_loss(oracle, w: np.ndarray) -> float:
-    """Full-batch loss at w; deterministic for a fixed oracle."""
-    return oracle.loss(w)
-
-
 def gradient_check(oracle, w: np.ndarray, step: float = 1e-5) -> float:
     """Relative error between the analytic gradient and central differences.
 

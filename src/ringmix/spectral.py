@@ -37,7 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+# conjugate_by_permutation is unused here; perfbench's tracer wraps this attribute.
 from .mixing import build_ring_matrix, build_uniform_matrix, conjugate_by_permutation, sample_permutation
+
+Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,14 @@ class ConsensusCurve:
     trials: int | None = None
 
 
+def _check_ring(n_learners: int, k: int = 0) -> None:
+    """Reject a negative step count k, then a ring of fewer than 3 learners."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if n_learners < 3:
+        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+
+
 def second_eigenvalue_ring(n_learners: int) -> float:
     """Closed-form second eigenvalue 1/3 + (2/3) cos(2 pi / L) of the ring.
 
@@ -82,8 +93,7 @@ def second_eigenvalue_ring(n_learners: int) -> float:
     never below -1/3 in magnitude while lambda_2 >= 1/3 for L >= 4
     (and everything is 0 at L = 3).
     """
-    if n_learners < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+    _check_ring(n_learners)
     return 1.0 / 3.0 + (2.0 / 3.0) * math.cos(2.0 * math.pi / n_learners)
 
 
@@ -115,8 +125,7 @@ def spectral_rho(T: np.ndarray, symmetry_tol: float = 1e-10) -> SpectralReport:
 
 def fixed_mixing_consensus_bound(n_learners: int, k: int) -> float:
     """rho(L)^k: spectral-norm distance of the k-step fixed ring from uniform."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    _check_ring(n_learners, k)
     return second_eigenvalue_ring(n_learners) ** k
 
 
@@ -129,8 +138,7 @@ def expected_gram(n_learners: int) -> np.ndarray:
     stochastic with eigenvalues {1, a, ..., a},
     a = 1/3 - 2/(3(L-1)).
     """
-    if n_learners < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+    _check_ring(n_learners)
     L = n_learners
     off = 2.0 / (3.0 * (L - 1))
     G = np.full((L, L), off)
@@ -148,12 +156,8 @@ def randomized_frobenius_expectation(n_learners: int, k: int) -> float:
     Equal to -1 + tr(G^k) for the expected Gram matrix G; bounded above
     by (L-1)/3^k.
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    L = n_learners
-    if L < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {L}")
-    return (L - 1) * _gram_decay(L) ** k
+    _check_ring(n_learners, k)
+    return (n_learners - 1) * _gram_decay(n_learners) ** k
 
 
 def randomized_consensus_bound(n_learners: int, k: int) -> float:
@@ -162,10 +166,7 @@ def randomized_consensus_bound(n_learners: int, k: int) -> float:
     Follows from the Frobenius expectation via Jensen and
     ||.||_2 <= ||.||_F.
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if n_learners < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+    _check_ring(n_learners, k)
     return math.sqrt(n_learners - 1) / 3.0 ** (k / 2.0)
 
 
@@ -223,15 +224,33 @@ def _stacked_norms(D: np.ndarray, norm_kind: str) -> np.ndarray:
 _CHUNK_BYTES = 32 * 1024
 
 
+def _product_distances(
+    T0: np.ndarray, U: np.ndarray, perms: np.ndarray, norm_kind: str
+) -> np.ndarray:
+    """Distance from U of each trial's prefix products, shaped (trials, k_max).
+
+    perms is (trials, k_max, L): row t relabels T0 by perms[t, k] at step
+    k.  Each step is one gather of the relabelled rings, one stacked
+    matmul and one stacked norm.
+    """
+    values = np.empty(perms.shape[:2])
+    for k in range(perms.shape[1]):
+        p = perms[:, k]
+        Tk = T0[p[:, :, None], p[:, None, :]]
+        product = Tk if k == 0 else product @ Tk
+        del Tk  # one stack fewer alive while the norms are taken
+        values[:, k] = _stacked_norms(product - U, norm_kind)
+    return values
+
+
 def _trial_distances(
     T0: np.ndarray, U: np.ndarray, k_max: int, trials: int, seed: int, norm_kind: str
 ) -> np.ndarray:
     """Distance of every trial's k-step product from U, shaped (trials, k_max).
 
     Trial t relabels T0 by k_max permutations drawn in order from the
-    stream (seed, TAG_TRIAL, t); a chunk of trials forms its relabelled
-    rings with one gather, its products with one stacked matmul and its
-    norms with one stacked call per step.
+    stream (seed, TAG_TRIAL, t); trials are drawn and multiplied in
+    chunks of at most _CHUNK_BYTES per (trials, L, L) stack.
     """
     L = T0.shape[0]
     values = np.empty((trials, k_max))
@@ -243,13 +262,16 @@ def _trial_distances(
         for i, rng in enumerate(rngs):
             for k in range(k_max):
                 perms[i, k] = sample_permutation(L, rng)
-        for k in range(k_max):
-            p = perms[:, k]
-            Tk = T0[p[:, :, None], p[:, None, :]]
-            product = Tk if k == 0 else product @ Tk
-            del Tk  # one stack fewer alive while the norms are taken
-            values[start : start + chunk, k] = _stacked_norms(product - U, norm_kind)
+        values[start : start + chunk] = _product_distances(T0, U, perms, norm_kind)
     return values
+
+
+def _mean_halfwidth(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step mean over the trials (rows) of x and its 95% normal
+    half-width; an exact enumeration has zero half-widths."""
+    if exact:
+        return x.mean(axis=0), np.zeros(x.shape[1])
+    return x.mean(axis=0), Z95 * x.std(axis=0, ddof=1) / math.sqrt(len(x))
 
 
 def monte_carlo_consensus(
@@ -293,45 +315,23 @@ def monte_carlo_consensus(
             raise ValueError(
                 f"exhaustive enumeration needs L! <= 720, got L = {n_learners}"
             )
-        D = np.stack([
-            conjugate_by_permutation(T0, np.array(perm))
-            for perm in itertools.permutations(range(n_learners))
-        ]) - U
-        norms = _stacked_norms(D, norm_kind)
-        curve_kwargs = {}
-        if norm_kind == "frobenius":
-            curve_kwargs = dict(
-                squared_distances=np.array([float(np.mean(norms**2))]),
-                squared_halfwidths=np.zeros(1),
-            )
-        return ConsensusCurve(
-            steps=np.array([1]),
-            distances=np.array([float(np.mean(norms))]),
-            norm_kind=norm_kind,
-            halfwidths=np.zeros(1),
-            trials=len(D),
-            **curve_kwargs,
-        )
+        perms = np.array(list(itertools.permutations(range(n_learners))), dtype=np.intp)
+        values = _product_distances(T0, U, perms[:, None, :], norm_kind)
+    else:
+        if trials < 2:
+            raise ValueError(f"need trials >= 2 for error bars, got {trials}")
+        values = _trial_distances(T0, U, k_max, trials, seed, norm_kind)
 
-    if trials < 2:
-        raise ValueError(f"need trials >= 2 for error bars, got {trials}")
-    values = _trial_distances(T0, U, k_max, trials, seed, norm_kind)
-
-    z95 = 1.959963984540054
-    mean = values.mean(axis=0)
-    halfwidth = z95 * values.std(axis=0, ddof=1) / math.sqrt(trials)
-    curve_kwargs = {}
+    distances, halfwidths = _mean_halfwidth(values, exhaustive)
+    squared = {}
     if norm_kind == "frobenius":
-        sq = values**2
-        curve_kwargs = dict(
-            squared_distances=sq.mean(axis=0),
-            squared_halfwidths=z95 * sq.std(axis=0, ddof=1) / math.sqrt(trials),
-        )
+        sq_mean, sq_half = _mean_halfwidth(values**2, exhaustive)
+        squared = dict(squared_distances=sq_mean, squared_halfwidths=sq_half)
     return ConsensusCurve(
         steps=np.arange(1, k_max + 1),
-        distances=mean,
+        distances=distances,
         norm_kind=norm_kind,
-        halfwidths=halfwidth,
-        trials=trials,
-        **curve_kwargs,
+        halfwidths=halfwidths,
+        trials=len(values),
+        **squared,
     )

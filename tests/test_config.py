@@ -241,9 +241,10 @@ def test_range_boundaries(section, key, op, bound, type_, extra):
         return _ini(_merged(BOUNDARY_BASE, extra, {section: {key: text(type_(value))}}))
 
     parse_config(config(accepted))
-    with pytest.raises(ConfigError) as err:
-        parse_config(config(rejected))
-    assert f"[{section}] {key}" in str(err.value)
+    for value in [rejected] + ([math.nan] if type_ is float else []):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config(value))
+        assert f"[{section}] {key}" in str(err.value)
 
 
 CHOICES = [

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from ringmix.mixing import (
 from ringmix.objectives import BatchDescriptor, logistic_oracle, quadratic_oracle
 from ringmix.seeding import TAG_CLOCK, TAG_GRADIENT, stream
 from ringmix.simulation import (
+    DIVERGENCE_THRESHOLD,
     CostModel,
     RunConfig,
     Strategy,
@@ -182,11 +184,11 @@ def test_rand_psgd_staleness_override():
     oracle = _oracle()
     cfg = _cfg(n_learners=5, staleness_mode="async")
     s1 = step_rand_psgd(initial_state(oracle, cfg), oracle, cfg)
-    a = step_rand_psgd(s1, oracle, cfg, staleness_mode="sync")
-    b = step_rand_psgd(s1, oracle, cfg, staleness_mode="async")
+    a = step_rand_psgd(s1, oracle, replace(cfg, staleness_mode="sync"))
+    b = step_rand_psgd(s1, oracle, cfg)
     assert not np.array_equal(a.weights, b.weights)
     with pytest.raises(ValueError):
-        step_rand_psgd(s1, oracle, cfg, staleness_mode="eventually")
+        replace(cfg, staleness_mode="eventually")
 
 
 def test_d1d_consensus_is_exact_after_averaging():
@@ -227,6 +229,11 @@ def test_cost_model_values_and_validation():
         CostModel(compute_sigma=-0.1)
     with pytest.raises(ValueError):
         CostModel(compute_scale=(1.0, 0.0))
+    for key in ("message_size_bytes", "bandwidth_bytes_per_s", "compute_sigma"):
+        with pytest.raises(ValueError):
+            CostModel(**{key: math.nan})
+    with pytest.raises(ValueError):
+        CostModel(compute_scale=(1.0, math.nan))
     cm2 = CostModel(compute_scale=(1.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         cm2.sample_compute_times(4, stream(0, TAG_CLOCK, 0))
@@ -294,7 +301,7 @@ def test_run_training_divergence_keeps_partial_trace():
     for r in result.records:
         assert np.isfinite(r.mean_loss)
         assert np.isfinite(r.consensus_dist)
-    assert np.all(np.abs(result.state.weights) <= cfg.divergence_threshold)
+    assert np.all(np.abs(result.state.weights) <= DIVERGENCE_THRESHOLD)
 
 
 def test_sharded_logistic_run_completes():
@@ -343,6 +350,8 @@ def test_run_config_validation():
         _cfg(data_partition="split")
     with pytest.raises(ValueError):
         _cfg(log_every=0)
-    with pytest.raises(ValueError):
-        _cfg(divergence_threshold=0.0)
+    for key in ("lr", "init_scale"):
+        with pytest.raises(ValueError):
+            _cfg(**{key: math.nan})
     assert _cfg(lr=0.0).lr == 0.0
+    assert _cfg(lr=math.inf).lr == math.inf
