@@ -1,22 +1,26 @@
 """Decentralized SGD strategies on a simulated cluster clock.
 
 Five training strategies over L learners holding a d x L weights
-matrix W (one column per learner):
+matrix W (one column per learner) differ in two facts, held in one
+table (`_STEP_SPECS`): how the models are mixed, and whether the
+gradient is taken at W_k (fresh) or at W_{k-1} (stale).  The clock
+follows the mixing: the ring strategies gossip, the others average
+exactly behind a barrier.
 
-- SPSGD: synchronous SGD; one shared model, gradients averaged over
-  all learners each step (effective batch L x per-learner batch).
-- DPSGD_FIXED: fixed-ring gossip, synchronous gradients,
-  W_{k+1} = W_k T0 - lr G(W_k).
-- ADPSGD_FIXED: fixed-ring gossip with one-step-stale gradients,
-  W_{k+1} = W_k T0 - lr G(W_{k-1}).  Staleness models asynchrony:
-  gradient computation overlaps communication, so the gradient a
-  learner applies was computed on the previous model.
-- RAND_PSGD: the ring is relabelled by a fresh uniform permutation
-  every iteration, derived by every learner from a shared seed (no
-  coordination needed); staleness selectable sync/async.
-- D1D: delay-one uniform averaging; W_k is averaged exactly to the
-  column mean (allreduce) while gradients are computed on W_{k-1},
-  concurrently: W_{k+1} = mean(W_k) - lr G(W_{k-1}).
+    strategy      mixing                        gradient        clock
+    spsgd         none: one model, G averaged   fresh           barrier
+    dpsgd_fixed   ring T0                       fresh           gossip
+    adpsgd_fixed  ring T0                       stale           gossip
+    rand_psgd     relabelled ring T0[p_k, p_k]  staleness_mode  gossip
+    d1d           mean: exact column mean       stale           barrier
+
+A stale gradient models asynchrony: gradient computation overlaps
+communication (for d1d, the allreduce), so the gradient a learner
+applies was computed on the previous model.  rand_psgd's permutation
+p_k is derived by every learner from a shared seed (no coordination
+needed), and `RunConfig.staleness_mode` picks its gradient (async is
+stale).  At L = 3 every ring weight is 1/3 = 1/L, so the ring
+strategies average exactly, like d1d.
 
 All strategies share the minibatch noise streams: two strategies run
 with the same config and seed draw identical gradients at the same
@@ -26,10 +30,10 @@ equivalence tests exact.
 The simulated clock follows a simple cost model: per-learner compute
 times are lognormal (with optional per-learner slowdown factors), a
 model exchange costs 2 x message_size / bandwidth.  Barrier
-strategies (SPSGD, D1D) pay the slowest learner plus an allreduce
-bounded by the slowest link; gossip strategies overlap compute and
-communication per learner and pay the mean over learners, so a single
-straggler is amortized instead of serializing everyone.
+strategies pay the slowest learner plus an allreduce bounded by the
+slowest link; gossip strategies overlap compute and communication per
+learner and pay the mean over learners, so a single straggler is
+amortized instead of serializing everyone.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from enum import Enum
 import numpy as np
 
 from . import seeding
-from .mixing import apply_mixing, build_ring_matrix, build_uniform_matrix, sample_permutation
+# apply_mixing is unused here; perfbench's tracer wraps this attribute.
+from .mixing import apply_mixing, build_ring_matrix, sample_permutation
 from .spectral import second_eigenvalue_ring
 
 
@@ -56,8 +61,18 @@ class Strategy(Enum):
     @property
     def uses_ring(self) -> bool:
         """True if the strategy gossips over a ring and pays its spectral gap;
-        False if it averages exactly behind a barrier (SPSGD, D1D)."""
-        return self not in (Strategy.SPSGD, Strategy.D1D)
+        False if it averages exactly behind a barrier."""
+        return _STEP_SPECS[self][0] in ("ring", "relabelled")
+
+
+# Strategy -> (mixing, gradient), the table of the module docstring.
+_STEP_SPECS = {
+    Strategy.SPSGD: ("none", "fresh"),
+    Strategy.DPSGD_FIXED: ("ring", "fresh"),
+    Strategy.ADPSGD_FIXED: ("ring", "stale"),
+    Strategy.RAND_PSGD: ("relabelled", "staleness_mode"),
+    Strategy.D1D: ("mean", "stale"),
+}
 
 
 # Stable small integers for seed derivation; never renumber.
@@ -97,6 +112,8 @@ class CostModel:
             raise ValueError("message_size_bytes must be > 0")
         if not self.bandwidth_bytes_per_s > 0:
             raise ValueError("bandwidth must be strictly positive")
+        if math.isnan(self.compute_mu):
+            raise ValueError("compute_mu must not be NaN")
         if not self.compute_sigma >= 0:
             raise ValueError("compute_sigma must be >= 0")
         if self.compute_scale is not None and not np.all(np.asarray(self.compute_scale) > 0):
@@ -266,39 +283,41 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
 
 
-def _advance(state: SimState, W_next: np.ndarray, G: np.ndarray) -> SimState:
-    return replace(
-        state,
-        weights=W_next,
-        prev_weights=state.weights,
-        iteration=state.iteration + 1,
-        last_gradients=G,
-    )
+def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
+    """One iteration of `strategy`, as its row of `_STEP_SPECS` says."""
+    mixing, gradient = _STEP_SPECS[strategy]
+    if gradient == "staleness_mode":
+        gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
+    k, W, L = state.iteration, state.weights, cfg.n_learners
+    if mixing == "none" and np.any(W != W[:, :1]):
+        raise ValueError("SPSGD requires identical weights on all learners")
+    if mixing in ("ring", "relabelled") and L == 3:
+        mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
+    G = gradient_matrix(oracle, state.prev_weights if gradient == "stale" else W, cfg, k)
+    lr = learning_rate(cfg, k)
+    if mixing == "none":
+        W_next = W - lr * G.mean(axis=1, keepdims=True)
+    elif mixing == "mean":
+        W_next = W.mean(axis=1, keepdims=True) - lr * G
+    else:
+        T = _ring(L)
+        if mixing == "relabelled":
+            # = mixing.permutation_for_step(L, cfg.seed, k), from the cached block
+            words = _stream_words(cfg.seed, L, seeding.TAG_PERMUTATION, k)
+            perm = sample_permutation(L, seeding.generator(words[0]))
+            T = T[np.ix_(perm, perm)]
+        W_next = W @ T - lr * G
+    return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
 def step_spsgd(state: SimState, oracle, cfg: RunConfig) -> SimState:
     """One synchronous SGD step on the shared model (effective batch L x M)."""
-    W = state.weights
-    if np.any(W != W[:, :1]):
-        raise ValueError("SPSGD requires identical weights on all learners")
-    k = state.iteration
-    G = gradient_matrix(oracle, W, cfg, k)
-    mean_grad = G.mean(axis=1, keepdims=True)
-    W_next = W - learning_rate(cfg, k) * np.tile(mean_grad, (1, cfg.n_learners))
-    return _advance(state, W_next, G)
-
-
-def _gossip_step(state: SimState, oracle, cfg: RunConfig, T: np.ndarray, stale: bool) -> SimState:
-    k = state.iteration
-    Phi = state.prev_weights if stale else state.weights
-    G = gradient_matrix(oracle, Phi, cfg, k)
-    W_next = apply_mixing(state.weights, T) - learning_rate(cfg, k) * G
-    return _advance(state, W_next, G)
+    return _step(Strategy.SPSGD, state, oracle, cfg)
 
 
 def step_dpsgd_fixed(state: SimState, oracle, cfg: RunConfig) -> SimState:
     """Fixed-ring gossip with synchronous gradients: W T0 - lr G(W)."""
-    return _gossip_step(state, oracle, cfg, _ring(cfg.n_learners), stale=False)
+    return _step(Strategy.DPSGD_FIXED, state, oracle, cfg)
 
 
 def step_adpsgd_fixed(state: SimState, oracle, cfg: RunConfig) -> SimState:
@@ -307,7 +326,7 @@ def step_adpsgd_fixed(state: SimState, oracle, cfg: RunConfig) -> SimState:
     At iteration 0 the stale model equals the start model, so the first
     step coincides with the synchronous variant.
     """
-    return _gossip_step(state, oracle, cfg, _ring(cfg.n_learners), stale=True)
+    return _step(Strategy.ADPSGD_FIXED, state, oracle, cfg)
 
 
 def step_rand_psgd(state: SimState, oracle, cfg: RunConfig) -> SimState:
@@ -317,28 +336,17 @@ def step_rand_psgd(state: SimState, oracle, cfg: RunConfig) -> SimState:
     every learner computes the same relabelling locally.  Gradient
     staleness follows `cfg.staleness_mode`.
     """
-    L = cfg.n_learners
-    perm = _permutation(L, cfg.seed, state.iteration)
-    T = _ring(L)[np.ix_(perm, perm)]
-    return _gossip_step(state, oracle, cfg, T, stale=(cfg.staleness_mode == "async"))
-
-
-def _permutation(n_learners: int, seed: int, k: int) -> np.ndarray:
-    """`mixing.permutation_for_step(n_learners, seed, k)`, its stream taken
-    from the cached block."""
-    words = _stream_words(seed, n_learners, seeding.TAG_PERMUTATION, k)
-    return sample_permutation(n_learners, seeding.generator(words[0]))
+    return _step(Strategy.RAND_PSGD, state, oracle, cfg)
 
 
 def step_d1d(state: SimState, oracle, cfg: RunConfig) -> SimState:
     """Delay-one uniform averaging: mean(W) - lr G(W_prev).
 
-    The averaging is realized as the exact column-mean broadcast (the
-    allreduce path of `apply_mixing`), so consensus after averaging is
-    exact; the gradient applies one step late because it is computed
-    concurrently with the allreduce.
+    The averaging is the exact column-mean broadcast, so consensus after
+    averaging is exact; the gradient applies one step late because it is
+    computed concurrently with the allreduce.
     """
-    return _gossip_step(state, oracle, cfg, _uniform(cfg.n_learners), stale=True)
+    return _step(Strategy.D1D, state, oracle, cfg)
 
 
 _STEP_FUNCTIONS = {
@@ -350,19 +358,11 @@ _STEP_FUNCTIONS = {
 }
 
 
-def _read_only(T: np.ndarray) -> np.ndarray:
-    T.setflags(write=False)
-    return T
-
-
 @functools.cache
 def _ring(L: int) -> np.ndarray:
-    return _read_only(build_ring_matrix(L))
-
-
-@functools.cache
-def _uniform(L: int) -> np.ndarray:
-    return _read_only(build_uniform_matrix(L))
+    T = build_ring_matrix(L)
+    T.setflags(write=False)
+    return T
 
 
 def mixing_rho(strategy: Strategy, n_learners: int) -> float:
@@ -433,21 +433,19 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     state = initial_state(oracle, cfg)
     records: list[TraceRecord] = []
     diverged = False
-    last_recorded = 0
     for k in range(cfg.iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
-        W = new_state.weights
-        if not np.all(np.isfinite(W)) or np.abs(W).max() > DIVERGENCE_THRESHOLD:
+        # One reduction: NaN and +-inf fail the comparison too.
+        if not np.abs(new_state.weights).max() <= DIVERGENCE_THRESHOLD:
             diverged = True
             break
         state = new_state
         clock_words = _stream_words(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k)
         clock = seeding.generator(clock_words[0])
         state, _ = advance_clock(state, strategy, cfg.cost_model, clock)
-        if state.iteration % cfg.log_every == 0 or k == cfg.iterations - 1:
+        if state.iteration % cfg.log_every == 0:
             records.append(_record(state, oracle, rho))
-            last_recorded = state.iteration
-    if state.iteration > 0 and last_recorded != state.iteration:
+    if state.iteration != (records[-1].iteration if records else 0):
         records.append(_record(state, oracle, rho))
     return RunResult(records=tuple(records), diverged=diverged, state=state)

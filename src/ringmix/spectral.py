@@ -41,6 +41,7 @@ from . import seeding
 from .mixing import build_ring_matrix, build_uniform_matrix, conjugate_by_permutation, sample_permutation
 
 Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
+_SYMMETRY_TOL = 1e-10  # spectral_rho warns when max |T - T'| exceeds this
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,19 @@ def second_eigenvalue_ring(n_learners: int) -> float:
     return 1.0 / 3.0 + (2.0 / 3.0) * math.cos(2.0 * math.pi / n_learners)
 
 
-def spectral_rho(T: np.ndarray, symmetry_tol: float = 1e-10) -> SpectralReport:
+def spectral_rho(T: np.ndarray) -> SpectralReport:
     """Measure rho and the spectral gap of a mixing matrix by eigendecomposition.
 
     Expects a symmetric matrix; an asymmetric input is symmetrized to
-    (T + T') / 2 with a warning when the asymmetry exceeds
-    `symmetry_tol`.
+    (T + T') / 2 with a warning when max |T - T'| exceeds 1e-10.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"mixing matrix must be square, got {T.shape}")
     asym = float(np.max(np.abs(T - T.T))) if T.size else 0.0
-    if asym > symmetry_tol:
+    if asym > _SYMMETRY_TOL:
         warnings.warn(
-            f"mixing matrix asymmetry {asym:.3e} exceeds {symmetry_tol:.1e}; "
+            f"mixing matrix asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}; "
             "symmetrizing before eigendecomposition",
             stacklevel=2,
         )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringmix.mixing import (
     apply_mixing,
@@ -109,3 +111,17 @@ def test_apply_mixing_uniform_collapses_exactly():
     # Exact column-mean broadcast: all columns bitwise identical.
     assert np.all(mixed == mixed[:, :1])
     assert np.allclose(mixed, W @ U, atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm=st.integers(3, 40).flatmap(lambda L: st.permutations(range(L))))
+def test_relabelled_ring_is_doubly_stochastic_with_the_ring_spectrum(perm):
+    # The training step relabels the ring by fancy indexing; the public
+    # conjugation must give the same matrix bit for bit.
+    p = np.array(perm)
+    T0 = build_ring_matrix(len(p))
+    T = T0[np.ix_(p, p)]
+    assert T.tobytes() == conjugate_by_permutation(T0, p).tobytes()
+    assert verify_doubly_stochastic(T, tol=1e-12).ok
+    spectrum = np.linalg.eigvalsh(T)
+    assert np.allclose(spectrum, np.linalg.eigvalsh(T0), rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import ringmix
+from ringmix import mixing, simulation, spectral
 
 
 def _imported_public_names() -> set[str]:
@@ -22,3 +23,12 @@ def test_all_resolves_and_lists_every_imported_public_name():
     imported = _imported_public_names()
     assert imported, "no imports found in ringmix/__init__.py"
     assert imported <= set(ringmix.__all__), sorted(imported - set(ringmix.__all__))
+
+
+def test_names_the_benchmark_tracer_wraps_stay_bound():
+    # perfbench's tracer wraps these module attributes by name; an import
+    # kept only for it must not be dropped as unused.
+    assert simulation.apply_mixing is mixing.apply_mixing
+    assert spectral.conjugate_by_permutation is mixing.conjugate_by_permutation
+    for s in simulation.Strategy:
+        assert simulation._STEP_FUNCTIONS[s] is getattr(simulation, f"step_{s.value}")

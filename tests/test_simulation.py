@@ -126,13 +126,26 @@ def test_spsgd_rejects_disagreeing_learners():
 
 def test_dpsgd_l3_first_step_bitwise_equals_d1d():
     # The three-learner ring weights equal the uniform weights entry for
-    # entry, so both strategies take the exact column-mean path and the
-    # shared gradient streams make the first step bitwise identical.
+    # entry, so every ring strategy takes the exact column-mean path and
+    # the shared gradient streams make the first step bitwise identical.
+    # With stale gradients, as d1d has, whole runs are identical.
     oracle = _oracle()
     cfg = _cfg(n_learners=3)
-    a = step_dpsgd_fixed(initial_state(oracle, cfg), oracle, cfg)
-    b = step_d1d(initial_state(oracle, cfg), oracle, cfg)
-    assert np.array_equal(a.weights, b.weights)
+    sync = replace(cfg, staleness_mode="sync")
+    d1d = step_d1d(initial_state(oracle, cfg), oracle, cfg)
+    for step, c in ((step_dpsgd_fixed, cfg), (step_rand_psgd, sync)):
+        first = step(initial_state(oracle, c), oracle, c)
+        assert np.array_equal(first.weights, d1d.weights)
+        assert not np.array_equal(step(first, oracle, c).weights, step_d1d(d1d, oracle, c).weights)
+    cfg = _cfg(n_learners=3, iterations=40)
+    ref = run_training(Strategy.D1D, oracle, cfg)
+    for strategy in (Strategy.ADPSGD_FIXED, Strategy.RAND_PSGD):
+        run = run_training(strategy, oracle, cfg)
+        for name in ("weights", "prev_weights", "last_gradients"):
+            assert np.array_equal(getattr(run.state, name), getattr(ref.state, name))
+        assert [(r.mean_loss, r.avg_model_loss, r.consensus_dist) for r in run.records] == [
+            (r.mean_loss, r.avg_model_loss, r.consensus_dist) for r in ref.records
+        ]
 
 
 def test_stale_and_sync_agree_only_on_first_step():
@@ -229,9 +242,10 @@ def test_cost_model_values_and_validation():
         CostModel(compute_sigma=-0.1)
     with pytest.raises(ValueError):
         CostModel(compute_scale=(1.0, 0.0))
-    for key in ("message_size_bytes", "bandwidth_bytes_per_s", "compute_sigma"):
+    for key in ("message_size_bytes", "bandwidth_bytes_per_s", "compute_mu", "compute_sigma"):
         with pytest.raises(ValueError):
             CostModel(**{key: math.nan})
+    assert CostModel(compute_mu=math.inf).compute_mu == math.inf
     with pytest.raises(ValueError):
         CostModel(compute_scale=(1.0, math.nan))
     cm2 = CostModel(compute_scale=(1.0, 2.0, 1.0))
@@ -302,6 +316,48 @@ def test_run_training_divergence_keeps_partial_trace():
         assert np.isfinite(r.mean_loss)
         assert np.isfinite(r.consensus_dist)
     assert np.all(np.abs(result.state.weights) <= DIVERGENCE_THRESHOLD)
+
+
+class _PoisonedOracle:
+    """A quadratic oracle whose gradients all become `value` from call `at` on."""
+
+    def __init__(self, value, at):
+        self._inner = _oracle()
+        self.dimension = self._inner.dimension
+        self.value, self.at, self.calls = value, at, 0
+
+    def stochastic_gradients(self, Phi, batch_size, rngs, shards):
+        G = self._inner.stochastic_gradients(Phi, batch_size, rngs, shards)
+        self.calls += 1
+        return np.full_like(G, self.value) if self.calls > self.at else G
+
+    def loss_columns(self, W):
+        return self._inner.loss_columns(W)
+
+    def loss(self, w):
+        return self._inner.loss(w)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e14])
+@pytest.mark.parametrize("log_every", [1, 3])
+def test_run_training_divergence_ends_trace_at_last_healthy_iteration(strategy, value, log_every):
+    oracle = _PoisonedOracle(value, at=5)
+    result = run_training(strategy, oracle, _cfg(iterations=10, log_every=log_every))
+    assert result.diverged
+    assert result.state.iteration == 5
+    assert [r.iteration for r in result.records] == ([1, 2, 3, 4, 5] if log_every == 1 else [3, 5])
+    assert all(np.isfinite(r.mean_loss) for r in result.records)
+
+
+def test_divergence_threshold_is_inclusive():
+    # From zero weights at lr 1, d1d's first step leaves every weight at
+    # exactly -value: the threshold itself is healthy, the next float is not.
+    cfg = _cfg(iterations=1, lr=1.0, init_scale=0.0)
+    above = np.nextafter(DIVERGENCE_THRESHOLD, np.inf)
+    for value, diverged in ((DIVERGENCE_THRESHOLD, False), (above, True)):
+        result = run_training(Strategy.D1D, _PoisonedOracle(value, at=0), cfg)
+        assert result.diverged is diverged
 
 
 def test_sharded_logistic_run_completes():
