@@ -93,13 +93,13 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    for L in args.learners:
-        if L < 3:
-            print(f"error: ring size must be >= 3, got {L}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        rhos = [second_eigenvalue_ring(L) for L in args.learners]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print("   L        rho   spectral_gap")
-    for L in args.learners:
-        rho = second_eigenvalue_ring(L)
+    for L, rho in zip(args.learners, rhos):
         print(f"{L:>4}  {rho:.9f}  {1.0 - rho:.9f}")
     return EXIT_OK
 

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import configparser
 import io
-import operator
 import typing
-from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, fields, replace
 
-from .simulation import Strategy
+from .objectives import LOGISTIC_RIDGE
+from .simulation import RunConfig, Strategy, _check_failure, _checked
 
 
 class ConfigError(ValueError):
@@ -83,28 +83,32 @@ def _parse_learners(raw: str) -> tuple[int, ...]:
     return tuple(_convert("experiment", "learners", p, int) for p in parts)
 
 
-def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, parse=None):
+def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, parse=None,
+         run=None):
     """A config field: `check` is ">= bound", "> bound" or a tuple of choices;
-    `scope` is the oracle kind the key applies to (None: every kind)."""
-    meta = {"section": section, "key": key, "check": check, "scope": scope, "parse": parse}
-    return field(default=default, metadata=meta)
+    `scope` is the oracle kind the key applies to (None: every kind).  With
+    `run`, the default and check are those of that RunConfig field."""
+    if run:
+        shared = RunConfig.__dataclass_fields__[run]
+        default, check = shared.default, shared.metadata["check"]
+    return _checked(default, check, section=section, key=key, scope=scope, parse=parse)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     strategies: tuple[Strategy, ...] = _key("experiment", parse=_parse_strategies)
     learner_counts: tuple[int, ...] = _key("experiment", key="learners", parse=_parse_learners)
-    iterations: int = _key("experiment", check=">= 1")
+    iterations: int = _key("experiment", run="iterations")
     trials: int = _key("experiment", check=">= 1")
     master_seed: int = _key("experiment", key="seed", check=">= 0")
     lr: float = _key("experiment", check="> 0")
     batch_mode: str = _key("experiment", check=("total-fixed", "per-learner-fixed"))
     batch_size: int = _key("experiment", check=">= 1")
-    warmup_iters: int = _key("experiment", 0, check=">= 0")
-    staleness_mode: str = _key("experiment", "async", check=("sync", "async"))
-    init_scale: float = _key("experiment", 1.0, check=">= 0")
-    data_partition: str = _key("experiment", "shared", check=("shared", "sharded"))
-    log_every: int = _key("experiment", 1, check=">= 1")
+    warmup_iters: int = _key("experiment", run="warmup_iters")
+    staleness_mode: str = _key("experiment", run="staleness_mode")
+    init_scale: float = _key("experiment", run="init_scale")
+    data_partition: str = _key("experiment", run="data_partition")
+    log_every: int = _key("experiment", run="log_every")
     oracle_kind: str = _key("oracle", "quadratic", key="kind", check=("quadratic", "logistic"))
     dimension: int = _key("oracle", 16, check=">= 1")
     oracle_seed: int = _key("oracle", 0, key="seed", check=">= 0")
@@ -112,7 +116,7 @@ class ExperimentConfig:
     noise_scale: float = _key("oracle", 1.0, check=">= 0", scope="quadratic")
     n_samples: int = _key("oracle", 512, check=">= 2", scope="logistic")
     separation: float = _key("oracle", 2.0, check=">= 0", scope="logistic")
-    ridge: float = _key("oracle", 1e-4, check=">= 0", scope="logistic")
+    ridge: float = _key("oracle", LOGISTIC_RIDGE, check=">= 0", scope="logistic")
     message_size_mb: float = _key("cost_model", 165.0, check="> 0")
     bandwidth_gbps: float = _key("cost_model", 25.0, check="> 0")
     compute_median_s: float = _key("cost_model", 0.1, check="> 0")
@@ -140,7 +144,6 @@ _FIELDS = tuple(
 )
 _KIND = next(e for e in _FIELDS if e.field.name == "oracle_kind")
 _SECTIONS = ("experiment", "oracle", "cost_model")
-_PASSES = {">=": operator.ge, ">": operator.gt}  # op(value, bound) must hold; NaN never does
 
 
 def _convert(section: str, key: str, raw: str, kind):
@@ -151,15 +154,9 @@ def _convert(section: str, key: str, raw: str, kind):
 
 
 def _check(entry: _Entry, value) -> None:
-    check = entry.field.metadata["check"]
-    if isinstance(check, tuple) and value not in check:
-        raise ConfigError(
-            f"[{entry.section}] {entry.key}: expected {'|'.join(check)}, got {value!r}"
-        )
-    if isinstance(check, str):
-        op, bound = check.split()
-        if not _PASSES[op](value, float(bound)):
-            raise ConfigError(f"[{entry.section}] {entry.key}: must be {check}")
+    failure = _check_failure(value, entry.field.metadata["check"])
+    if failure:
+        raise ConfigError(f"[{entry.section}] {entry.key}: {failure}")
 
 
 def _entries(oracle_kind: str) -> list[_Entry]:

@@ -40,6 +40,11 @@ class StochasticityReport:
     ok: bool
 
 
+def _check_ring_size(n_learners: int) -> None:
+    if n_learners < 3:
+        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+
+
 def build_ring_matrix(n_learners: int) -> np.ndarray:
     """Mixing matrix of the 1/3-weighted ring on `n_learners` nodes.
 
@@ -49,10 +54,7 @@ def build_ring_matrix(n_learners: int) -> np.ndarray:
     topology (at L = 2 "left" and "right" neighbour coincide) and is
     rejected.
     """
-    if n_learners < 3:
-        raise ValueError(
-            f"degenerate ring topology: need at least 3 learners, got {n_learners}"
-        )
+    _check_ring_size(n_learners)
     third = 1.0 / 3.0
     T = np.zeros((n_learners, n_learners))
     idx = np.arange(n_learners)

@@ -65,9 +65,10 @@ class QuadraticObjective:
         self.noise_scale = float(noise_scale)
         if self.eigenvalues.ndim != 1 or self.optimum.shape != self.eigenvalues.shape:
             raise ValueError("eigenvalues and optimum must be 1-d with equal length")
-        if np.any(self.eigenvalues <= 0):
+        # Written as `not x >= b` so that NaN fails too.
+        if not np.all(self.eigenvalues > 0):
             raise ValueError("eigenvalues must be strictly positive")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ValueError("noise_scale must be >= 0")
         self.dimension = len(self.eigenvalues)
 
@@ -121,6 +122,8 @@ class LogisticObjective:
             raise ValueError("features must be (n, d) with labels (n,)")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +-1")
+        if not self.ridge >= 0:
+            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         self.n_samples, self.dimension = self.features.shape
 
     def loss(self, w: np.ndarray) -> float:
@@ -195,7 +198,7 @@ def quadratic_oracle(
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if condition_number < 1:
+    if not condition_number >= 1:
         raise ValueError(f"condition_number must be >= 1, got {condition_number}")
     eigenvalues = np.logspace(0.0, np.log10(condition_number), dimension)
     if optimum is None:
@@ -218,6 +221,8 @@ def logistic_oracle(
     """
     if dimension < 1 or n_samples < 2:
         raise ValueError("need dimension >= 1 and n_samples >= 2")
+    if not separation >= 0:
+        raise ValueError(f"separation must be >= 0, got {separation}")
     rng = seeding.stream(seed, seeding.TAG_DATA)
     direction = rng.standard_normal(dimension)
     direction /= np.linalg.norm(direction)

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -88,6 +90,35 @@ STRATEGY_IDS = {
 # A run diverges when its weights go non-finite or any magnitude exceeds this.
 DIVERGENCE_THRESHOLD = 1e12
 
+_PASSES = {">=": operator.ge, ">": operator.gt}  # op(value, bound) must hold; NaN never does
+
+
+def _checked(default=MISSING, check=None, **metadata):
+    """A dataclass field whose value must pass `check`: ">= bound", "> bound"
+    or a tuple of choices (None: unchecked).  Extra metadata rides along."""
+    return field(default=default, metadata={"check": check, **metadata})
+
+
+def _check_failure(value, check) -> str | None:
+    """Why `value` fails `check`, or None when it passes."""
+    if isinstance(check, tuple):
+        if value not in check:
+            return f"expected {'|'.join(check)}, got {value!r}"
+    elif check is not None:
+        op, bound = check.split()
+        if not _PASSES[op](value, float(bound)):
+            return f"must be {check}"
+    return None
+
+
+def _check_fields(obj) -> None:
+    """Raise ValueError, led by the field's name, at the first field of the
+    dataclass `obj` that fails its declared check."""
+    for f in fields(obj):
+        failure = _check_failure(getattr(obj, f.name), f.metadata.get("check"))
+        if failure:
+            raise ValueError(f"{f.name}: {failure}")
+
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
@@ -95,27 +126,22 @@ class CostModel:
 
     compute: per-learner gradient time ~ lognormal(compute_mu,
     compute_sigma) seconds, optionally scaled per learner by
-    compute_scale (a 10x straggler is compute_scale[i] = 10).
+    compute_scale, a sequence with one positive factor per learner
+    (a 10x straggler is compute_scale[i] = 10; None scales nobody).
     communication: sending one model costs message_size_bytes /
     bandwidth; an exchange (send + receive) costs twice that.
     """
 
-    message_size_bytes: float = 165e6
-    bandwidth_bytes_per_s: float = 25e9
+    message_size_bytes: float = _checked(165e6, "> 0")
+    bandwidth_bytes_per_s: float = _checked(25e9, "> 0")
     compute_mu: float = math.log(0.1)
-    compute_sigma: float = 0.1
-    compute_scale: np.ndarray | None = None
+    compute_sigma: float = _checked(0.1, ">= 0")
+    compute_scale: Sequence[float] | None = None
 
     def __post_init__(self):
-        # Each check passes only when its bound holds, so NaN fails.
-        if not self.message_size_bytes > 0:
-            raise ValueError("message_size_bytes must be > 0")
-        if not self.bandwidth_bytes_per_s > 0:
-            raise ValueError("bandwidth must be strictly positive")
+        _check_fields(self)
         if math.isnan(self.compute_mu):
             raise ValueError("compute_mu must not be NaN")
-        if not self.compute_sigma >= 0:
-            raise ValueError("compute_sigma must be >= 0")
         if self.compute_scale is not None and not np.all(np.asarray(self.compute_scale) > 0):
             raise ValueError("compute_scale entries must be strictly positive")
 
@@ -172,42 +198,27 @@ class SimState:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Per-run parameters; a run is a pure function of (config, oracle)."""
+    """Per-run parameters; a run is a pure function of (config, oracle).
 
-    n_learners: int
-    iterations: int
-    lr: float
-    batch_size: int                 # per learner
+    Each field declares its range; an experiment config's key for the
+    same parameter takes its default and range from here.  The INI's
+    `lr` is stricter (> 0): a run with lr = 0 is valid but trains nothing.
+    """
+
+    n_learners: int = _checked(check=">= 1")
+    iterations: int = _checked(check=">= 1")
+    lr: float = _checked(check=">= 0")
+    batch_size: int = _checked(check=">= 1")                    # per learner
     seed: int
-    warmup_iters: int = 0           # linear warmup to lr; 0 disables
-    staleness_mode: str = "async"   # RAND_PSGD only: "sync" | "async"
-    init_scale: float = 1.0
-    data_partition: str = "shared"  # "shared" | "sharded"
-    log_every: int = 1
+    warmup_iters: int = _checked(0, ">= 0")                     # linear warmup to lr; 0 disables
+    staleness_mode: str = _checked("async", ("sync", "async"))  # RAND_PSGD only
+    init_scale: float = _checked(1.0, ">= 0")
+    data_partition: str = _checked("shared", ("shared", "sharded"))
+    log_every: int = _checked(1, ">= 1")
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self):
-        # Float checks pass only when their bound holds, so NaN fails.
-        if self.n_learners < 1:
-            raise ValueError("n_learners must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not self.lr >= 0:
-            raise ValueError("lr must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.warmup_iters < 0:
-            raise ValueError("warmup_iters must be >= 0")
-        if self.staleness_mode not in ("sync", "async"):
-            raise ValueError(f"staleness_mode must be sync|async, got {self.staleness_mode!r}")
-        if not self.init_scale >= 0:
-            raise ValueError("init_scale must be >= 0")
-        if self.data_partition not in ("shared", "sharded"):
-            raise ValueError(
-                f"data_partition must be shared|sharded, got {self.data_partition!r}"
-            )
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)

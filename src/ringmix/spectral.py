@@ -23,13 +23,11 @@ independent of L.  The induced spectral-norm bound is
 sqrt(L-1) / sqrt(3)^k.
 
 This module provides the closed forms, eigendecomposition-based
-measurement, and Monte-Carlo estimators (with an exact enumeration
-mode for single steps at small L).
+measurement, and Monte-Carlo estimators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from .mixing import _check_ring_size, build_ring_matrix, build_uniform_matrix, sample_permutation
 # conjugate_by_permutation is unused here; perfbench's tracer wraps this attribute.
-from .mixing import build_ring_matrix, build_uniform_matrix, conjugate_by_permutation, sample_permutation
+from .mixing import conjugate_by_permutation
 
 Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 _SYMMETRY_TOL = 1e-10  # spectral_rho warns when max |T - T'| exceeds this
@@ -67,7 +66,7 @@ class ConsensusCurve:
     or "frobenius").  Monte-Carlo curves carry 95% confidence
     half-widths and, for the Frobenius norm, the squared-distance
     statistics alongside (the randomized closed form predicts the
-    squared mean).  Exact curves have zero half-widths.
+    squared mean).  Exact (fixed-ring) curves carry no half-widths.
     """
 
     steps: np.ndarray
@@ -83,8 +82,7 @@ def _check_ring(n_learners: int, k: int = 0) -> None:
     """Reject a negative step count k, then a ring of fewer than 3 learners."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if n_learners < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+    _check_ring_size(n_learners)
 
 
 def second_eigenvalue_ring(n_learners: int) -> float:
@@ -266,11 +264,8 @@ def _trial_distances(
     return values
 
 
-def _mean_halfwidth(x: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step mean over the trials (rows) of x and its 95% normal
-    half-width; an exact enumeration has zero half-widths."""
-    if exact:
-        return x.mean(axis=0), np.zeros(x.shape[1])
+def _mean_halfwidth(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step mean over the trials (rows) of x and its 95% normal half-width."""
     return x.mean(axis=0), Z95 * x.std(axis=0, ddof=1) / math.sqrt(len(x))
 
 
@@ -280,7 +275,6 @@ def monte_carlo_consensus(
     trials: int,
     seed: int,
     norm_kind: str = "frobenius",
-    exhaustive: bool = False,
 ) -> ConsensusCurve:
     """Estimate E ||T_1 ... T_k - U|| for k = 1..k_max over randomized rings.
 
@@ -296,10 +290,6 @@ def monte_carlo_consensus(
     evaluating trial after trial.  Returns per-step means with 95% normal
     half-widths; for the Frobenius norm the squared distances are
     aggregated too, since the closed form predicts the squared mean.
-
-    With `exhaustive=True` (single step only, L! <= 720) sampling is
-    replaced by exact enumeration of all L! permutations: the returned
-    means are exact expectations and the half-widths are zero.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -307,25 +297,14 @@ def monte_carlo_consensus(
         raise ValueError(f"unknown norm_kind {norm_kind!r}; use 'spectral' or 'frobenius'")
     T0 = build_ring_matrix(n_learners)
     U = build_uniform_matrix(n_learners)
+    if trials < 2:
+        raise ValueError(f"need trials >= 2 for error bars, got {trials}")
+    values = _trial_distances(T0, U, k_max, trials, seed, norm_kind)
 
-    if exhaustive:
-        if k_max != 1:
-            raise ValueError("exhaustive enumeration covers single steps only (k_max = 1)")
-        if math.factorial(n_learners) > 720:
-            raise ValueError(
-                f"exhaustive enumeration needs L! <= 720, got L = {n_learners}"
-            )
-        perms = np.array(list(itertools.permutations(range(n_learners))), dtype=np.intp)
-        values = _product_distances(T0, U, perms[:, None, :], norm_kind)
-    else:
-        if trials < 2:
-            raise ValueError(f"need trials >= 2 for error bars, got {trials}")
-        values = _trial_distances(T0, U, k_max, trials, seed, norm_kind)
-
-    distances, halfwidths = _mean_halfwidth(values, exhaustive)
+    distances, halfwidths = _mean_halfwidth(values)
     squared = {}
     if norm_kind == "frobenius":
-        sq_mean, sq_half = _mean_halfwidth(values**2, exhaustive)
+        sq_mean, sq_half = _mean_halfwidth(values**2)
         squared = dict(squared_distances=sq_mean, squared_halfwidths=sq_half)
     return ConsensusCurve(
         steps=np.arange(1, k_max + 1),

@@ -1,4 +1,5 @@
 import math
+import string
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from ringmix.config import (
     parse_config,
     with_overrides,
 )
-from ringmix.simulation import Strategy
+from ringmix.simulation import CostModel, RunConfig, Strategy
 
 MINIMAL = """
 [experiment]
@@ -263,6 +264,69 @@ def test_choice_keys(section, key, choices):
         with pytest.raises(ConfigError) as err:
             parse_config(_ini(_merged(BOUNDARY_BASE, {section: {key: wrong}})))
         assert f"[{section}] {key}" in str(err.value)
+
+
+def _ints_near(bound: int):
+    return st.one_of(st.integers(bound - 2, bound + 2), st.integers(-(10**20), 10**20))
+
+
+def _floats_near(bound: float):
+    near = [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf), -0.0,
+            math.nan, math.inf, -math.inf]
+    return st.one_of(st.sampled_from(near), st.floats())
+
+
+def _choices(*choices: str):
+    return st.one_of(st.sampled_from(choices), st.text(string.ascii_letters + "-_", max_size=8))
+
+
+# Every field-declared check of RunConfig and CostModel, with values at and
+# around its bound, non-finite floats and off-list strings.
+DECLARED = {
+    "n_learners": (RunConfig, _ints_near(1)),
+    "iterations": (RunConfig, _ints_near(1)),
+    "lr": (RunConfig, _floats_near(0.0)),
+    "batch_size": (RunConfig, _ints_near(1)),
+    "warmup_iters": (RunConfig, _ints_near(0)),
+    "staleness_mode": (RunConfig, _choices("sync", "async")),
+    "init_scale": (RunConfig, _floats_near(0.0)),
+    "data_partition": (RunConfig, _choices("shared", "sharded")),
+    "log_every": (RunConfig, _ints_near(1)),
+    "message_size_bytes": (CostModel, _floats_near(0.0)),
+    "bandwidth_bytes_per_s": (CostModel, _floats_near(0.0)),
+    "compute_sigma": (CostModel, _floats_near(0.0)),
+}
+# RunConfig fields that are also [experiment] keys of the same name and meaning.
+SHARED = ("iterations", "warmup_iters", "staleness_mode", "init_scale", "data_partition",
+          "log_every")
+RUN = dict(n_learners=4, iterations=5, lr=0.1, batch_size=4, seed=0)
+
+
+def _rejection(make) -> str | None:
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(DECLARED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ini_and_run_config_share_declared_checks(name, data):
+    cls, values = DECLARED[name]
+    value = data.draw(values)
+    run_error = _rejection(lambda: cls(**{**(RUN if cls is RunConfig else {}), name: value}))
+    if run_error is not None:
+        assert run_error.startswith(f"{name}: ")
+    if name in SHARED or name == "lr":
+        text = repr(value) if isinstance(value, float) else str(value)
+        ini = _ini(_merged(BOUNDARY_BASE, {"experiment": {name: text}}))
+        ini_error = _rejection(lambda: parse_config(ini))
+        if name == "lr":  # the INI's bound (> 0) is the stricter one
+            assert ini_error is not None or run_error is None
+        else:
+            assert (ini_error is None) == (run_error is None), (ini_error, run_error)
 
 
 # Generated configs are built field by field, independently of the config

@@ -4,9 +4,9 @@
 of small `run_training` calls (every strategy, both oracles, shared and
 sharded data, short and multi-word seeds, runs that cross the 64-iteration
 mark), of every artifact of a small `ringmix run` sweep, of consensus
-curves (Monte Carlo under both norms, exhaustive enumeration, fixed-ring
-powering) and of the canonical config echo of two INI files, together with
-the fingerprint of the environment that recorded them.  Paths through BLAS
+curves (Monte Carlo under both norms, fixed-ring powering) and of the
+canonical config echo of two INI files, together with the fingerprint
+of the environment that recorded them.  Paths through BLAS
 (mixing products, logistic matvecs) can change in their last bits with the
 numpy or BLAS build, so a fingerprint difference fails by name instead of
 being skipped.
@@ -211,8 +211,6 @@ def consensus_digests() -> dict[str, str]:
         for L, k_max, trials in CONSENSUS_MC:
             curve = monte_carlo_consensus(L, k_max, trials, seed=L + trials, norm_kind=norm)
             digests[f"mc/{norm}/L{L}/k{k_max}/t{trials}"] = curve_digest(curve)
-        exact = monte_carlo_consensus(5, 1, trials=0, seed=0, norm_kind=norm, exhaustive=True)
-        digests[f"exhaustive/{norm}/L5"] = curve_digest(exact)
     for L in FIXED_RINGS:
         digests[f"fixed/L{L}"] = curve_digest(fixed_consensus_curve(L, 20))
     return digests

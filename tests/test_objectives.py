@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,25 @@ def test_quadratic_oracle_validation():
         quadratic_oracle(dimension=3, condition_number=0.5)
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([1.0, -1.0]), np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: quadratic_oracle(4, condition_number=math.nan), "condition_number"),
+        (lambda: quadratic_oracle(4, noise_scale=math.nan), "noise_scale"),
+        (lambda: QuadraticObjective(np.array([1.0, math.nan]), np.zeros(2), 0.0), "eigenvalues"),
+        (lambda: logistic_oracle(3, 8, separation=math.nan), "separation"),
+        (lambda: logistic_oracle(3, 8, separation=-1.0), "separation"),
+        (lambda: logistic_oracle(3, 8, 1.0, ridge=math.nan), "ridge"),
+        (lambda: logistic_oracle(3, 8, 1.0, ridge=-1.0), "ridge"),
+    ],
+    ids=["condition_number_nan", "noise_scale_nan", "eigenvalue_nan", "separation_nan",
+         "separation_negative", "ridge_nan", "ridge_negative"],
+)
+def test_oracle_constructors_reject_nan_and_out_of_range(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_quadratic_gradient_against_finite_differences():

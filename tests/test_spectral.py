@@ -107,13 +107,15 @@ def test_randomized_expectation_matches_pair_enumeration():
 
 
 def test_randomized_expectation_single_step_via_enumeration():
+    # Exact oracle at depth 1: average ||T' - U||_F^2 over all L! relabellings.
     for L in (4, 5):
-        curve = monte_carlo_consensus(L, 1, trials=0, seed=0, exhaustive=True)
-        assert curve.trials == math.factorial(L)
-        assert curve.squared_distances[0] == pytest.approx(
-            randomized_frobenius_expectation(L, 1), rel=1e-12
-        )
-        assert curve.halfwidths[0] == 0.0
+        T = build_ring_matrix(L)
+        U = build_uniform_matrix(L)
+        perms = [np.array(p) for p in itertools.permutations(range(L))]
+        assert len(perms) == math.factorial(L)
+        mean = sum(frobenius_norm(conjugate_by_permutation(T, p) - U) ** 2 for p in perms)
+        mean /= len(perms)
+        assert mean == pytest.approx(randomized_frobenius_expectation(L, 1), rel=1e-12)
 
 
 def test_randomized_expectation_degenerate_l3_is_zero():
@@ -152,10 +154,6 @@ def test_monte_carlo_input_validation():
         monte_carlo_consensus(6, 3, trials=1, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_consensus(6, 3, trials=10, seed=0, norm_kind="nuclear")
-    with pytest.raises(ValueError):
-        monte_carlo_consensus(6, 2, trials=0, seed=0, exhaustive=True)
-    with pytest.raises(ValueError):
-        monte_carlo_consensus(7, 1, trials=0, seed=0, exhaustive=True)
 
 
 def test_norm_helpers():
