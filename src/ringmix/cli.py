@@ -6,8 +6,9 @@ Subcommands:
     ringmix verify-bounds [--seed N] [--trials N] [--quiet]
     ringmix spectral L [L ...]
 
-Exit codes: 0 success, 1 invalid invocation or configuration, 2 at least
-one training cell diverged, 3 a consensus bound check failed.
+Exit codes: 0 success, 1 invalid invocation or configuration (including a
+value the library rejects), 2 at least one training cell diverged, 3 a
+consensus bound check failed.
 """
 
 from __future__ import annotations
@@ -93,11 +94,7 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    try:
-        rhos = [second_eigenvalue_ring(L) for L in args.learners]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rhos = [second_eigenvalue_ring(L) for L in args.learners]
     print("   L        rho   spectral_gap")
     for L, rho in zip(args.learners, rhos):
         print(f"{L:>4}  {rho:.9f}  {1.0 - rho:.9f}")
@@ -113,7 +110,7 @@ def main(argv=None) -> int:
         if args.command == "verify-bounds":
             return _cmd_verify_bounds(args)
         return _cmd_spectral(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a value the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,7 +49,7 @@ import io
 import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
 
-from .objectives import LOGISTIC_RIDGE
+from .objectives import LOGISTIC_RIDGE, ORACLES
 from .simulation import RunConfig, Strategy, _check_failure, _checked
 
 
@@ -87,11 +87,12 @@ def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, par
          run=None):
     """A config field: `check` is ">= bound", "> bound" or a tuple of choices;
     `scope` is the oracle kind the key applies to (None: every kind).  With
-    `run`, the default and check are those of that RunConfig field."""
+    `run`, the value sets that RunConfig field as is, and the default and
+    check are that field's."""
     if run:
         shared = RunConfig.__dataclass_fields__[run]
         default, check = shared.default, shared.metadata["check"]
-    return _checked(default, check, section=section, key=key, scope=scope, parse=parse)
+    return _checked(default, check, section=section, key=key, scope=scope, parse=parse, run=run)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class ExperimentConfig:
     init_scale: float = _key("experiment", run="init_scale")
     data_partition: str = _key("experiment", run="data_partition")
     log_every: int = _key("experiment", run="log_every")
-    oracle_kind: str = _key("oracle", "quadratic", key="kind", check=("quadratic", "logistic"))
+    oracle_kind: str = _key("oracle", "quadratic", key="kind", check=tuple(ORACLES))
     dimension: int = _key("oracle", 16, check=">= 1")
     oracle_seed: int = _key("oracle", 0, key="seed", check=">= 0")
     condition_number: float = _key("oracle", 10.0, check=">= 1", scope="quadratic")

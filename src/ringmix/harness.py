@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, echo_config
-from .objectives import logistic_oracle, quadratic_oracle
+from .config import _KIND, ExperimentConfig, _entries, echo_config
+from .objectives import ORACLES
 from .seeding import TAG_CELL, seed_sequence
 from .simulation import (
-    STRATEGY_IDS,
     CostModel,
     RunConfig,
     RunResult,
@@ -59,25 +58,15 @@ def _fmt(x) -> str:
 
 def cell_seed(master_seed: int, strategy: Strategy, n_learners: int, trial: int) -> int:
     """Per-cell run seed, decorrelated across the sweep grid."""
-    ss = seed_sequence(master_seed, TAG_CELL, STRATEGY_IDS[strategy], n_learners, trial)
+    ss = seed_sequence(master_seed, TAG_CELL, strategy.seed_id, n_learners, trial)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def make_oracle(cfg: ExperimentConfig):
-    if cfg.oracle_kind == "quadratic":
-        return quadratic_oracle(
-            dimension=cfg.dimension,
-            condition_number=cfg.condition_number,
-            noise_scale=cfg.noise_scale,
-            seed=cfg.oracle_seed,
-        )
-    return logistic_oracle(
-        dimension=cfg.dimension,
-        n_samples=cfg.n_samples,
-        separation=cfg.separation,
-        seed=cfg.oracle_seed,
-        ridge=cfg.ridge,
-    )
+    """The `[oracle]` kind's factory, called with that kind's keys by name."""
+    args = {e.key: getattr(cfg, e.field.name) for e in _entries(cfg.oracle_kind)
+            if e.section == "oracle" and e is not _KIND}
+    return ORACLES[cfg.oracle_kind](**args)
 
 
 def make_cost_model(cfg: ExperimentConfig, n_learners: int) -> CostModel:
@@ -96,18 +85,16 @@ def make_cost_model(cfg: ExperimentConfig, n_learners: int) -> CostModel:
 
 
 def cell_run_config(cfg: ExperimentConfig, strategy: Strategy, n_learners: int, trial: int) -> RunConfig:
+    """The cell's RunConfig: each key declared with `run=` sets its field as
+    is; lr (stricter in the INI) and batch_size (maybe a total) are explicit."""
     return RunConfig(
         n_learners=n_learners,
-        iterations=cfg.iterations,
         lr=cfg.lr,
         batch_size=cfg.per_learner_batch(n_learners),
         seed=cell_seed(cfg.master_seed, strategy, n_learners, trial),
-        warmup_iters=cfg.warmup_iters,
-        staleness_mode=cfg.staleness_mode,
-        init_scale=cfg.init_scale,
-        data_partition=cfg.data_partition,
-        log_every=cfg.log_every,
         cost_model=make_cost_model(cfg, n_learners),
+        **{e.field.metadata["run"]: getattr(cfg, e.field.name)
+           for e in _entries(cfg.oracle_kind) if e.field.metadata["run"]},
     )
 
 
@@ -196,36 +183,37 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> SweepResul
     strategy/learner group).  A diverged cell keeps its partial trace and
     is excluded from aggregates; remaining cells still run.
     """
+    # Built first, so a value the library rejects raises before any file is written.
+    oracle = make_oracle(cfg)
+    grid = [
+        (strategy, L, trial, cell_run_config(cfg, strategy, L, trial))
+        for strategy in cfg.strategies
+        for L in cfg.learner_counts
+        for trial in range(cfg.trials)
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.ini").write_text(echo_config(cfg), encoding="utf-8")
 
-    oracle = make_oracle(cfg)
     cells = []
-    for strategy in cfg.strategies:
-        for L in cfg.learner_counts:
-            for trial in range(cfg.trials):
-                rc = cell_run_config(cfg, strategy, L, trial)
-                result: RunResult = run_training(strategy, oracle, rc)
-                name = f"{strategy.value}_L{L}_trial{trial}.csv"
-                (out / name).write_text(trace_csv_text(result.records), encoding="utf-8")
-                final = result.records[-1] if result.records else None
-                cell = CellResult(
-                    strategy=strategy,
-                    n_learners=L,
-                    trial=trial,
-                    run_seed=rc.seed,
-                    csv_file=name,
-                    diverged=result.diverged,
-                    final=final,
-                )
-                cells.append(cell)
-                if not quiet:
-                    if cell.diverged:
-                        note = "DIVERGED"
-                    else:
-                        note = f"final loss {final.mean_loss:.6e}"
-                    print(f"{strategy.value} L={L} trial={trial}: {note}")
+    for strategy, L, trial, rc in grid:
+        result: RunResult = run_training(strategy, oracle, rc)
+        name = f"{strategy.value}_L{L}_trial{trial}.csv"
+        (out / name).write_text(trace_csv_text(result.records), encoding="utf-8")
+        final = result.records[-1] if result.records else None
+        cell = CellResult(
+            strategy=strategy,
+            n_learners=L,
+            trial=trial,
+            run_seed=rc.seed,
+            csv_file=name,
+            diverged=result.diverged,
+            final=final,
+        )
+        cells.append(cell)
+        if not quiet:
+            note = "DIVERGED" if cell.diverged else f"final loss {final.mean_loss:.6e}"
+            print(f"{strategy.value} L={L} trial={trial}: {note}")
 
     cells = tuple(cells)
     (out / "summary.csv").write_text(_summary_rows(cells), encoding="utf-8")

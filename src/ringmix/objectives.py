@@ -57,8 +57,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class QuadraticObjective:
     """1/2 (w - w*)' A (w - w*) with diagonal A and additive gradient noise."""
 
-    kind = "quadratic"
-
     def __init__(self, eigenvalues: np.ndarray, optimum: np.ndarray, noise_scale: float):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.optimum = np.asarray(optimum, dtype=float)
@@ -111,8 +109,6 @@ class QuadraticObjective:
 
 class LogisticObjective:
     """l2-regularized logistic regression on a fixed synthetic dataset."""
-
-    kind = "logistic"
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = LOGISTIC_RIDGE):
         self.features = np.asarray(features, dtype=float)
@@ -233,6 +229,10 @@ def logistic_oracle(
     return LogisticObjective(features, labels, ridge)
 
 
+# Oracle kind -> factory; the [oracle] keys of a kind are its arguments.
+ORACLES = {"quadratic": quadratic_oracle, "logistic": logistic_oracle}
+
+
 def gradient_check(oracle, w: np.ndarray, step: float = 1e-5) -> float:
     """Relative error between the analytic gradient and central differences.
 
@@ -240,7 +240,7 @@ def gradient_check(oracle, w: np.ndarray, step: float = 1e-5) -> float:
     (f(w + h e_i) - f(w - h e_i)) / 2h per coordinate.  Returns
     ||fd - grad|| / max(||grad||, 1e-12).
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
     w = np.asarray(w, dtype=float)
     grad = oracle.gradient(w)

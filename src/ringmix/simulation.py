@@ -1,8 +1,8 @@
 """Decentralized SGD strategies on a simulated cluster clock.
 
 Five training strategies over L learners holding a d x L weights
-matrix W (one column per learner) differ in two facts, held in one
-table (`_STEP_SPECS`): how the models are mixed, and whether the
+matrix W (one column per learner) differ in two facts, which each
+`Strategy` member carries: how the models are mixed, and whether the
 gradient is taken at W_k (fresh) or at W_{k-1} (stale).  The clock
 follows the mixing: the ring strategies gossip, the others average
 exactly behind a barrier.
@@ -54,37 +54,26 @@ from .spectral import second_eigenvalue_ring
 
 
 class Strategy(Enum):
-    SPSGD = "spsgd"
-    DPSGD_FIXED = "dpsgd_fixed"
-    ADPSGD_FIXED = "adpsgd_fixed"
-    RAND_PSGD = "rand_psgd"
-    D1D = "d1d"
+    """(value, mixing, gradient, seed_id): the module docstring's table, and
+    the stable small integer that cell seeds derive from (never renumber)."""
+
+    SPSGD = ("spsgd", "none", "fresh", 0)
+    DPSGD_FIXED = ("dpsgd_fixed", "ring", "fresh", 1)
+    ADPSGD_FIXED = ("adpsgd_fixed", "ring", "stale", 2)
+    RAND_PSGD = ("rand_psgd", "relabelled", "staleness_mode", 3)
+    D1D = ("d1d", "mean", "stale", 4)
+
+    def __new__(cls, value: str, mixing: str, gradient: str, seed_id: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.mixing, member.gradient, member.seed_id = mixing, gradient, seed_id
+        return member
 
     @property
     def uses_ring(self) -> bool:
         """True if the strategy gossips over a ring and pays its spectral gap;
         False if it averages exactly behind a barrier."""
-        return _STEP_SPECS[self][0] in ("ring", "relabelled")
-
-
-# Strategy -> (mixing, gradient), the table of the module docstring.
-_STEP_SPECS = {
-    Strategy.SPSGD: ("none", "fresh"),
-    Strategy.DPSGD_FIXED: ("ring", "fresh"),
-    Strategy.ADPSGD_FIXED: ("ring", "stale"),
-    Strategy.RAND_PSGD: ("relabelled", "staleness_mode"),
-    Strategy.D1D: ("mean", "stale"),
-}
-
-
-# Stable small integers for seed derivation; never renumber.
-STRATEGY_IDS = {
-    Strategy.SPSGD: 0,
-    Strategy.DPSGD_FIXED: 1,
-    Strategy.ADPSGD_FIXED: 2,
-    Strategy.RAND_PSGD: 3,
-    Strategy.D1D: 4,
-}
+        return self.mixing in ("ring", "relabelled")
 
 
 # A run diverges when its weights go non-finite or any magnitude exceeds this.
@@ -108,6 +97,8 @@ def _check_failure(value, check) -> str | None:
         op, bound = check.split()
         if not _PASSES[op](value, float(bound)):
             return f"must be {check}"
+        if value == math.inf:  # not math.isfinite: it overflows on huge ints
+            return "must be finite"
     return None
 
 
@@ -140,17 +131,14 @@ class CostModel:
 
     def __post_init__(self):
         _check_fields(self)
-        if math.isnan(self.compute_mu):
-            raise ValueError("compute_mu must not be NaN")
+        if not -math.inf < self.compute_mu < math.inf:
+            raise ValueError("compute_mu: must be finite")
         if self.compute_scale is not None and not np.all(np.asarray(self.compute_scale) > 0):
             raise ValueError("compute_scale entries must be strictly positive")
 
-    def comm_times(self, n_learners: int) -> np.ndarray:
-        """Per-learner exchange time: 2 x message / bandwidth."""
-        return np.full(n_learners, 2.0 * self.message_size_bytes / self.bandwidth_bytes_per_s)
-
     def allreduce_time(self, n_learners: int) -> float:
-        """Global allreduce: one exchange over the (uniform) link bandwidth."""
+        """One exchange over the (uniform) link bandwidth: a gossip learner's
+        exchange, and the barrier's global allreduce."""
         return float(2.0 * self.message_size_bytes / self.bandwidth_bytes_per_s)
 
     def sample_compute_times(self, n_learners: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,8 +283,8 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
-    """One iteration of `strategy`, as its row of `_STEP_SPECS` says."""
-    mixing, gradient = _STEP_SPECS[strategy]
+    """One iteration of `strategy`, as its mixing and gradient say."""
+    mixing, gradient = strategy.mixing, strategy.gradient
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
     k, W, L = state.iteration, state.weights, cfg.n_learners
@@ -406,7 +394,7 @@ def advance_clock(
     L = len(state.compute_time_s)
     compute = cost_model.sample_compute_times(L, rng)
     if strategy.uses_ring:
-        duration = float(np.maximum(compute, cost_model.comm_times(L)).mean())
+        duration = float(np.maximum(compute, cost_model.allreduce_time(L)).mean())
     else:
         duration = float(compute.max()) + cost_model.allreduce_time(L)
     new_state = replace(

@@ -1,3 +1,5 @@
+import pytest
+
 from ringmix.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 
 GOOD = """
@@ -71,6 +73,25 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (GOOD.replace("condition_number = 5.0", "condition_number = inf"),
+     "[oracle] condition_number: must be finite"),
+    (GOOD + "[cost_model]\nmessage_size_mb = inf\nbandwidth_gbps = inf\n",
+     "[cost_model] message_size_mb: must be finite"),
+    # Passes the INI; bandwidth_gbps x 1e9 overflows, and CostModel rejects it.
+    (GOOD + "[cost_model]\nbandwidth_gbps = 1e300\n", "bandwidth_bytes_per_s: must be finite"),
+], ids=["condition_number", "message_and_bandwidth", "bandwidth_overflow"])
+def test_run_rejected_value_exits_one_and_writes_nothing(tmp_path, capsys, text, message):
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_verify_bounds_quiet_passes(capsys):

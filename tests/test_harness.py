@@ -1,18 +1,24 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from ringmix.config import parse_config
+from ringmix.config import ExperimentConfig, _entries, parse_config
 from ringmix.harness import (
     AGGREGATE_HEADER,
     CSV_HEADER,
     SUMMARY_HEADER,
+    cell_run_config,
     cell_seed,
     make_cost_model,
+    make_oracle,
     run_sweep,
     trace_csv_text,
     verify_bounds,
 )
-from ringmix.simulation import Strategy, TraceRecord
+from ringmix.objectives import ORACLES, logistic_oracle, quadratic_oracle
+from ringmix.simulation import RunConfig, Strategy, TraceRecord
 
 SMALL = """
 [experiment]
@@ -64,6 +70,46 @@ def test_cell_seed_is_stable_and_decorrelated():
         for t in range(5)
     }
     assert len(grid) == len(Strategy) * 2 * 5
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_oracle_factories_take_exactly_their_kinds_keys(kind):
+    params = set(inspect.signature(ORACLES[kind]).parameters) - {"optimum"}
+    keys = {e.key for e in _entries(kind) if e.section == "oracle"} - {"kind"}
+    assert params == keys
+
+
+def test_make_oracle_passes_every_oracle_key():
+    base = SMALL.split("[oracle]")[0] + "[oracle]\n"
+    quad = make_oracle(parse_config(
+        base + "dimension = 5\nseed = 3\ncondition_number = 7.0\nnoise_scale = 0.5\n"
+    ))
+    want = quadratic_oracle(dimension=5, condition_number=7.0, noise_scale=0.5, seed=3)
+    assert np.array_equal(quad.eigenvalues, want.eigenvalues)
+    assert np.array_equal(quad.optimum, want.optimum)
+    assert quad.noise_scale == want.noise_scale
+    logistic = make_oracle(parse_config(
+        base + "kind = logistic\ndimension = 5\nseed = 3\nn_samples = 10\n"
+        "separation = 1.5\nridge = 0.01\n"
+    ))
+    want = logistic_oracle(dimension=5, n_samples=10, separation=1.5, seed=3, ridge=0.01)
+    assert np.array_equal(logistic.features, want.features)
+    assert np.array_equal(logistic.labels, want.labels)
+    assert logistic.ridge == want.ridge
+
+
+def test_cell_run_config_forwards_every_run_key():
+    values = {"iterations": 7, "warmup_iters": 3, "staleness_mode": "sync",
+              "init_scale": 0.5, "data_partition": "sharded", "log_every": 2}
+    declared = {f.metadata["run"] for f in fields(ExperimentConfig) if f.metadata["run"]}
+    assert declared == set(values)
+    text = SMALL.replace("iterations = 12\n", "").replace(
+        "log_every = 4\n", "".join(f"{k} = {v}\n" for k, v in values.items())
+    )
+    rc = cell_run_config(parse_config(text), Strategy.D1D, 4, 0)
+    for name, value in values.items():
+        assert value != RunConfig.__dataclass_fields__[name].default, name
+        assert getattr(rc, name) == value, name
 
 
 def test_make_cost_model_straggler_layout():

@@ -180,3 +180,5 @@ def test_evaluate_loss_and_gradient_check_validation():
     assert oracle.loss(w) == quadratic_oracle(dimension=3, seed=0).loss(w.copy())
     with pytest.raises(ValueError):
         gradient_check(oracle, w, step=0.0)
+    with pytest.raises(ValueError):
+        gradient_check(oracle, w, step=math.nan)
