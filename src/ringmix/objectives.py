@@ -11,6 +11,10 @@ Two oracle families:
   two-class Gaussian dataset (class means +-separation/2 along a
   random unit direction).  Minibatches are drawn with replacement, so
   the stochastic gradient is exactly unbiased for the full-batch one.
+  For many learners at once, the draws stay learner by learner, each
+  on its own stream; the gradient math after them is stacked over
+  chunks of learners (each chunk's gathered features at most
+  _CHUNK_BYTES) and is bit-identical to a learner-by-learner loop.
 
 A minibatch is identified by a BatchDescriptor; the same descriptor
 always yields the same samples and the same gradient, bit for bit.
@@ -28,6 +32,10 @@ import numpy as np
 from . import seeding
 
 LOGISTIC_RIDGE = 1e-4  # fixed l2 coefficient for the logistic objective
+
+# LogisticObjective.stochastic_gradients stacks the minibatch features of
+# chunks of learners, each (chunk, batch_size, d) stack at most this size.
+_CHUNK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -164,19 +172,38 @@ class LogisticObjective:
         shards: Sequence[tuple[int, int] | None] | None = None,
     ) -> np.ndarray:
         """Stochastic gradients of the columns of Phi, column l sampling its
-        minibatch with the l-th rng from its shard (all data when None)."""
+        minibatch with the l-th rng from its shard (all data when None).
+
+        The draws are made learner by learner, each on its own stream.
+        The math after them is stacked over chunks of learners whose
+        (chunk, batch_size, d) feature stack fits in _CHUNK_BYTES (one
+        learner per chunk when even one does not).  Each slice of a
+        stacked matmul is the same BLAS call, on the same strides, as
+        one learner's `X @ w` and `X.T @ coeff`, so the result is
+        bit-identical to a learner-by-learner loop.  (einsum would sum
+        in another order and change the last bits.)
+        """
         Phi = np.asarray(Phi, dtype=float)
-        G = np.empty_like(Phi)
+        d, L = Phi.shape
         if shards is None:
-            shards = [None] * Phi.shape[1]
-        for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
-            w = Phi[:, l]
-            picks = self._sample_indices(rng, batch_size, shard)
-            X = self.features[picks]
-            y = self.labels[picks]
-            margins = y * (X @ w)
+            shards = [None] * L
+        picks = np.stack([
+            self._sample_indices(rng, batch_size, shard)
+            for rng, shard in zip(rngs, shards, strict=True)
+        ])
+        G = np.empty_like(Phi)
+        chunk = max(1, _CHUNK_BYTES // (Phi.itemsize * batch_size * d))
+        for start in range(0, L, chunk):
+            cols = slice(start, start + chunk)
+            X = self.features[picks[cols]]
+            y = self.labels[picks[cols]]
+            Phi_c = Phi[:, cols]
+            margins = y * (X @ Phi_c.T[:, :, None])[:, :, 0]
             coeff = -y * _sigmoid(-margins)
-            G[:, l] = (X.T @ coeff) / batch_size + self.ridge * w
+            G[:, cols] = (
+                (X.transpose(0, 2, 1) @ coeff[:, :, None])[:, :, 0].T / batch_size
+                + self.ridge * Phi_c
+            )
         return G
 
 

@@ -425,7 +425,8 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     Records a trace point every `log_every` iterations and always at
     the final iteration.  On divergence the partial trace up to the
     last healthy iteration is returned with the diverged flag set; the
-    exploded weights are not logged.
+    exploded weights are not logged.  Raises ValueError, naming the
+    iteration, if the simulated clock overflows (sim_time_s not finite).
     """
     step = _STEP_FUNCTIONS[strategy]
     rho = mixing_rho(strategy, cfg.n_learners)
@@ -433,16 +434,22 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     diverged = False
     for k in range(cfg.iterations):
+        clock_words = _stream_words(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k)
+        clock = seeding.generator(clock_words[0])
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
+            # Overflow of the unreported per-learner compute totals stays quiet.
+            new_state, _ = advance_clock(new_state, strategy, cfg.cost_model, clock)
         # One reduction: NaN and +-inf fail the comparison too.
         if not np.abs(new_state.weights).max() <= DIVERGENCE_THRESHOLD:
             diverged = True
             break
+        if not new_state.sim_time_s < math.inf:
+            raise ValueError(
+                f"simulated clock overflowed at iteration {new_state.iteration}: "
+                f"sim_time_s = {new_state.sim_time_s}"
+            )
         state = new_state
-        clock_words = _stream_words(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k)
-        clock = seeding.generator(clock_words[0])
-        state, _ = advance_clock(state, strategy, cfg.cost_model, clock)
         if state.iteration % cfg.log_every == 0:
             records.append(_record(state, oracle, rho))
     if state.iteration != (records[-1].iteration if records else 0):

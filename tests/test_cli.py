@@ -94,6 +94,20 @@ def test_run_rejected_value_exits_one_and_writes_nothing(tmp_path, capsys, text,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("cost_model, iteration", [
+    ("straggler_factor = 1.7976931348623157e308\nstraggler_count = 1\n", 11),
+    ("compute_sigma = 1e300\n", 3),
+], ids=["straggler_factor_max_float", "compute_sigma_1e300"])
+def test_run_overflowed_clock_exits_one(tmp_path, capsys, recwarn, cost_model, iteration):
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(GOOD.replace("iterations = 10", "iterations = 12")
+                        + "[cost_model]\n" + cost_model)
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    message = f"simulated clock overflowed at iteration {iteration}: sim_time_s = inf"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list
+
+
 def test_verify_bounds_quiet_passes(capsys):
     assert main(["verify-bounds", "--trials", "300", "--seed", "5", "--quiet"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "PASS"

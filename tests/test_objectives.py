@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringmix import objectives
 from ringmix.objectives import (
     BatchDescriptor,
     LogisticObjective,
     QuadraticObjective,
+    _sigmoid,
     gradient_check,
     logistic_oracle,
     quadratic_oracle,
@@ -161,6 +166,61 @@ def test_logistic_shard_restricts_sampling():
     w = stream(4, 3).standard_normal(4)
     g = shard_oracle.stochastic_gradient(w, BatchDescriptor(6, (3, 0, 0, 0)), shard=(1, 2))
     assert np.array_equal(g, np.zeros(4))
+
+
+def _per_learner_gradients(oracle, Phi, batch_size, rngs, shards=None):
+    """LogisticObjective.stochastic_gradients as a learner-by-learner loop:
+    the reference the stacked version must match bit for bit."""
+    Phi = np.asarray(Phi, dtype=float)
+    G = np.empty_like(Phi)
+    if shards is None:
+        shards = [None] * Phi.shape[1]
+    for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
+        w = Phi[:, l]
+        picks = oracle._sample_indices(rng, batch_size, shard)
+        X = oracle.features[picks]
+        y = oracle.labels[picks]
+        margins = y * (X @ w)
+        coeff = -y * _sigmoid(-margins)
+        G[:, l] = (X.T @ coeff) / batch_size + oracle.ridge * w
+    return G
+
+
+@st.composite
+def _logistic_cases(draw):
+    L = draw(st.integers(1, 40))
+    sharded = draw(st.booleans())
+    # A sharded learner needs a nonempty shard; n_samples % L is free.
+    n_samples = draw(st.integers(max(2, L) if sharded else 2, 300))
+    batch_size = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 20))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    # Learners per chunk; the budget's slack stays below one more learner.
+    chunk = draw(st.integers(1, L))
+    stack_bytes = 8 * batch_size * d
+    budget = chunk * stack_bytes + draw(st.integers(0, stack_bytes - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return L, sharded, n_samples, batch_size, d, layout, budget, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_logistic_cases())
+def test_logistic_stacked_gradients_match_per_learner_loop(case):
+    L, sharded, n_samples, batch_size, d, layout, budget, seed = case
+    oracle = logistic_oracle(dimension=d, n_samples=n_samples, separation=1.5, seed=seed)
+    base = stream(seed, 1).standard_normal((d, 2 * L))
+    Phi = {"C": np.ascontiguousarray(base[:, :L]), "F": np.asfortranarray(base[:, :L]),
+           "strided": base[:, ::2]}[layout]
+    shards = [(l, L) for l in range(L)] if sharded else None
+    expected = _per_learner_gradients(
+        oracle, Phi, batch_size, [stream(seed, 2, l) for l in range(L)], shards
+    )
+    with mock.patch.object(objectives, "_CHUNK_BYTES", budget):
+        G = oracle.stochastic_gradients(
+            Phi, batch_size, (stream(seed, 2, l) for l in range(L)), shards
+        )
+    assert G.shape == expected.shape
+    assert G.tobytes() == expected.tobytes()
 
 
 def test_logistic_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -370,6 +371,23 @@ def test_divergence_threshold_is_inclusive():
     for value, diverged in ((DIVERGENCE_THRESHOLD, False), (above, True)):
         result = run_training(Strategy.D1D, _PoisonedOracle(value, at=0), cfg)
         assert result.diverged is diverged
+
+
+@pytest.mark.parametrize("cost_model, iteration", [
+    (CostModel(compute_scale=(1.7976931348623157e308, 1, 1, 1)), 11),
+    (CostModel(compute_sigma=1e300), 1),
+], ids=["straggler_factor_max_float", "compute_sigma_1e300"])
+def test_run_training_rejects_an_overflowed_clock(cost_model, iteration):
+    cfg = _cfg(iterations=12, cost_model=cost_model)
+    message = rf"^simulated clock overflowed at iteration {iteration}: sim_time_s = inf$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            run_training(Strategy.D1D, _oracle(), cfg)
+        if iteration > 1:
+            # One iteration fewer, the clock is still finite and the run completes.
+            short = replace(cfg, iterations=iteration - 1)
+            assert run_training(Strategy.D1D, _oracle(), short).state.sim_time_s < math.inf
 
 
 def test_sharded_logistic_run_completes():
