@@ -419,6 +419,18 @@ def _record(state: SimState, oracle, rho: float) -> TraceRecord:
     )
 
 
+def _overflowed_clock(state: SimState) -> str | None:
+    """The first simulated-clock total that is not finite, as "name = value",
+    or None.  Gossip records the mean over learners as sim_time_s, so one
+    learner's compute total can overflow while sim_time_s stays finite."""
+    if not state.sim_time_s < math.inf:
+        return f"sim_time_s = {state.sim_time_s}"
+    if not state.compute_time_s.max() < math.inf:
+        learner = int(np.argmax(state.compute_time_s))
+        return f"compute_time_s[{learner}] = {state.compute_time_s[learner]}"
+    return None
+
+
 def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     """Run one strategy to completion (or divergence).
 
@@ -426,7 +438,8 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     the final iteration.  On divergence the partial trace up to the
     last healthy iteration is returned with the diverged flag set; the
     exploded weights are not logged.  Raises ValueError, naming the
-    iteration, if the simulated clock overflows (sim_time_s not finite).
+    iteration and the total, if the simulated clock overflows: sim_time_s
+    or a learner's compute_time_s is not finite.
     """
     step = _STEP_FUNCTIONS[strategy]
     rho = mixing_rho(strategy, cfg.n_learners)
@@ -438,16 +451,16 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
         clock = seeding.generator(clock_words[0])
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
-            # Overflow of the unreported per-learner compute totals stays quiet.
+            # A clock overflow is raised below as an error, not warned about.
             new_state, _ = advance_clock(new_state, strategy, cfg.cost_model, clock)
         # One reduction: NaN and +-inf fail the comparison too.
         if not np.abs(new_state.weights).max() <= DIVERGENCE_THRESHOLD:
             diverged = True
             break
-        if not new_state.sim_time_s < math.inf:
+        overflowed = _overflowed_clock(new_state)
+        if overflowed:
             raise ValueError(
-                f"simulated clock overflowed at iteration {new_state.iteration}: "
-                f"sim_time_s = {new_state.sim_time_s}"
+                f"simulated clock overflowed at iteration {new_state.iteration}: {overflowed}"
             )
         state = new_state
         if state.iteration % cfg.log_every == 0:

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .mixing import _check_ring_size, build_ring_matrix, build_uniform_matrix, sample_permutation
-# conjugate_by_permutation is unused here; perfbench's tracer wraps this attribute.
-from .mixing import conjugate_by_permutation
+from .mixing import _check_ring_size, build_ring_matrix, build_uniform_matrix
+# Unused here; perfbench's tracer wraps these attributes by name.
+from .mixing import conjugate_by_permutation, sample_permutation
 
 Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 _SYMMETRY_TOL = 1e-10  # spectral_rho warns when max |T - T'| exceeds this
@@ -184,16 +184,17 @@ def frobenius_norm(D: np.ndarray) -> float:
 
 
 def fixed_consensus_curve(n_learners: int, k_max: int) -> ConsensusCurve:
-    """Spectral-norm distance ||T0^k - U||_2 for k = 1..k_max by explicit powering."""
+    """Spectral-norm distance ||T0^k - U||_2 for k = 1..k_max.
+
+    T0^k is the relabelled-ring product with every label left in place,
+    so this is the Monte Carlo product loop run once on identity labels.
+    """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     T0 = build_ring_matrix(n_learners)
     U = build_uniform_matrix(n_learners)
-    distances = np.empty(k_max)
-    power = np.eye(n_learners)
-    for k in range(1, k_max + 1):
-        power = power @ T0
-        distances[k - 1] = spectral_norm(power - U)
+    labels = np.broadcast_to(np.arange(n_learners), (1, k_max, n_learners))
+    distances = _product_distances(T0, U, labels, ("spectral",))[0, 0]
     return ConsensusCurve(
         steps=np.arange(1, k_max + 1), distances=distances, norm_kind="spectral"
     )
@@ -223,50 +224,85 @@ _CHUNK_BYTES = 32 * 1024
 
 
 def _product_distances(
-    T0: np.ndarray, U: np.ndarray, perms: np.ndarray, norm_kind: str
+    T0: np.ndarray, U: np.ndarray, perms: np.ndarray, kinds: tuple[str, ...]
 ) -> np.ndarray:
-    """Distance from U of each trial's prefix products, shaped (trials, k_max).
+    """Distance from U of each trial's prefix products in each norm of
+    `kinds`, shaped (kinds, trials, k_max).
 
     perms is (trials, k_max, L): row t relabels T0 by perms[t, k] at step
     k.  Each step is one gather of the relabelled rings, one stacked
-    matmul and one stacked norm.
+    matmul, and one stacked norm of product - U per kind.
     """
-    values = np.empty(perms.shape[:2])
+    values = np.empty((len(kinds), *perms.shape[:2]))
     for k in range(perms.shape[1]):
         p = perms[:, k]
         Tk = T0[p[:, :, None], p[:, None, :]]
         product = Tk if k == 0 else product @ Tk
         del Tk  # one stack fewer alive while the norms are taken
-        values[:, k] = _stacked_norms(product - U, norm_kind)
+        D = product - U
+        for j, kind in enumerate(kinds):
+            values[j, :, k] = _stacked_norms(D, kind)
     return values
 
 
 def _trial_distances(
-    T0: np.ndarray, U: np.ndarray, k_max: int, trials: int, seed: int, norm_kind: str
+    T0: np.ndarray, U: np.ndarray, k_max: int, trials: int, seed: int, kinds: tuple[str, ...]
 ) -> np.ndarray:
-    """Distance of every trial's k-step product from U, shaped (trials, k_max).
+    """Distance of every trial's k-step product from U in each norm of
+    `kinds`, shaped (kinds, trials, k_max).
 
-    Trial t relabels T0 by k_max permutations drawn in order from the
-    stream (seed, TAG_TRIAL, t); trials are drawn and multiplied in
-    chunks of at most _CHUNK_BYTES per (trials, L, L) stack.
+    Trial t relabels T0 by k_max permutations drawn from the stream
+    (seed, TAG_TRIAL, t) by one `permuted` call over k_max rows of labels:
+    the same permutations, leaving the stream in the same state, as k_max
+    `sample_permutation` calls.  Trials are drawn and multiplied in chunks
+    of at most _CHUNK_BYTES per (trials, L, L) stack.
     """
     L = T0.shape[0]
-    values = np.empty((trials, k_max))
+    values = np.empty((len(kinds), trials, k_max))
     chunk = max(1, _CHUNK_BYTES // (T0.itemsize * L * L))
     words = seeding.seed_words((seed, seeding.TAG_TRIAL), np.arange(trials)[:, None])
+    labels = np.broadcast_to(np.arange(L), (k_max, L))
     for start in range(0, trials, chunk):
         rngs = map(seeding.generator, words[start : start + chunk])
         perms = np.empty((min(chunk, trials - start), k_max, L), dtype=np.intp)
         for i, rng in enumerate(rngs):
-            for k in range(k_max):
-                perms[i, k] = sample_permutation(L, rng)
-        values[start : start + chunk] = _product_distances(T0, U, perms, norm_kind)
+            rng.permuted(labels, axis=1, out=perms[i])
+        values[:, start : start + chunk] = _product_distances(T0, U, perms, kinds)
     return values
 
 
 def _mean_halfwidth(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-step mean over the trials (rows) of x and its 95% normal half-width."""
     return x.mean(axis=0), Z95 * x.std(axis=0, ddof=1) / math.sqrt(len(x))
+
+
+def _monte_carlo_curves(
+    n_learners: int, k_max: int, trials: int, seed: int, kinds: tuple[str, ...]
+) -> tuple[ConsensusCurve, ...]:
+    """`monte_carlo_consensus` for each norm of `kinds`, from one product pass."""
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
+    for kind in kinds:
+        if kind not in ("spectral", "frobenius"):
+            raise ValueError(f"unknown norm_kind {kind!r}; use 'spectral' or 'frobenius'")
+    T0 = build_ring_matrix(n_learners)
+    U = build_uniform_matrix(n_learners)
+    if trials < 2:
+        raise ValueError(f"need trials >= 2 for error bars, got {trials}")
+    curves = []
+    for kind, values in zip(kinds, _trial_distances(T0, U, k_max, trials, seed, kinds)):
+        distances, halfwidths = _mean_halfwidth(values)
+        squared = _mean_halfwidth(values**2) if kind == "frobenius" else (None, None)
+        curves.append(ConsensusCurve(
+            steps=np.arange(1, k_max + 1),
+            distances=distances,
+            norm_kind=kind,
+            halfwidths=halfwidths,
+            squared_distances=squared[0],
+            squared_halfwidths=squared[1],
+            trials=trials,
+        ))
+    return tuple(curves)
 
 
 def monte_carlo_consensus(
@@ -279,38 +315,19 @@ def monte_carlo_consensus(
     """Estimate E ||T_1 ... T_k - U|| for k = 1..k_max over randomized rings.
 
     Each trial draws k_max fresh independent uniform permutations, in
-    order, from its own stream (seed, TAG_TRIAL, trial index), so a
-    trial's numbers do not depend on how many trials run or in which
-    order.  It forms the running product of relabelled ring matrices and
-    measures the distance to the uniform matrix at every prefix.  Trials
-    are advanced together in chunks, one stacked matmul and one stacked
-    norm per step; a chunk's (trials, L, L) stack is capped at 32 KiB
-    (64 trials at L = 8, 4 at L = 32, one at a time from L = 46), so
-    memory does not grow with `trials`.  The result is bit-identical to
+    order, from its own stream (seed, TAG_TRIAL, trial index), all in one
+    `permuted` call, so a trial's numbers do not depend on how many
+    trials run or in which order.  It forms the running product of
+    relabelled ring matrices and measures the distance to the uniform
+    matrix at every prefix.  This is the module's one product loop: the
+    fixed ring runs it on identity labels, and one pass can measure
+    several norms (verify-bounds takes both from it).  Trials are
+    advanced together in chunks, one stacked matmul and one stacked norm
+    per step; a chunk's (trials, L, L) stack is capped at 32 KiB (64
+    trials at L = 8, 4 at L = 32, one at a time from L = 46), so memory
+    does not grow with `trials`.  The result is bit-identical to
     evaluating trial after trial.  Returns per-step means with 95% normal
     half-widths; for the Frobenius norm the squared distances are
     aggregated too, since the closed form predicts the squared mean.
     """
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
-    if norm_kind not in ("spectral", "frobenius"):
-        raise ValueError(f"unknown norm_kind {norm_kind!r}; use 'spectral' or 'frobenius'")
-    T0 = build_ring_matrix(n_learners)
-    U = build_uniform_matrix(n_learners)
-    if trials < 2:
-        raise ValueError(f"need trials >= 2 for error bars, got {trials}")
-    values = _trial_distances(T0, U, k_max, trials, seed, norm_kind)
-
-    distances, halfwidths = _mean_halfwidth(values)
-    squared = {}
-    if norm_kind == "frobenius":
-        sq_mean, sq_half = _mean_halfwidth(values**2)
-        squared = dict(squared_distances=sq_mean, squared_halfwidths=sq_half)
-    return ConsensusCurve(
-        steps=np.arange(1, k_max + 1),
-        distances=distances,
-        norm_kind=norm_kind,
-        halfwidths=halfwidths,
-        trials=len(values),
-        **squared,
-    )
+    return _monte_carlo_curves(n_learners, k_max, trials, seed, (norm_kind,))[0]

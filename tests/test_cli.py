@@ -94,16 +94,27 @@ def test_run_rejected_value_exits_one_and_writes_nothing(tmp_path, capsys, text,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("cost_model, iteration", [
-    ("straggler_factor = 1.7976931348623157e308\nstraggler_count = 1\n", 11),
-    ("compute_sigma = 1e300\n", 3),
-], ids=["straggler_factor_max_float", "compute_sigma_1e300"])
-def test_run_overflowed_clock_exits_one(tmp_path, capsys, recwarn, cost_model, iteration):
+_STRAGGLER = "straggler_factor = 1.7976931348623157e308\nstraggler_count = 1\n"
+
+
+@pytest.mark.parametrize("cost_model, strategy, iteration, total", [
+    (_STRAGGLER, "d1d", 11, "sim_time_s"),
+    ("compute_sigma = 1e300\n", "d1d", 3, "sim_time_s"),
+    # Gossip records the mean over learners; the straggler's own total overflows.
+    (_STRAGGLER, "dpsgd_fixed", 10, "compute_time_s[0]"),
+    (_STRAGGLER, "adpsgd_fixed", 11, "compute_time_s[0]"),
+    (_STRAGGLER, "rand_psgd", 11, "compute_time_s[0]"),
+], ids=["straggler_factor_max_float", "compute_sigma_1e300",
+        "straggler_dpsgd_fixed", "straggler_adpsgd_fixed", "straggler_rand_psgd"])
+def test_run_overflowed_clock_exits_one(
+    tmp_path, capsys, recwarn, cost_model, strategy, iteration, total
+):
     cfg_file = tmp_path / "exp.ini"
     cfg_file.write_text(GOOD.replace("iterations = 10", "iterations = 12")
+                        .replace("strategies = d1d", f"strategies = {strategy}")
                         + "[cost_model]\n" + cost_model)
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    message = f"simulated clock overflowed at iteration {iteration}: sim_time_s = inf"
+    message = f"simulated clock overflowed at iteration {iteration}: {total} = inf"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not recwarn.list
 

@@ -1,9 +1,11 @@
 import inspect
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ringmix import spectral
 from ringmix.config import ExperimentConfig, _entries, parse_config
 from ringmix.harness import (
     AGGREGATE_HEADER,
@@ -184,7 +186,24 @@ def test_run_sweep_survives_divergence(tmp_path):
 
 
 def test_verify_bounds_passes_on_validated_seed():
-    report = verify_bounds(learner_counts=(3, 4, 8), k_max=12, trials=300, seed=5)
+    calls = []
+    product_distances = spectral._product_distances
+
+    def counted(T0, U, perms, kinds):
+        calls.append((len(T0), len(perms), kinds))
+        return product_distances(T0, U, perms, kinds)
+
+    with mock.patch.object(spectral, "_product_distances", counted):
+        report = verify_bounds(learner_counts=(3, 4, 8), k_max=12, trials=300, seed=5)
+    # Per ring size: one identity-label pass for the fixed ring, then one
+    # pass per chunk of trials that serves both norms.
+    expected = []
+    for L in (3, 4, 8):
+        chunk = max(1, spectral._CHUNK_BYTES // (8 * L * L))
+        expected.append((L, 1, ("spectral",)))
+        expected += [(L, min(chunk, 300 - start), ("frobenius", "spectral"))
+                     for start in range(0, 300, chunk)]
+    assert calls == expected
     assert report.ok
     rendered = report.render()
     assert "PASS" in rendered

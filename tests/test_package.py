@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import ringmix
-from ringmix import mixing, simulation, spectral
+from ringmix import harness, mixing, simulation, spectral
 
 
 def _imported_public_names() -> set[str]:
@@ -30,5 +30,7 @@ def test_names_the_benchmark_tracer_wraps_stay_bound():
     # kept only for it must not be dropped as unused.
     assert simulation.apply_mixing is mixing.apply_mixing
     assert spectral.conjugate_by_permutation is mixing.conjugate_by_permutation
+    assert spectral.sample_permutation is mixing.sample_permutation
+    assert harness.monte_carlo_consensus is spectral.monte_carlo_consensus
     for s in simulation.Strategy:
         assert simulation._STEP_FUNCTIONS[s] is getattr(simulation, f"step_{s.value}")

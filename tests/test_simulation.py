@@ -1,9 +1,12 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringmix.mixing import (
     apply_mixing,
@@ -217,18 +220,45 @@ def test_d1d_consensus_is_exact_after_averaging():
         state = step_d1d(state, oracle, cfg)
 
 
-def test_mixing_preserves_learner_average():
-    oracle = _oracle(noise=2.0)
-    cfg = _cfg(n_learners=6)
-    for step in (step_dpsgd_fixed, step_adpsgd_fixed, step_rand_psgd, step_d1d):
-        state = initial_state(oracle, cfg)
-        for _ in range(5):
-            before = state.weights.mean(axis=1)
-            new = step(state, oracle, cfg)
-            moved = new.weights.mean(axis=1)
-            expected = before - cfg.lr * new.last_gradients.mean(axis=1)
-            assert np.allclose(moved, expected, rtol=0, atol=1e-12)
-            state = new
+_STEPS = {
+    Strategy.SPSGD: step_spsgd,
+    Strategy.DPSGD_FIXED: step_dpsgd_fixed,
+    Strategy.ADPSGD_FIXED: step_adpsgd_fixed,
+    Strategy.RAND_PSGD: step_rand_psgd,
+    Strategy.D1D: step_d1d,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    strategy=st.sampled_from(list(Strategy)),
+    n_learners=st.integers(3, 12),
+    oracle_kind=st.sampled_from(["quadratic", "logistic"]),
+    staleness_mode=st.sampled_from(["sync", "async"]),
+    data_partition=st.sampled_from(["shared", "sharded"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_mixing_preserves_learner_average(
+    strategy, n_learners, oracle_kind, staleness_mode, data_partition, seed
+):
+    # Mixing is doubly stochastic, so a step moves the column mean by
+    # exactly lr x the mean gradient, up to rounding at the weights' scale.
+    if oracle_kind == "quadratic":
+        oracle = _oracle(noise=2.0)
+    else:
+        oracle = logistic_oracle(dimension=5, n_samples=48, separation=2.0, seed=3)
+    cfg = _cfg(n_learners=n_learners, seed=seed, staleness_mode=staleness_mode,
+               data_partition=data_partition)
+    state = initial_state(oracle, cfg)
+    for _ in range(5):
+        before = state.weights.mean(axis=1)
+        new = _STEPS[strategy](state, oracle, cfg)
+        moved = new.weights.mean(axis=1)
+        step = cfg.lr * new.last_gradients.mean(axis=1)
+        scale = np.abs(state.weights).max() + cfg.lr * np.abs(new.last_gradients).max()
+        tol = 4 * n_learners * np.finfo(float).eps * scale
+        assert np.all(np.abs(moved - (before - step)) <= tol)
+        state = new
 
 
 def test_cost_model_values_and_validation():
@@ -373,21 +403,30 @@ def test_divergence_threshold_is_inclusive():
         assert result.diverged is diverged
 
 
-@pytest.mark.parametrize("cost_model, iteration", [
-    (CostModel(compute_scale=(1.7976931348623157e308, 1, 1, 1)), 11),
-    (CostModel(compute_sigma=1e300), 1),
-], ids=["straggler_factor_max_float", "compute_sigma_1e300"])
-def test_run_training_rejects_an_overflowed_clock(cost_model, iteration):
+_STRAGGLER = CostModel(compute_scale=(1.7976931348623157e308, 1, 1, 1))
+
+
+@pytest.mark.parametrize("cost_model, strategy, iteration, total", [
+    (_STRAGGLER, Strategy.D1D, 11, "sim_time_s"),
+    (CostModel(compute_sigma=1e300), Strategy.D1D, 1, "sim_time_s"),
+    # Gossip records the mean over learners, so sim_time_s stays finite
+    # while the straggler's own compute total overflows.
+    (_STRAGGLER, Strategy.DPSGD_FIXED, 11, "compute_time_s[0]"),
+    (_STRAGGLER, Strategy.ADPSGD_FIXED, 11, "compute_time_s[0]"),
+    (_STRAGGLER, Strategy.RAND_PSGD, 11, "compute_time_s[0]"),
+], ids=["straggler_factor_max_float", "compute_sigma_1e300",
+        "straggler_dpsgd_fixed", "straggler_adpsgd_fixed", "straggler_rand_psgd"])
+def test_run_training_rejects_an_overflowed_clock(cost_model, strategy, iteration, total):
     cfg = _cfg(iterations=12, cost_model=cost_model)
-    message = rf"^simulated clock overflowed at iteration {iteration}: sim_time_s = inf$"
+    message = rf"^simulated clock overflowed at iteration {iteration}: {re.escape(total)} = inf$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            run_training(Strategy.D1D, _oracle(), cfg)
+            run_training(strategy, _oracle(), cfg)
         if iteration > 1:
-            # One iteration fewer, the clock is still finite and the run completes.
-            short = replace(cfg, iterations=iteration - 1)
-            assert run_training(Strategy.D1D, _oracle(), short).state.sim_time_s < math.inf
+            # One iteration fewer, every clock total is still finite and the run completes.
+            state = run_training(strategy, _oracle(), replace(cfg, iterations=iteration - 1)).state
+            assert state.sim_time_s < math.inf and state.compute_time_s.max() < math.inf
 
 
 def test_sharded_logistic_run_completes():

@@ -180,25 +180,38 @@ def _trial_by_trial(L, k_max, trials, seed, norm_kind):
     return values
 
 
+def _curve_bytes(curve):
+    arrays = (curve.steps, curve.distances, curve.halfwidths,
+              curve.squared_distances, curve.squared_halfwidths)
+    return (curve.norm_kind, curve.trials,
+            *(None if a is None else a.tobytes() for a in arrays))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     L=st.integers(3, 70),
     k_max=st.integers(1, 6),
-    norm_kind=st.sampled_from(["frobenius", "spectral"]),
+    kinds=st.sampled_from([
+        ("frobenius",), ("spectral",), ("frobenius", "spectral"), ("spectral", "frobenius"),
+    ]),
     seed=st.one_of(st.integers(0, 50), st.integers(2**32, 2**64)),
     data=st.data(),
 )
-def test_batched_monte_carlo_equals_trial_by_trial_loop(L, k_max, norm_kind, seed, data):
+def test_batched_monte_carlo_equals_trial_by_trial_loop(L, k_max, kinds, seed, data):
     # Chunks of the real byte budget, and of one to three trials so that
     # small rings cross chunk boundaries too.
     budget_chunk = max(1, spectral._CHUNK_BYTES // (8 * L * L))
     chunk = data.draw(st.sampled_from([budget_chunk, 1, 2, 3]), label="chunk")
     trials = data.draw(st.integers(2, min(chunk, 40) + 3), label="trials")
-    expected = _trial_by_trial(L, k_max, trials, seed, norm_kind)
     with mock.patch.object(spectral, "_CHUNK_BYTES", chunk * 8 * L * L):
-        curve = monte_carlo_consensus(L, k_max, trials, seed, norm_kind=norm_kind)
         values = spectral._trial_distances(
-            build_ring_matrix(L), build_uniform_matrix(L), k_max, trials, seed, norm_kind
+            build_ring_matrix(L), build_uniform_matrix(L), k_max, trials, seed, kinds
         )
-    assert values.tobytes() == expected.tobytes()
-    assert curve.distances.tobytes() == expected.mean(axis=0).tobytes()
+        one_pass = spectral._monte_carlo_curves(L, k_max, trials, seed, kinds)
+        separate = [monte_carlo_consensus(L, k_max, trials, seed, norm_kind=k) for k in kinds]
+    assert values.shape == (len(kinds), trials, k_max)
+    for kind, row, curve, alone in zip(kinds, values, one_pass, separate):
+        expected = _trial_by_trial(L, k_max, trials, seed, kind)
+        assert row.tobytes() == expected.tobytes()
+        assert curve.distances.tobytes() == expected.mean(axis=0).tobytes()
+        assert _curve_bytes(curve) == _curve_bytes(alone)
