@@ -1,4 +1,5 @@
-"""Experiment configuration: INI-style parsing, validation, canonical echo.
+"""Experiment configuration: INI-style parsing, canonical echo, and the
+checks every `ExperimentConfig` passes when it is constructed.
 
 Grammar (stdlib configparser, no interpolation): three sections, all
 keys lowercase, `key = value` pairs, `#`/`;` comments.
@@ -37,9 +38,11 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
     straggler_count = 0
 
 Unknown sections or keys are rejected by name, as are keys that do not
-apply to the chosen oracle kind.  `parse_config(echo_config(cfg))`
-returns an equal config: floats are echoed via repr, which round-trips
-exactly.
+apply to the chosen oracle kind.  Range and cross-field checks run when
+an `ExperimentConfig` is constructed, so a parsed, overridden, `replace`d
+or hand-built config has passed the same checks as an INI file, and
+`parse_config(echo_config(cfg))` returns an equal config: floats are
+echoed via repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -57,30 +60,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
-def _parse_strategies(raw: str) -> tuple[Strategy, ...]:
-    out = []
-    for part in (p.strip() for p in raw.split(",")):
-        if not part:
-            continue
-        try:
-            out.append(Strategy(part))
-        except ValueError:
-            valid = ", ".join(s.value for s in Strategy)
-            raise ConfigError(
-                f"[experiment] strategies: unknown strategy {part!r} (valid: {valid})"
-            ) from None
-    if not out:
-        raise ConfigError("[experiment] strategies: expected at least one strategy")
-    if len(set(out)) != len(out):
-        raise ConfigError("[experiment] strategies: duplicate strategy")
-    return tuple(out)
+def _strategy(name: str) -> Strategy:
+    try:
+        return Strategy(name)
+    except ValueError:
+        valid = ", ".join(s.value for s in Strategy)
+        raise ConfigError(
+            f"[experiment] strategies: unknown strategy {name!r} (valid: {valid})"
+        ) from None
 
 
-def _parse_learners(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("[experiment] learners: expected a comma-separated list")
-    return tuple(_convert("experiment", "learners", p, int) for p in parts)
+def _parse_list(convert):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda raw: tuple(convert(p.strip()) for p in raw.split(",") if p.strip())
 
 
 def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, parse=None,
@@ -97,8 +89,11 @@ def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, par
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    strategies: tuple[Strategy, ...] = _key("experiment", parse=_parse_strategies)
-    learner_counts: tuple[int, ...] = _key("experiment", key="learners", parse=_parse_learners)
+    strategies: tuple[Strategy, ...] = _key("experiment", parse=_parse_list(_strategy))
+    learner_counts: tuple[int, ...] = _key(
+        "experiment", key="learners",
+        parse=_parse_list(lambda p: _convert("experiment", "learners", p, int)),
+    )
     iterations: int = _key("experiment", run="iterations")
     trials: int = _key("experiment", check=">= 1")
     master_seed: int = _key("experiment", key="seed", check=">= 0")
@@ -124,6 +119,36 @@ class ExperimentConfig:
     compute_sigma: float = _key("cost_model", 0.1, check=">= 0")
     straggler_factor: float = _key("cost_model", 1.0, check="> 0")
     straggler_count: int = _key("cost_model", 0, check=">= 0")
+
+    def __post_init__(self):
+        """The INI's checks, naming the field: each in-scope field's declared
+        check in declaration order, then the cross-field checks."""
+        for e in _entries(self.oracle_kind):
+            _check(e, getattr(self, e.field.name))
+        if not self.strategies:
+            raise ConfigError("[experiment] strategies: expected at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError("[experiment] strategies: duplicate strategy")
+        if not self.learner_counts:
+            raise ConfigError("[experiment] learners: expected at least one count")
+        needs_ring = any(s.uses_ring for s in self.strategies)
+        for L in self.learner_counts:
+            if L < 1:
+                raise ConfigError(f"[experiment] learners: must be >= 1, got {L}")
+            if needs_ring and L < 3:
+                raise ConfigError(
+                    f"[experiment] learners: ring strategies need >= 3 learners, got {L}"
+                )
+            # With batch_size >= 1, a divisible total leaves each learner a sample.
+            if self.batch_mode == "total-fixed" and self.batch_size % L != 0:
+                raise ConfigError(
+                    f"[experiment] batch_size: total-fixed size {self.batch_size} "
+                    f"not divisible by learners={L}"
+                )
+            if self.straggler_count > L:
+                raise ConfigError(
+                    f"[cost_model] straggler_count: {self.straggler_count} exceeds learners={L}"
+                )
 
     def per_learner_batch(self, n_learners: int) -> int:
         if self.batch_mode == "per-learner-fixed":
@@ -161,11 +186,13 @@ def _check(entry: _Entry, value) -> None:
 
 
 def _entries(oracle_kind: str) -> list[_Entry]:
+    """The fields whose keys apply to `oracle_kind`, which must be valid."""
+    _check(_KIND, oracle_kind)
     return [e for e in _FIELDS if e.field.metadata["scope"] in (None, oracle_kind)]
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate configuration text.  Raises ConfigError."""
+    """Parse configuration text into a config, which checks itself.  Raises ConfigError."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read_file(io.StringIO(text))
@@ -180,7 +207,6 @@ def parse_config(text: str) -> ExperimentConfig:
     raw = {s: dict(parser[s]) if parser.has_section(s) else {} for s in _SECTIONS}
 
     kind = raw["oracle"].get("kind", ExperimentConfig.oracle_kind)
-    _check(_KIND, kind)
     entries = _entries(kind)
     known = {(e.section, e.key) for e in entries}
     for section, table in raw.items():
@@ -196,33 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
             values[e.field.name] = parse(v) if parse else _convert(e.section, e.key, v, e.type)
         elif e.field.default is MISSING:
             raise ConfigError(f"[{e.section}] missing required key {e.key!r}")
-    cfg = ExperimentConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Range and consistency checks; raises ConfigError naming the field."""
-    for e in _entries(cfg.oracle_kind):
-        _check(e, getattr(cfg, e.field.name))
-    if not cfg.learner_counts:
-        raise ConfigError("[experiment] learners: expected at least one count")
-    needs_ring = any(s.uses_ring for s in cfg.strategies)
-    for L in cfg.learner_counts:
-        if L < 1:
-            raise ConfigError(f"[experiment] learners: must be >= 1, got {L}")
-        if needs_ring and L < 3:
-            raise ConfigError(f"[experiment] learners: ring strategies need >= 3 learners, got {L}")
-        # With batch_size >= 1, a divisible total leaves each learner a sample.
-        if cfg.batch_mode == "total-fixed" and cfg.batch_size % L != 0:
-            raise ConfigError(
-                f"[experiment] batch_size: total-fixed size {cfg.batch_size} "
-                f"not divisible by learners={L}"
-            )
-        if cfg.straggler_count > L:
-            raise ConfigError(
-                f"[cost_model] straggler_count: {cfg.straggler_count} exceeds learners={L}"
-            )
+    return ExperimentConfig(**values)
 
 
 def _text(value, type_) -> str:
@@ -251,13 +251,6 @@ def with_overrides(
     cfg: ExperimentConfig, master_seed: int | None = None, trials: int | None = None
 ) -> ExperimentConfig:
     """Config with CLI-level overrides applied (None keeps the file's value)."""
-    updates = {}
-    if master_seed is not None:
-        updates["master_seed"] = master_seed
-    if trials is not None:
-        updates["trials"] = trials
-    if not updates:
-        return cfg
-    out = replace(cfg, **updates)
-    validate_config(out)
-    return out
+    overrides = dict(master_seed=master_seed, trials=trials)
+    updates = {k: v for k, v in overrides.items() if v is not None}
+    return replace(cfg, **updates) if updates else cfg

@@ -133,6 +133,10 @@ class CostModel:
         _check_fields(self)
         if not -math.inf < self.compute_mu < math.inf:
             raise ValueError("compute_mu: must be finite")
+        if not self.allreduce_time(1) < math.inf:  # each is finite; 2 m / b may overflow
+            raise ValueError(
+                "message_size_bytes, bandwidth_bytes_per_s: exchange time must be finite"
+            )
         if self.compute_scale is not None and not np.all(np.asarray(self.compute_scale) > 0):
             raise ValueError("compute_scale entries must be strictly positive")
 
@@ -290,7 +294,7 @@ def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimSta
     k, W, L = state.iteration, state.weights, cfg.n_learners
     if mixing == "none" and np.any(W != W[:, :1]):
         raise ValueError("SPSGD requires identical weights on all learners")
-    if mixing in ("ring", "relabelled") and L == 3:
+    if L == 3 and strategy.uses_ring:
         mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
     G = gradient_matrix(oracle, state.prev_weights if gradient == "stale" else W, cfg, k)
     lr = learning_rate(cfg, k)

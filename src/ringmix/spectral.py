@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,14 +188,14 @@ def fixed_consensus_curve(n_learners: int, k_max: int) -> ConsensusCurve:
     """Spectral-norm distance ||T0^k - U||_2 for k = 1..k_max.
 
     T0^k is the relabelled-ring product with every label left in place,
-    so this is the Monte Carlo product loop run once on identity labels.
+    so this is the Monte Carlo product loop run on one trial whose every
+    step is T0 itself.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     T0 = build_ring_matrix(n_learners)
     U = build_uniform_matrix(n_learners)
-    labels = np.broadcast_to(np.arange(n_learners), (1, k_max, n_learners))
-    distances = _product_distances(T0, U, labels, ("spectral",))[0, 0]
+    distances = _product_distances([T0[None]] * k_max, U, ("spectral",))[0, 0]
     return ConsensusCurve(
         steps=np.arange(1, k_max + 1), distances=distances, norm_kind="spectral"
     )
@@ -224,25 +225,22 @@ _CHUNK_BYTES = 32 * 1024
 
 
 def _product_distances(
-    T0: np.ndarray, U: np.ndarray, perms: np.ndarray, kinds: tuple[str, ...]
+    rings: Iterable[np.ndarray], U: np.ndarray, kinds: tuple[str, ...]
 ) -> np.ndarray:
     """Distance from U of each trial's prefix products in each norm of
     `kinds`, shaped (kinds, trials, k_max).
 
-    perms is (trials, k_max, L): row t relabels T0 by perms[t, k] at step
-    k.  Each step is one gather of the relabelled rings, one stacked
-    matmul, and one stacked norm of product - U per kind.
+    rings yields each step's (trials, L, L) stack of ring matrices; each
+    step is one stacked matmul and one stacked norm of product - U per kind.
     """
-    values = np.empty((len(kinds), *perms.shape[:2]))
-    for k in range(perms.shape[1]):
-        p = perms[:, k]
-        Tk = T0[p[:, :, None], p[:, None, :]]
-        product = Tk if k == 0 else product @ Tk
+    steps, product = [], None
+    # Not enumerate(rings): its reused result tuple would keep Tk alive.
+    for Tk in rings:
+        product = Tk if product is None else product @ Tk
         del Tk  # one stack fewer alive while the norms are taken
         D = product - U
-        for j, kind in enumerate(kinds):
-            values[j, :, k] = _stacked_norms(D, kind)
-    return values
+        steps.append([_stacked_norms(D, kind) for kind in kinds])
+    return np.array(steps).transpose(1, 2, 0)
 
 
 def _trial_distances(
@@ -267,7 +265,8 @@ def _trial_distances(
         perms = np.empty((min(chunk, trials - start), k_max, L), dtype=np.intp)
         for i, rng in enumerate(rngs):
             rng.permuted(labels, axis=1, out=perms[i])
-        values[:, start : start + chunk] = _product_distances(T0, U, perms, kinds)
+        rings = (T0[p[:, :, None], p[:, None, :]] for p in perms.swapaxes(0, 1))
+        values[:, start : start + chunk] = _product_distances(rings, U, kinds)
     return values
 
 
@@ -320,7 +319,7 @@ def monte_carlo_consensus(
     trials run or in which order.  It forms the running product of
     relabelled ring matrices and measures the distance to the uniform
     matrix at every prefix.  This is the module's one product loop: the
-    fixed ring runs it on identity labels, and one pass can measure
+    fixed ring runs it with T0 at every step, and one pass can measure
     several norms (verify-bounds takes both from it).  Trials are
     advanced together in chunks, one stacked matmul and one stacked norm
     per step; a chunk's (trials, L, L) stack is capped at 32 KiB (64

@@ -82,7 +82,10 @@ def test_run_divergence_exit_code(tmp_path, capsys):
      "[cost_model] message_size_mb: must be finite"),
     # Passes the INI; bandwidth_gbps x 1e9 overflows, and CostModel rejects it.
     (GOOD + "[cost_model]\nbandwidth_gbps = 1e300\n", "bandwidth_bytes_per_s: must be finite"),
-], ids=["condition_number", "message_and_bandwidth", "bandwidth_overflow"])
+    # Both pass; the exchange time 2 m / b overflows, and CostModel rejects it.
+    (GOOD + "[cost_model]\nmessage_size_mb = 1e300\nbandwidth_gbps = 1e-200\n",
+     "message_size_bytes, bandwidth_bytes_per_s: exchange time must be finite"),
+], ids=["condition_number", "message_and_bandwidth", "bandwidth_overflow", "exchange_overflow"])
 def test_run_rejected_value_exits_one_and_writes_nothing(tmp_path, capsys, text, message):
     cfg_file = tmp_path / "exp.ini"
     cfg_file.write_text(text)

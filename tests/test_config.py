@@ -1,5 +1,6 @@
 import math
 import string
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from ringmix.config import (
     parse_config,
     with_overrides,
 )
+from ringmix.harness import run_sweep
 from ringmix.simulation import CostModel, RunConfig, Strategy
 
 MINIMAL = """
@@ -123,8 +125,6 @@ def test_echo_round_trip_quadratic():
 
 def test_echo_round_trip_logistic_and_awkward_floats():
     base = parse_config(MINIMAL + "\n[oracle]\nkind = logistic\n")
-    from dataclasses import replace
-
     cfg = replace(base, lr=0.1 + 0.2, separation=1.0 / 3.0)
     text = echo_config(cfg)
     again = parse_config(text)
@@ -151,10 +151,10 @@ def test_with_overrides():
         with_overrides(cfg, trials=0)
 
 
-def test_direct_construction_validates_via_parse_path():
-    # validate_config is what parse_config uses; a hand-built config can
-    # be checked the same way through with_overrides.
-    cfg = ExperimentConfig(
+def test_direct_construction_validates_via_parse_path(tmp_path):
+    # A hand-built or replaced config passes the checks an INI file does,
+    # because the config runs them when it is constructed.
+    fields = dict(
         strategies=(Strategy.D1D,),
         learner_counts=(4,),
         iterations=10,
@@ -164,7 +164,16 @@ def test_direct_construction_validates_via_parse_path():
         batch_mode="per-learner-fixed",
         batch_size=2,
     )
+    cfg = ExperimentConfig(**fields)
     assert with_overrides(cfg, trials=2).trials == 2
+    with pytest.raises(ConfigError, match=r"^\[experiment\] trials: must be >= 1$"):
+        replace(cfg, trials=0)
+    with pytest.raises(ConfigError, match="straggler_count: 9 exceeds learners=4"):
+        replace(cfg, straggler_count=9)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="total-fixed size 10 not divisible by learners=4"):
+        run_sweep(ExperimentConfig(**{**fields, "batch_mode": "total-fixed", "batch_size": 10}), out)
+    assert not out.exists()
 
 
 def _ini(sections: dict[str, dict[str, str]]) -> str:
@@ -317,8 +326,8 @@ def test_ini_and_run_config_share_declared_checks(name, data):
     cls, values = DECLARED[name]
     value = data.draw(values)
     run_error = _rejection(lambda: cls(**{**(RUN if cls is RunConfig else {}), name: value}))
-    if run_error is not None:
-        assert run_error.startswith(f"{name}: ")
+    if run_error is not None:  # led by the field, or by the fields a cross-field check relates
+        assert name in run_error.split(": ", 1)[0].split(", "), run_error
     if name in SHARED or name == "lr":
         text = repr(value) if isinstance(value, float) else str(value)
         ini = _ini(_merged(BOUNDARY_BASE, {"experiment": {name: text}}))
@@ -349,7 +358,7 @@ def _float_values(low: float, inclusive: bool):
 
 
 @st.composite
-def valid_configs(draw):
+def valid_fields(draw) -> dict:
     strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
     ring = any(s not in BARRIER_STRATEGIES for s in strategies)
     learners = draw(st.lists(st.integers(3 if ring else 1, 64), min_size=1, max_size=4))
@@ -366,7 +375,7 @@ def valid_configs(draw):
         oracle = dict(n_samples=draw(st.integers(2, 10**6)),
                       separation=draw(_float_values(0, True)),
                       ridge=draw(_float_values(0, True)))
-    return ExperimentConfig(
+    return dict(
         strategies=tuple(strategies),
         learner_counts=tuple(learners),
         iterations=draw(st.integers(1, 10**6)),
@@ -393,6 +402,10 @@ def valid_configs(draw):
     )
 
 
+def valid_configs():
+    return valid_fields().map(lambda values: ExperimentConfig(**values))
+
+
 @settings(max_examples=150, deadline=None)
 @given(cfg=valid_configs())
 def test_echo_round_trip_property(cfg):
@@ -400,6 +413,118 @@ def test_echo_round_trip_property(cfg):
     again = parse_config(text)
     assert again == cfg
     assert echo_config(again) == text
+
+
+# Each field's section and INI key, written out here rather than read from
+# the config module, so that the property below checks the module.
+SECTION_FIELDS = {
+    "experiment": ("strategies", "learner_counts", "iterations", "trials", "master_seed", "lr",
+                   "batch_mode", "batch_size", "warmup_iters", "staleness_mode", "init_scale",
+                   "data_partition", "log_every"),
+    "oracle": ("oracle_kind", "dimension", "oracle_seed", "condition_number", "noise_scale",
+               "n_samples", "separation", "ridge"),
+    "cost_model": ("message_size_mb", "bandwidth_gbps", "compute_median_s", "compute_sigma",
+                   "straggler_factor", "straggler_count"),
+}
+RENAMED = {"learner_counts": "learners", "master_seed": "seed", "oracle_kind": "kind",
+           "oracle_seed": "seed"}
+FIELD_OF = {(section, RENAMED.get(name, name)): name
+            for section, names in SECTION_FIELDS.items() for name in names}
+OUT_OF_SCOPE = {"quadratic": {"n_samples", "separation", "ridge"},
+                "logistic": {"condition_number", "noise_scale"}}
+
+
+def _value_text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_value_text(v) for v in value)
+    if isinstance(value, Strategy):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _values_ini(values: dict) -> str:
+    """INI text that sets each field of `values` and no other key."""
+    return _ini({
+        section: {RENAMED.get(name, name): _value_text(values[name])
+                  for name in names if name in values}
+        for section, names in SECTION_FIELDS.items()
+    })
+
+
+def _out_of_range(op: str, bound, type_):
+    if type_ is int:
+        return st.integers(-(10**20), bound - (op == ">="))
+    below = st.floats(max_value=bound, exclude_max=op == ">=")
+    return st.one_of(below, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def broken(draw, values: dict) -> dict:
+    """`values` with one more field, or one more relation between fields,
+    set to something an INI file may not hold."""
+    v = dict(values)
+    kind = v.get("oracle_kind", "quadratic")
+    ranges = [(FIELD_OF[s, k], op, bound, type_) for s, k, op, bound, type_, _ in RANGES
+              if k != "learners" and FIELD_OF[s, k] not in OUT_OF_SCOPE.get(kind, ())]
+    rule = draw(st.sampled_from(["range", "choice", "no_strategies", "duplicate_strategy",
+                                 "no_learners", "learners_below_1", "ring_below_3",
+                                 "indivisible_total", "stragglers"]))
+    if rule == "range":
+        name, op, bound, type_ = draw(st.sampled_from(ranges))
+        v[name] = draw(_out_of_range(op, bound, type_))
+    elif rule == "choice":
+        section, key, choices = draw(st.sampled_from(CHOICES))
+        v[FIELD_OF[section, key]] = draw(
+            st.text(string.ascii_letters + "-_", max_size=8).filter(lambda x: x not in choices))
+    elif rule == "no_strategies":
+        v["strategies"] = ()
+    elif rule == "duplicate_strategy":
+        v["strategies"] = v["strategies"][:1] * 2 or (Strategy.D1D, Strategy.D1D)
+    elif rule == "no_learners":
+        v["learner_counts"] = ()
+    elif rule == "learners_below_1":
+        v["learner_counts"] += (draw(st.integers(-(10**6), 0)),)
+    elif rule == "ring_below_3":
+        if not any(s not in BARRIER_STRATEGIES for s in v["strategies"]):
+            v["strategies"] += (Strategy.RAND_PSGD,)
+        v["learner_counts"] += (draw(st.integers(1, 2)),)
+    elif rule == "indivisible_total":
+        count = draw(st.integers(3, 64))
+        v["learner_counts"] += (count,)
+        v["batch_mode"] = "total-fixed"
+        v["batch_size"] = count * draw(st.integers(0, 50)) + draw(st.integers(1, count - 1))
+    else:
+        v["straggler_count"] = min(v["learner_counts"], default=0) + draw(st.integers(1, 10))
+    return v
+
+
+def _outcome(make):
+    """What `make()` returns, or the type and message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=valid_fields(), breaks=st.integers(0, 2), data=st.data())
+def test_construction_and_parsing_accept_the_same_configs(values, breaks, data):
+    for _ in range(breaks):
+        values = data.draw(broken(values), label="broken")
+    built = _outcome(lambda: ExperimentConfig(**values))
+    assert built == _outcome(lambda: parse_config(_values_ini(values)))
+    if breaks:
+        assert isinstance(built, tuple) and built[0] is ConfigError, built
+        return
+    assert isinstance(built, ExperimentConfig)
+    # CLI overrides are checked like any other construction.
+    overrides = {
+        "master_seed": data.draw(st.one_of(st.none(), st.integers(-3, 3), st.integers(0))),
+        "trials": data.draw(st.one_of(st.none(), st.integers(-3, 3), st.integers(1))),
+    }
+    given_overrides = {k: v for k, v in overrides.items() if v is not None}
+    assert _outcome(lambda: with_overrides(built, **overrides)) == _outcome(
+        lambda: ExperimentConfig(**{**values, **given_overrides}))
 
 
 def test_echo_of_integer_valued_float_fields():

@@ -4,9 +4,10 @@
 of small `run_training` calls (every strategy, both oracles, shared and
 sharded data, short and multi-word seeds, runs that cross the 64-iteration
 mark), of every artifact of a small `ringmix run` sweep, of consensus
-curves (Monte Carlo under both norms, fixed-ring powering) and of the
-canonical config echo of two INI files, together with the fingerprint
-of the environment that recorded them.  Paths through BLAS
+curves (Monte Carlo under both norms, fixed-ring powering), of the
+canonical config echo of two INI files and of each demo script's
+stdout, together with the fingerprint of the environment that recorded
+them.  Paths through BLAS
 (mixing products, logistic matvecs) can change in their last bits with the
 numpy or BLAS build, so a fingerprint difference fails by name instead of
 being skipped.
@@ -18,9 +19,12 @@ Re-record only when a change is meant to alter outputs, and say so:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
+import runpy
 import struct
 import sys
 import tempfile
@@ -36,7 +40,8 @@ from ringmix.simulation import CostModel, RunConfig, Strategy, run_training
 from ringmix.spectral import fixed_consensus_curve, monte_carlo_consensus
 
 GOLDEN = Path(__file__).with_name("golden.json")
-DEMO_INI = Path(__file__).parents[1] / "demos" / "experiment.ini"
+DEMOS = Path(__file__).parents[1] / "demos"
+DEMO_INI = DEMOS / "experiment.ini"
 
 ORACLES = ("quadratic", "logistic")
 PARTITIONS = ("shared", "sharded")
@@ -223,6 +228,17 @@ def echo_digests() -> dict[str, str]:
     return {name: _sha(echo_config(parse_config(text)).encode()) for name, text in texts.items()}
 
 
+def demo_digests() -> dict[str, str]:
+    """Digest of the stdout of each demo script, run in this process, by name."""
+    digests = {}
+    for path in sorted(DEMOS.glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+        digests[path.name] = _sha(out.getvalue().encode())
+    return digests
+
+
 def _training_key(strategy: Strategy, kind: str, partition: str) -> str:
     return f"{strategy.value}/{kind}/{partition}"
 
@@ -277,6 +293,11 @@ def test_config_echo_digests():
     assert echo_digests() == _load()["echo"]
 
 
+def test_demo_stdout_digests():
+    golden = _load()
+    assert demo_digests() == golden["demos"], _environment_note(golden["fingerprint"])
+
+
 def record() -> dict:
     training = {
         _training_key(s, kind, part): training_digest(s, kind, part)
@@ -286,7 +307,7 @@ def record() -> dict:
         sweep = sweep_digests(Path(tmp))
     return {
         "fingerprint": fingerprint(), "training": training, "sweep": sweep,
-        "consensus": consensus_digests(), "echo": echo_digests(),
+        "consensus": consensus_digests(), "echo": echo_digests(), "demos": demo_digests(),
     }
 
 

@@ -189,19 +189,20 @@ def test_verify_bounds_passes_on_validated_seed():
     calls = []
     product_distances = spectral._product_distances
 
-    def counted(T0, U, perms, kinds):
-        calls.append((len(T0), len(perms), kinds))
-        return product_distances(T0, U, perms, kinds)
+    def counted(rings, U, kinds):
+        rings = list(rings)
+        calls.append((len(U), len(rings[0]), len(rings), kinds))
+        return product_distances(rings, U, kinds)
 
     with mock.patch.object(spectral, "_product_distances", counted):
         report = verify_bounds(learner_counts=(3, 4, 8), k_max=12, trials=300, seed=5)
-    # Per ring size: one identity-label pass for the fixed ring, then one
-    # pass per chunk of trials that serves both norms.
+    # Per ring size: one single-trial pass for the fixed ring, then one
+    # pass per chunk of trials that serves both norms; each runs 12 steps.
     expected = []
     for L in (3, 4, 8):
         chunk = max(1, spectral._CHUNK_BYTES // (8 * L * L))
-        expected.append((L, 1, ("spectral",)))
-        expected += [(L, min(chunk, 300 - start), ("frobenius", "spectral"))
+        expected.append((L, 1, 12, ("spectral",)))
+        expected += [(L, min(chunk, 300 - start), 12, ("frobenius", "spectral"))
                      for start in range(0, 300, chunk)]
     assert calls == expected
     assert report.ok

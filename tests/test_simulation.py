@@ -280,6 +280,11 @@ def test_cost_model_values_and_validation():
             CostModel(compute_mu=value)
     with pytest.raises(ValueError):
         CostModel(compute_scale=(1.0, math.nan))
+    # Both finite, but the exchange time 2 m / b overflows.
+    with pytest.raises(ValueError, match="^message_size_bytes, bandwidth_bytes_per_s: "):
+        CostModel(message_size_bytes=1e306, bandwidth_bytes_per_s=1e-191)
+    largest = CostModel(message_size_bytes=8e307, bandwidth_bytes_per_s=1.0)
+    assert largest.allreduce_time(4) < math.inf
     cm2 = CostModel(compute_scale=(1.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         cm2.sample_compute_times(4, stream(0, TAG_CLOCK, 0))
