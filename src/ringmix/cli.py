@@ -6,9 +6,9 @@ Subcommands:
     ringmix verify-bounds [--seed N] [--trials N] [--quiet]
     ringmix spectral L [L ...]
 
-Exit codes: 0 success, 1 invalid invocation or configuration (including a
-value the library rejects), 2 at least one training cell diverged, 3 a
-consensus bound check failed.
+Exit codes: 0 success, 1 invalid invocation, configuration (including a
+value the library rejects) or file access, 2 at least one training cell
+diverged, 3 a consensus bound check failed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGED = 2
 EXIT_BOUNDS = 3
+
+
+class _Diverged(Exception):
+    """Training cells diverged; `main` reports it and exits EXIT_DIVERGED."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +68,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     path = Path(args.config)
     if not path.is_file():
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"config file not found: {path}")
     cfg = parse_config(path.read_text(encoding="utf-8"))
     cfg = with_overrides(cfg, master_seed=args.seed, trials=args.trials)
     result = run_sweep(cfg, args.out, quiet=args.quiet)
@@ -73,18 +76,15 @@ def _cmd_run(args) -> int:
     if not args.quiet:
         print(f"wrote {len(result.cells)} cell traces to {result.out_dir}")
     if n_div:
-        print(f"error: {n_div} of {len(result.cells)} cells diverged", file=sys.stderr)
-        return EXIT_DIVERGED
+        raise _Diverged(f"{n_div} of {len(result.cells)} cells diverged")
     return EXIT_OK
 
 
 def _cmd_verify_bounds(args) -> int:
     if args.trials < 2:
-        print("error: --trials must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--trials must be >= 2")
     if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--seed must be >= 0")
     report = verify_bounds(trials=args.trials, seed=args.seed)
     if args.quiet:
         print("PASS" if report.ok else "FAIL")
@@ -110,9 +110,9 @@ def main(argv=None) -> int:
         if args.command == "verify-bounds":
             return _cmd_verify_bounds(args)
         return _cmd_spectral(args)
-    except ValueError as exc:  # ConfigError, or a value the library rejects
+    except (ValueError, OSError, _Diverged) as exc:  # ConfigError, a rejected value, I/O
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DIVERGED if isinstance(exc, _Diverged) else EXIT_USAGE
 
 
 if __name__ == "__main__":

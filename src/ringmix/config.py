@@ -6,7 +6,7 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
 
     [experiment]
     strategies = adpsgd_fixed, rand_psgd, d1d   ; required
-    learners = 16, 32                           ; required
+    learners = 16, 32                           ; required; distinct counts
     iterations = 500                            ; required
     trials = 8                                  ; required
     seed = 1234                                 ; required
@@ -38,11 +38,11 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
     straggler_count = 0
 
 Unknown sections or keys are rejected by name, as are keys that do not
-apply to the chosen oracle kind.  Range and cross-field checks run when
-an `ExperimentConfig` is constructed, so a parsed, overridden, `replace`d
-or hand-built config has passed the same checks as an INI file, and
-`parse_config(echo_config(cfg))` returns an equal config: floats are
-echoed via repr, which round-trips exactly.
+apply to the chosen oracle kind.  Type, range and cross-field checks run
+when an `ExperimentConfig` is constructed, so a parsed, overridden,
+`replace`d or hand-built config has passed the same checks as an INI
+file, and `parse_config(echo_config(cfg))` returns an equal config:
+floats are echoed via repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class ExperimentConfig:
     straggler_count: int = _key("cost_model", 0, check=">= 0")
 
     def __post_init__(self):
-        """The INI's checks, naming the field: each in-scope field's declared
-        check in declaration order, then the cross-field checks."""
+        """The INI's checks, naming the field: each in-scope field's type and
+        declared check in declaration order, then the cross-field checks."""
         for e in _entries(self.oracle_kind):
             _check(e, getattr(self, e.field.name))
         if not self.strategies:
@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ConfigError("[experiment] strategies: duplicate strategy")
         if not self.learner_counts:
             raise ConfigError("[experiment] learners: expected at least one count")
+        if len(set(self.learner_counts)) != len(self.learner_counts):
+            raise ConfigError("[experiment] learners: duplicate count")
         needs_ring = any(s.uses_ring for s in self.strategies)
         for L in self.learner_counts:
             if L < 1:
@@ -180,6 +182,15 @@ def _convert(section: str, key: str, raw: str, kind):
 
 
 def _check(entry: _Entry, value) -> None:
+    """Raise unless `value` has the field's type, as a parsed value does (an int
+    may stand for a float, a bool for neither), and passes its declared check."""
+    kind, items = entry.type, (value,)
+    if typing.get_origin(kind) is tuple and isinstance(value, tuple):
+        kind, items = typing.get_args(kind)[0], value
+    kind = typing.get_origin(kind) or kind  # a tuple field holding a non-tuple
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+            raise ConfigError(f"[{entry.section}] {entry.key}: expected {kind.__name__}, got {v!r}")
     failure = _check_failure(value, entry.field.metadata["check"])
     if failure:
         raise ConfigError(f"[{entry.section}] {entry.key}: {failure}")

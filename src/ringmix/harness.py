@@ -51,10 +51,12 @@ AGGREGATE_HEADER = (
 )
 
 
-def _fmt(x) -> str:
-    # repr of a Python float round-trips and is stable across runs; numpy
-    # scalars must be unwrapped first or the repr grows a type prefix.
-    return repr(float(x))
+def _csv(header: str, rows) -> str:
+    # Floats by repr, which round-trips and is stable across runs (numpy
+    # scalars are unwrapped first, or the repr grows a type prefix); the rest by str.
+    lines = [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                      for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def cell_seed(master_seed: int, strategy: Strategy, n_learners: int, trial: int) -> int:
@@ -100,13 +102,10 @@ def cell_run_config(cfg: ExperimentConfig, strategy: Strategy, n_learners: int, 
 
 
 def trace_csv_text(records: tuple[TraceRecord, ...]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.iteration},{_fmt(r.sim_time_s)},{_fmt(r.mean_loss)},"
-            f"{_fmt(r.avg_model_loss)},{_fmt(r.consensus_dist)},{_fmt(r.rho)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, (
+        (r.iteration, r.sim_time_s, r.mean_loss, r.avg_model_loss, r.consensus_dist, r.rho)
+        for r in records
+    ))
 
 
 @dataclass(frozen=True)
@@ -137,43 +136,31 @@ class SweepResult:
 
 
 def _summary_rows(cells: tuple[CellResult, ...]) -> str:
-    lines = [SUMMARY_HEADER]
+    rows = []
     for c in cells:
-        if c.final is None:
-            tail = "nan,nan,nan,nan,nan"
-        else:
-            tail = (
-                f"{c.final.iteration},{_fmt(c.final.mean_loss)},"
-                f"{_fmt(c.final.avg_model_loss)},{_fmt(c.final.consensus_dist)},"
-                f"{_fmt(c.final.sim_time_s)}"
-            )
-        lines.append(
-            f"{c.strategy.value},{c.n_learners},{c.trial},{c.run_seed},"
-            f"{c.csv_file},{c.status},{tail}"
-        )
-    return "\n".join(lines) + "\n"
+        f = c.final
+        final = (float("nan"),) * 5 if f is None else (
+            f.iteration, f.mean_loss, f.avg_model_loss, f.consensus_dist, f.sim_time_s)
+        rows.append((c.strategy.value, c.n_learners, c.trial, c.run_seed, c.csv_file, c.status,
+                     *final))
+    return _csv(SUMMARY_HEADER, rows)
 
 
 def _aggregate_rows(cfg: ExperimentConfig, cells: tuple[CellResult, ...]) -> str:
-    lines = [AGGREGATE_HEADER]
+    rows = []
     for strategy in cfg.strategies:
         for L in cfg.learner_counts:
             group = [c for c in cells if c.strategy is strategy and c.n_learners == L]
-            done = [c for c in group if not c.diverged and c.final is not None]
+            done = [c for c in group if not c.diverged]
             if done:
                 losses = np.array([c.final.mean_loss for c in done])
-                times = np.array([c.final.sim_time_s for c in done])
                 q25, q75 = np.percentile(losses, [25.0, 75.0])
-                med = float(np.median(losses))
-                iqr = float(q75 - q25)
-                med_t = float(np.median(times))
+                stats = (np.median(losses), q75 - q25,
+                         np.median([c.final.sim_time_s for c in done]))
             else:
-                med = iqr = med_t = float("nan")
-            lines.append(
-                f"{strategy.value},{L},{len(group)},{len(done)},"
-                f"{_fmt(med)},{_fmt(iqr)},{_fmt(med_t)}"
-            )
-    return "\n".join(lines) + "\n"
+                stats = (float("nan"),) * 3
+            rows.append((strategy.value, L, len(group), len(done), *stats))
+    return _csv(AGGREGATE_HEADER, rows)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> SweepResult:

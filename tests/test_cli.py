@@ -61,10 +61,27 @@ def test_run_subcommand_and_overrides(tmp_path, capsys):
 
 def test_run_missing_and_invalid_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_USAGE
+    assert main(["run", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file not found: {tmp_path / 'nope.ini'}",
+        f"error: config file not found: {tmp_path}",
+    ]
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nstrategies = d1d\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert "missing required key" in capsys.readouterr().err
+
+
+def test_run_out_naming_a_file_exits_one(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.ini"
+    cfg_file.write_text(GOOD)
+    taken = tmp_path / "afile"
+    taken.write_text("")
+    assert main(["run", "--config", str(cfg_file), "--out", str(taken)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "File exists" in line, line
 
 
 def test_run_divergence_exit_code(tmp_path, capsys):
@@ -72,7 +89,7 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     cfg_file.write_text(GOOD.replace("lr = 0.05", "lr = 80.0"))
     code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED
-    assert "diverged" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: 1 of 1 cells diverged\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -126,6 +143,7 @@ def test_verify_bounds_quiet_passes(capsys):
     assert main(["verify-bounds", "--trials", "300", "--seed", "5", "--quiet"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "PASS"
     assert main(["verify-bounds", "--trials", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --trials must be >= 2\n"
     assert EXIT_BOUNDS == 3
 
 

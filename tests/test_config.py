@@ -66,6 +66,7 @@ def test_inline_comments_are_stripped():
         (("lr = 0.05", "lr = fast"), "expected float"),
         (("dpsgd_fixed, d1d", "dpsgd_fixed, warp"), "unknown strategy"),
         (("dpsgd_fixed, d1d", "d1d, d1d"), "duplicate"),
+        (("learners = 8, 16", "learners = 8, 8"), "[experiment] learners: duplicate count"),
         (("batch_size = 64", "batch_size = 60"), "not divisible"),
         (("learners = 8, 16", "learners = 2, 8"), "need >= 3"),
         (("trials = 3", "trials = 0"), "trials"),
@@ -170,6 +171,19 @@ def test_direct_construction_validates_via_parse_path(tmp_path):
         replace(cfg, trials=0)
     with pytest.raises(ConfigError, match="straggler_count: 9 exceeds learners=4"):
         replace(cfg, straggler_count=9)
+    # A value parsing could not give is rejected by its type, before its
+    # range or any cross-field check; an int may stand for a float.
+    assert replace(cfg, lr=1).lr == 1
+    for change, message in [
+        (dict(trials=1.5), "[experiment] trials: expected int, got 1.5"),
+        (dict(learner_counts=(4.0,)), "[experiment] learners: expected int, got 4.0"),
+        (dict(iterations=True), "[experiment] iterations: expected int, got True"),
+        (dict(strategies=("d1d",)), "[experiment] strategies: expected Strategy, got 'd1d'"),
+        (dict(lr="0.1"), "[experiment] lr: expected float, got '0.1'"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, **change)
+        assert str(err.value) == message
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="total-fixed size 10 not divisible by learners=4"):
         run_sweep(ExperimentConfig(**{**fields, "batch_mode": "total-fixed", "batch_size": 10}), out)
@@ -361,7 +375,8 @@ def _float_values(low: float, inclusive: bool):
 def valid_fields(draw) -> dict:
     strategies = draw(st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True))
     ring = any(s not in BARRIER_STRATEGIES for s in strategies)
-    learners = draw(st.lists(st.integers(3 if ring else 1, 64), min_size=1, max_size=4))
+    learners = draw(st.lists(st.integers(3 if ring else 1, 64), min_size=1, max_size=4,
+                             unique=True))
     batch_mode = draw(st.sampled_from(["total-fixed", "per-learner-fixed"]))
     if batch_mode == "total-fixed":
         batch_size = math.lcm(*learners) * draw(st.integers(1, 50))
@@ -467,8 +482,8 @@ def broken(draw, values: dict) -> dict:
     ranges = [(FIELD_OF[s, k], op, bound, type_) for s, k, op, bound, type_, _ in RANGES
               if k != "learners" and FIELD_OF[s, k] not in OUT_OF_SCOPE.get(kind, ())]
     rule = draw(st.sampled_from(["range", "choice", "no_strategies", "duplicate_strategy",
-                                 "no_learners", "learners_below_1", "ring_below_3",
-                                 "indivisible_total", "stragglers"]))
+                                 "no_learners", "duplicate_learners", "learners_below_1",
+                                 "ring_below_3", "indivisible_total", "stragglers"]))
     if rule == "range":
         name, op, bound, type_ = draw(st.sampled_from(ranges))
         v[name] = draw(_out_of_range(op, bound, type_))
@@ -482,6 +497,8 @@ def broken(draw, values: dict) -> dict:
         v["strategies"] = v["strategies"][:1] * 2 or (Strategy.D1D, Strategy.D1D)
     elif rule == "no_learners":
         v["learner_counts"] = ()
+    elif rule == "duplicate_learners":
+        v["learner_counts"] += v["learner_counts"][:1] or (4, 4)
     elif rule == "learners_below_1":
         v["learner_counts"] += (draw(st.integers(-(10**6), 0)),)
     elif rule == "ring_below_3":

@@ -11,6 +11,9 @@ from ringmix.harness import (
     AGGREGATE_HEADER,
     CSV_HEADER,
     SUMMARY_HEADER,
+    CellResult,
+    _aggregate_rows,
+    _summary_rows,
     cell_run_config,
     cell_seed,
     make_cost_model,
@@ -59,6 +62,40 @@ def test_trace_csv_text_exact_bytes():
     assert text == (
         "iter,sim_time_s,mean_loss,avg_model_loss,consensus_dist,rho\n"
         "3,0.5,0.25,0.125,0.1,0.3333333333333333\n"
+    )
+
+
+# Floats whose shortest repr is long, subnormal or at the top of the range.
+AWKWARD = (0.1 + 0.2, 1.0 / 3.0, 5e-324, 2.0**53 + 2, 1.7976931348623157e308)
+
+
+def _tables(to_float):
+    """The trace, summary and aggregate tables of one record per group whose
+    float fields hold AWKWARD, each converted by `to_float`."""
+    record = TraceRecord(12, *(to_float(x) for x in AWKWARD))
+    cfg = parse_config(SMALL)
+    cells = tuple(CellResult(s, 4, 0, 7, f"{s.value}.csv", False, record) for s in cfg.strategies)
+    return trace_csv_text((record,)), _summary_rows(cells), _aggregate_rows(cfg, cells)
+
+
+def test_tables_write_numpy_and_python_floats_alike_and_exactly():
+    tables = _tables(float)
+    assert _tables(np.float64) == tables
+
+    def read(text: str, first: int) -> list[str]:
+        return [float(x).hex() for x in text.splitlines()[1].split(",")[first:]]
+
+    sim_time, mean_loss, avg_model_loss, consensus_dist, rho = (x.hex() for x in AWKWARD)
+    trace, summary, aggregate = tables
+    assert read(trace, 1) == [sim_time, mean_loss, avg_model_loss, consensus_dist, rho]
+    assert read(summary, 7) == [mean_loss, avg_model_loss, consensus_dist, sim_time]
+    assert read(aggregate, 4) == [mean_loss, (0.0).hex(), sim_time]
+
+
+def test_summary_row_of_a_cell_without_records():
+    cell = CellResult(Strategy.D1D, 4, 0, 7, "d1d_L4_trial0.csv", True, None)
+    assert _summary_rows((cell,)) == (
+        SUMMARY_HEADER + "\nd1d,4,0,7,d1d_L4_trial0.csv,diverged,nan,nan,nan,nan,nan\n"
     )
 
 
