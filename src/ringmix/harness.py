@@ -9,6 +9,7 @@ formatted with repr, and row order follows the config's declared order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,9 @@ AGGREGATE_HEADER = (
     "strategy,n_learners,trials,completed,median_final_loss,iqr_final_loss,"
     "median_total_sim_time_s"
 )
+
+# A cell trace's file name: <strategy>_L<n>_trial<t>.csv.
+_TRACE_FILE = rf"({'|'.join(s.value for s in Strategy)})_L\d+_trial\d+\.csv"
 
 
 def _csv(header: str, rows) -> str:
@@ -169,24 +173,30 @@ def run_sweep(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> SweepResul
     Writes into out_dir: one trace CSV per cell, config_echo.ini,
     summary.csv (one row per cell), aggregate.csv (medians and IQR per
     strategy/learner group).  A diverged cell keeps its partial trace and
-    is excluded from aggregates; remaining cells still run.
+    is excluded from aggregates; remaining cells still run.  Cell traces
+    an earlier sweep left in out_dir that this grid does not write are
+    removed first, so the directory holds what a fresh one would.
     """
     # Built first, so a value the library rejects raises before any file is written.
     oracle = make_oracle(cfg)
     grid = [
-        (strategy, L, trial, cell_run_config(cfg, strategy, L, trial))
+        (strategy, L, trial, cell_run_config(cfg, strategy, L, trial),
+         f"{strategy.value}_L{L}_trial{trial}.csv")
         for strategy in cfg.strategies
         for L in cfg.learner_counts
         for trial in range(cfg.trials)
     ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    names = {cell[-1] for cell in grid}
+    for path in out.iterdir():
+        if re.fullmatch(_TRACE_FILE, path.name) and path.name not in names:
+            path.unlink()
     (out / "config_echo.ini").write_text(echo_config(cfg), encoding="utf-8")
 
     cells = []
-    for strategy, L, trial, rc in grid:
+    for strategy, L, trial, rc, name in grid:
         result: RunResult = run_training(strategy, oracle, rc)
-        name = f"{strategy.value}_L{L}_trial{trial}.csv"
         (out / name).write_text(trace_csv_text(result.records), encoding="utf-8")
         final = result.records[-1] if result.records else None
         cell = CellResult(

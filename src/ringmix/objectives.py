@@ -105,7 +105,9 @@ class QuadraticObjective:
         """Stochastic gradients of the columns of Phi, column l drawing from the l-th rng.
 
         Pure noise model: the sampled batch only sets the noise
-        magnitude, so a shard assignment changes nothing here.
+        magnitude, so a shard assignment changes nothing here.  The rngs
+        may be one shared Generator reseated as each is taken, so each
+        stream is drawn from in full before the next is taken.
         """
         Phi = np.asarray(Phi, dtype=float)
         noise = np.empty((Phi.shape[1], self.dimension))
@@ -174,10 +176,12 @@ class LogisticObjective:
         """Stochastic gradients of the columns of Phi, column l sampling its
         minibatch with the l-th rng from its shard (all data when None).
 
-        The draws are made learner by learner, each on its own stream.
-        The math after them is stacked over chunks of learners whose
-        (chunk, batch_size, d) feature stack fits in _CHUNK_BYTES (one
-        learner per chunk when even one does not).  Each slice of a
+        The draws are made learner by learner, each on its own stream,
+        and each is done before the next rng is taken: the rngs may be one
+        shared Generator reseated as each is taken.  The math after them
+        is stacked over chunks of learners whose (chunk, batch_size, d)
+        feature stack fits in _CHUNK_BYTES (one learner per chunk when
+        even one does not).  Each slice of a
         stacked matmul is the same BLAS call, on the same strides, as
         one learner's `X @ w` and `X.T @ coeff`, so the result is
         bit-identical to a learner-by-learner loop.  (einsum would sum

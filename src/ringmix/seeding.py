@@ -7,11 +7,19 @@ stream from the same tuple get bit-identical draws; streams built from
 different tuples are statistically independent.  This is what makes
 simulated trajectories replayable and lets a sweep add cells without
 perturbing the streams of existing ones.
+
+The training loop takes many streams per iteration.  It derives their
+seed words and PCG64 states a block of iterations at a time, and draws
+each stream from one module-held Generator reseated in place (`_reseated`)
+rather than from a freshly built one.  Those rngs are one shared object, so
+a consumer must finish with each stream before it takes the next.  If the
+in-place write fails its check, every stream falls back to `generator`.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -163,3 +171,108 @@ def generator(words: np.ndarray) -> np.random.Generator:
     """Generator seeded by one row of `seed_words`: it draws exactly as
     `stream(*prefix, *row)` does."""
     return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))
+
+
+# In-place reseating.  Building a PCG64 and its Generator for a stream costs
+# about as much as the stream's draw, so the hot loops instead reseat one
+# module-held PCG64: they write a stream's {state, inc} over its state struct
+# (numpy/random/src/pcg64/pcg64.h) and clear its cached half-word.  The
+# struct is numpy-internal, so `_shared_generator` checks the write against
+# the public `state` and a draw once per process and, when they differ,
+# leaves every stream to `generator`.
+_PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+
+
+def _seed_in_place(words: np.ndarray) -> np.ndarray:
+    """Overwrite each row of `seed_words` with the PCG64 state it seeds, in
+    one vectorized pass, and return the array.
+
+    PCG64 seeds itself from the words (s_hi, s_lo, i_hi, i_lo) as
+    inc = 2 i + 1 and state = ((inc + s) MULT + inc) mod 2**128, done here
+    on 64-bit halves (uint64 arithmetic wraps modulo 2**64).  A row becomes
+    (state_lo, state_hi, inc_lo, inc_hi): the words of that seeded
+    {state, inc} in a little-endian host's memory.
+    """
+    s_hi, s_lo, i_hi, i_lo = (words[..., j] for j in range(4))
+    inc_lo, inc_hi = i_lo << 1 | 1, i_hi << 1 | i_lo >> 63
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    lo = t_lo * _PCG64_MULT_LO
+    state_lo = lo + inc_lo
+    state_hi = (_mulhi(t_lo, _PCG64_MULT_LO) + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
+                + inc_hi + (state_lo < lo))
+    for j, column in enumerate((state_lo, state_hi, inc_lo, inc_hi)):
+        words[..., j] = column
+    return words
+
+
+def _reseat_guard(rng: np.random.Generator, state: np.ndarray, half_word: np.ndarray) -> bool:
+    """True when writing through `state` and `half_word` reseats `rng`, which
+    holds a cached half-word, exactly as `generator` seeds a fresh one."""
+    words = np.full((1, 4), 2**64 - 1, dtype=np.uint64)  # carries through every half
+    reference = generator(words[0])
+    state[:] = _seed_in_place(words)[0]
+    half_word[0] = 0
+    if rng.bit_generator.state != reference.bit_generator.state:
+        return False
+    return bool(np.array_equal(rng.standard_normal(2), reference.standard_normal(2)))
+
+
+@functools.cache
+def _shared_generator():
+    """The module-held Generator and writable uint64 views of its {state, inc}
+    and of its (has_uint32, uinteger) word; None when the views do not read
+    back the public state or the in-place write fails `_reseat_guard`."""
+    import ctypes
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    # A cached half-word (has_uint32 = 1), for the views and the guard to see.
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": 0x5EED}
+    public = rng.bit_generator.state
+    # pcg64_state: {pcg64_random_t *pcg_state; int has_uint32; uint32_t uinteger}
+    address = rng.bit_generator.ctypes.state_address
+    header = np.frombuffer((ctypes.c_uint64 * 2).from_address(address), dtype=np.uint64)
+    if int(header[1]) != public["has_uint32"] | public["uinteger"] << 32:
+        return None
+    state = np.frombuffer((ctypes.c_uint64 * 4).from_address(int(header[0])), dtype=np.uint64)
+    expected = [public["state"][key] >> shift & (2**64 - 1)
+                for key in ("state", "inc") for shift in (0, 64)]
+    if state.tolist() != expected:
+        return None
+    half_word = header[1:]
+    return (rng, state, half_word) if _reseat_guard(rng, state, half_word) else None
+
+
+def _reseat_rows(words: np.ndarray) -> np.ndarray:
+    """The rows `_reseated` draws the streams of `seed_words` rows from:
+    their PCG64 states, written over `words`, or, when the reseat failed
+    its check, the words themselves."""
+    return words if _shared_generator() is None else _seed_in_place(words)
+
+
+def _reseated(rows: np.ndarray) -> Iterator[np.random.Generator]:
+    """A Generator for each row of `_reseat_rows(words)`, drawing as
+    `generator` of that row of words.
+
+    Every one is the same module-held Generator, reseated in place as the
+    next is taken, so a consumer must finish with each stream before it
+    takes the next.  If the reseat failed its check, these are built by
+    `generator`.
+    """
+    shared = _shared_generator()
+    if shared is None:
+        yield from map(generator, rows)
+        return
+    rng, state, half_word = shared
+    for row in rows:
+        state[:] = row
+        half_word[0] = 0
+        yield rng

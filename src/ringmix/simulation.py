@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 
@@ -247,7 +247,8 @@ _BLOCK = 64
 
 @functools.lru_cache(maxsize=1)
 def _stream_block(seed: int, n_learners: int, block: int) -> dict[int, np.ndarray]:
-    """Seed words of the streams of iterations block*_BLOCK up to the next block.
+    """Reseat rows (`seeding._reseat_rows`) of the streams of iterations
+    block*_BLOCK up to the next block.
 
     By tag: (seed, TAG_GRADIENT, k, l) for every learner l, shaped
     (_BLOCK, n_learners, 4), and (seed, TAG_CLOCK, k) and
@@ -262,15 +263,17 @@ def _stream_block(seed: int, n_learners: int, block: int) -> dict[int, np.ndarra
     }
     for tag in (seeding.TAG_CLOCK, seeding.TAG_PERMUTATION):
         words[tag] = seeding.seed_words((seed, tag), k[:, None]).reshape(_BLOCK, 1, 4)
-    for w in words.values():
-        w.setflags(write=False)
-    return words
+    rows = {tag: seeding._reseat_rows(w) for tag, w in words.items()}
+    for r in rows.values():
+        r.setflags(write=False)
+    return rows
 
 
-def _stream_words(seed: int, n_learners: int, tag: int, k: int) -> np.ndarray:
-    """Seed words (n, 4) of iteration k's streams under `tag`: row l seeds
-    the stream of seeding.stream(seed, tag, k[, l])."""
-    return _stream_block(seed, n_learners, k // _BLOCK)[tag][k % _BLOCK]
+def _streams(seed: int, n_learners: int, tag: int, k: int) -> Iterator[np.random.Generator]:
+    """Iteration k's streams under `tag`, in learner order: the l-th draws
+    as seeding.stream(seed, tag, k[, l]).  They share one reseated
+    Generator, so each is done with before the next is taken."""
+    return seeding._reseated(_stream_block(seed, n_learners, k // _BLOCK)[tag][k % _BLOCK])
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
@@ -281,7 +284,7 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     a seed share gradient noise.
     """
     L = cfg.n_learners
-    rngs = map(seeding.generator, _stream_words(cfg.seed, L, seeding.TAG_GRADIENT, k))
+    rngs = _streams(cfg.seed, L, seeding.TAG_GRADIENT, k)
     shards = [(l, L) for l in range(L)] if cfg.data_partition == "sharded" else None
     return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
 
@@ -305,9 +308,10 @@ def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimSta
     else:
         T = _ring(L)
         if mixing == "relabelled":
-            # = mixing.permutation_for_step(L, cfg.seed, k), from the cached block
-            words = _stream_words(cfg.seed, L, seeding.TAG_PERMUTATION, k)
-            perm = sample_permutation(L, seeding.generator(words[0]))
+            # = mixing.permutation_for_step(L, cfg.seed, k), from the cached block;
+            # taken after the gradient streams, which share its Generator
+            rng = next(_streams(cfg.seed, L, seeding.TAG_PERMUTATION, k))
+            perm = sample_permutation(L, rng)
             T = T[np.ix_(perm, perm)]
         W_next = W @ T - lr * G
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
@@ -451,10 +455,10 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     diverged = False
     for k in range(cfg.iterations):
-        clock_words = _stream_words(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k)
-        clock = seeding.generator(clock_words[0])
         with np.errstate(over="ignore", invalid="ignore"):
             new_state = step(state, oracle, cfg)
+            # Taken after the step: its streams reseat the same Generator.
+            clock = next(_streams(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k))
             # A clock overflow is raised below as an error, not warned about.
             new_state, _ = advance_clock(new_state, strategy, cfg.cost_model, clock)
         # One reduction: NaN and +-inf fail the comparison too.

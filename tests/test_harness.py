@@ -204,6 +204,23 @@ def test_run_sweep_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_sweep_into_a_used_directory_leaves_what_a_fresh_one_holds(tmp_path):
+    run_sweep(parse_config(SMALL), tmp_path / "reused", quiet=True)
+    smaller = parse_config(SMALL.replace("trials = 2", "trials = 1"))
+    run_sweep(smaller, tmp_path / "reused", quiet=True)
+    run_sweep(smaller, tmp_path / "fresh", quiet=True)
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in (tmp_path / "reused").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    # Only cell traces are removed: other files stay.
+    (tmp_path / "fresh" / "notes.csv").write_text("kept\n")
+    (tmp_path / "fresh" / "spsgd_L4_trial0.txt").write_text("kept\n")
+    run_sweep(smaller, tmp_path / "fresh", quiet=True)
+    kept = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert kept == sorted([*names, "notes.csv", "spsgd_L4_trial0.txt"])
+
+
 def test_run_sweep_survives_divergence(tmp_path):
     cfg = parse_config(
         SMALL.replace("lr = 0.05", "lr = 40.0").replace(

@@ -354,6 +354,23 @@ def test_run_training_sim_time_accumulates():
     assert result.state.sim_time_s == pytest.approx(times[-1], rel=1e-15)
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_training_clock_equals_clock_stream_across_blocks(strategy):
+    # The clock, permutation and gradient streams reseat one shared
+    # Generator, so a clock taken before the step would draw from the last
+    # gradient stream instead.  Replayed here on fresh clock streams, past
+    # the first block of derived stream states.
+    oracle = _oracle(d=4)
+    cfg = _cfg(n_learners=5, iterations=70, log_every=1, lr=0.05)
+    result = run_training(strategy, oracle, cfg)
+    assert len(result.records) == cfg.iterations
+    state = initial_state(oracle, cfg)
+    for k, record in enumerate(result.records):
+        state, _ = advance_clock(state, strategy, cfg.cost_model, stream(cfg.seed, TAG_CLOCK, k))
+        assert record.sim_time_s == state.sim_time_s
+    assert np.array_equal(result.state.compute_time_s, state.compute_time_s)
+
+
 def test_run_training_divergence_keeps_partial_trace():
     oracle = _oracle(noise=0.5)
     cfg = _cfg(n_learners=4, iterations=100, lr=50.0, log_every=1)
