@@ -6,7 +6,7 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
 
     [experiment]
     strategies = adpsgd_fixed, rand_psgd, d1d   ; required
-    learners = 16, 32                           ; required; distinct counts
+    learners = 16, 32                           ; required; distinct counts, each >= 1
     iterations = 500                            ; required
     trials = 8                                  ; required
     seed = 1234                                 ; required
@@ -37,8 +37,10 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
     straggler_factor = 1.0
     straggler_count = 0
 
-Unknown sections or keys are rejected by name, as are keys that do not
-apply to the chosen oracle kind.  Type, range and cross-field checks run
+Unknown sections or keys are rejected by name, as are [oracle] keys that
+the chosen kind's factory in `objectives.ORACLES` does not take.  A
+tuple field is a comma-separated list of its item type, and its declared
+check holds for each item.  Type, range and cross-field checks run
 when an `ExperimentConfig` is constructed, so a parsed, overridden,
 `replace`d or hand-built config has passed the same checks as an INI
 file, and `parse_config(echo_config(cfg))` returns an equal config:
@@ -48,6 +50,7 @@ floats are echoed via repr, which round-trips exactly.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
@@ -60,40 +63,20 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
-def _strategy(name: str) -> Strategy:
-    try:
-        return Strategy(name)
-    except ValueError:
-        valid = ", ".join(s.value for s in Strategy)
-        raise ConfigError(
-            f"[experiment] strategies: unknown strategy {name!r} (valid: {valid})"
-        ) from None
-
-
-def _parse_list(convert):
-    """Parser of a comma-separated list; empty items are skipped."""
-    return lambda raw: tuple(convert(p.strip()) for p in raw.split(",") if p.strip())
-
-
-def _key(section: str, default=MISSING, *, key=None, check=None, scope=None, parse=None,
-         run=None):
-    """A config field: `check` is ">= bound", "> bound" or a tuple of choices;
-    `scope` is the oracle kind the key applies to (None: every kind).  With
-    `run`, the value sets that RunConfig field as is, and the default and
-    check are that field's."""
+def _key(section: str, default=MISSING, *, key=None, check=None, run=None):
+    """A config field: `check` is ">= bound", "> bound" or a tuple of choices,
+    and holds for each item of a tuple field.  With `run`, the value sets
+    that RunConfig field as is, and the default and check are that field's."""
     if run:
         shared = RunConfig.__dataclass_fields__[run]
         default, check = shared.default, shared.metadata["check"]
-    return _checked(default, check, section=section, key=key, scope=scope, parse=parse, run=run)
+    return _checked(default, check, section=section, key=key, run=run)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    strategies: tuple[Strategy, ...] = _key("experiment", parse=_parse_list(_strategy))
-    learner_counts: tuple[int, ...] = _key(
-        "experiment", key="learners",
-        parse=_parse_list(lambda p: _convert("experiment", "learners", p, int)),
-    )
+    strategies: tuple[Strategy, ...] = _key("experiment")
+    learner_counts: tuple[int, ...] = _key("experiment", key="learners", check=">= 1")
     iterations: int = _key("experiment", run="iterations")
     trials: int = _key("experiment", check=">= 1")
     master_seed: int = _key("experiment", key="seed", check=">= 0")
@@ -108,11 +91,11 @@ class ExperimentConfig:
     oracle_kind: str = _key("oracle", "quadratic", key="kind", check=tuple(ORACLES))
     dimension: int = _key("oracle", 16, check=">= 1")
     oracle_seed: int = _key("oracle", 0, key="seed", check=">= 0")
-    condition_number: float = _key("oracle", 10.0, check=">= 1", scope="quadratic")
-    noise_scale: float = _key("oracle", 1.0, check=">= 0", scope="quadratic")
-    n_samples: int = _key("oracle", 512, check=">= 2", scope="logistic")
-    separation: float = _key("oracle", 2.0, check=">= 0", scope="logistic")
-    ridge: float = _key("oracle", LOGISTIC_RIDGE, check=">= 0", scope="logistic")
+    condition_number: float = _key("oracle", 10.0, check=">= 1")
+    noise_scale: float = _key("oracle", 1.0, check=">= 0")
+    n_samples: int = _key("oracle", 512, check=">= 2")
+    separation: float = _key("oracle", 2.0, check=">= 0")
+    ridge: float = _key("oracle", LOGISTIC_RIDGE, check=">= 0")
     message_size_mb: float = _key("cost_model", 165.0, check="> 0")
     bandwidth_gbps: float = _key("cost_model", 25.0, check="> 0")
     compute_median_s: float = _key("cost_model", 0.1, check="> 0")
@@ -135,8 +118,6 @@ class ExperimentConfig:
             raise ConfigError("[experiment] learners: duplicate count")
         needs_ring = any(s.uses_ring for s in self.strategies)
         for L in self.learner_counts:
-            if L < 1:
-                raise ConfigError(f"[experiment] learners: must be >= 1, got {L}")
             if needs_ring and L < 3:
                 raise ConfigError(
                     f"[experiment] learners: ring strategies need >= 3 learners, got {L}"
@@ -162,44 +143,63 @@ class _Entry(typing.NamedTuple):
     field: Field
     section: str
     key: str
-    type: type
+    type: type    # of the value, or of each item when `listed`
+    listed: bool  # a tuple field: in the INI, a comma-separated list
+
+    def items(self, value) -> tuple:
+        return value if self.listed else (value,)
+
+
+def _entry(f: Field, hint) -> _Entry:
+    listed = typing.get_origin(hint) is tuple
+    item = typing.get_args(hint)[0] if listed else hint
+    return _Entry(f, f.metadata["section"], f.metadata["key"] or f.name, item, listed)
 
 
 # One entry per field in declaration order, which is also the echo order.
-_FIELDS = tuple(
-    _Entry(f, f.metadata["section"], f.metadata["key"] or f.name, kind)
-    for f, kind in zip(fields(ExperimentConfig), typing.get_type_hints(ExperimentConfig).values())
-)
+_FIELDS = tuple(map(_entry, fields(ExperimentConfig),
+                    typing.get_type_hints(ExperimentConfig).values()))
 _KIND = next(e for e in _FIELDS if e.field.name == "oracle_kind")
 _SECTIONS = ("experiment", "oracle", "cost_model")
+# An [oracle] key applies to a kind when that kind's factory takes it.
+_ORACLE_KEYS = {k: {_KIND.key, *inspect.signature(f).parameters} for k, f in ORACLES.items()}
 
 
-def _convert(section: str, key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from None
+def _convert(e: _Entry, raw: str):
+    """`raw` read as the field's value: for a tuple field, a comma-separated
+    list of its item type, empty items skipped."""
+    def read(item: str):
+        try:
+            return e.type(item)
+        except ValueError:
+            if e.type is Strategy:
+                valid = ", ".join(s.value for s in Strategy)
+                why = f"unknown strategy {item!r} (valid: {valid})"
+            else:
+                why = f"expected {e.type.__name__}, got {item!r}"
+            raise ConfigError(f"[{e.section}] {e.key}: {why}") from None
+
+    return tuple(read(p.strip()) for p in raw.split(",") if p.strip()) if e.listed else read(raw)
 
 
-def _check(entry: _Entry, value) -> None:
+def _check(e: _Entry, value) -> None:
     """Raise unless `value` has the field's type, as a parsed value does (an int
-    may stand for a float, a bool for neither), and passes its declared check."""
-    kind, items = entry.type, (value,)
-    if typing.get_origin(kind) is tuple and isinstance(value, tuple):
-        kind, items = typing.get_args(kind)[0], value
-    kind = typing.get_origin(kind) or kind  # a tuple field holding a non-tuple
-    for v in items:
-        if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
-            raise ConfigError(f"[{entry.section}] {entry.key}: expected {kind.__name__}, got {v!r}")
-    failure = _check_failure(value, entry.field.metadata["check"])
-    if failure:
-        raise ConfigError(f"[{entry.section}] {entry.key}: {failure}")
+    may stand for a float, a bool for neither), and each item passes the
+    field's declared check."""
+    if e.listed and not isinstance(value, tuple):
+        raise ConfigError(f"[{e.section}] {e.key}: expected tuple, got {value!r}")
+    for v in e.items(value):
+        if isinstance(v, bool) or not isinstance(v, (int, float) if e.type is float else e.type):
+            raise ConfigError(f"[{e.section}] {e.key}: expected {e.type.__name__}, got {v!r}")
+        failure = _check_failure(v, e.field.metadata["check"])
+        if failure:
+            raise ConfigError(f"[{e.section}] {e.key}: {failure}")
 
 
 def _entries(oracle_kind: str) -> list[_Entry]:
     """The fields whose keys apply to `oracle_kind`, which must be valid."""
     _check(_KIND, oracle_kind)
-    return [e for e in _FIELDS if e.field.metadata["scope"] in (None, oracle_kind)]
+    return [e for e in _FIELDS if e.section != "oracle" or e.key in _ORACLE_KEYS[oracle_kind]]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -229,19 +229,16 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for e in entries:
         if e.key in raw[e.section]:
-            v, parse = raw[e.section][e.key], e.field.metadata["parse"]
-            values[e.field.name] = parse(v) if parse else _convert(e.section, e.key, v, e.type)
+            values[e.field.name] = _convert(e, raw[e.section][e.key])
         elif e.field.default is MISSING:
             raise ConfigError(f"[{e.section}] missing required key {e.key!r}")
     return ExperimentConfig(**values)
 
 
-def _text(value, type_) -> str:
-    if type_ is float:
-        return repr(float(value))
-    if isinstance(value, tuple):
-        return ", ".join(_text(v, None) for v in value)
-    return value.value if isinstance(value, Strategy) else str(value)
+def _text(e: _Entry, value) -> str:
+    """A field's value as INI text, which `_convert` reads back."""
+    text = {float: lambda v: repr(float(v)), Strategy: lambda v: v.value}.get(e.type, str)
+    return ", ".join(map(text, e.items(value)))
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
@@ -250,7 +247,7 @@ def echo_config(cfg: ExperimentConfig) -> str:
     for section in _SECTIONS:
         lines.append(f"[{section}]")
         lines += [
-            f"{e.key} = {_text(getattr(cfg, e.field.name), e.type)}"
+            f"{e.key} = {_text(e, getattr(cfg, e.field.name))}"
             for e in entries
             if e.section == section
         ]

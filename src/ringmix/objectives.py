@@ -57,6 +57,15 @@ class BatchDescriptor:
         return seeding.stream(*self.sample_seed)
 
 
+def _at_least(name: str, value: float, low: float) -> float:
+    """`value` as a float; raise, naming it, unless it is finite and >= low
+    (written so that NaN fails too)."""
+    value = float(value)
+    if not low <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= {low}, got {value}")
+    return value
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form is stable for large |z| in both directions
     return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -68,14 +77,12 @@ class QuadraticObjective:
     def __init__(self, eigenvalues: np.ndarray, optimum: np.ndarray, noise_scale: float):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.optimum = np.asarray(optimum, dtype=float)
-        self.noise_scale = float(noise_scale)
+        self.noise_scale = _at_least("noise_scale", noise_scale, 0)
         if self.eigenvalues.ndim != 1 or self.optimum.shape != self.eigenvalues.shape:
             raise ValueError("eigenvalues and optimum must be 1-d with equal length")
-        # Written as `not x >= b` so that NaN fails too.
-        if not np.all(self.eigenvalues > 0):
-            raise ValueError("eigenvalues must be strictly positive")
-        if not self.noise_scale >= 0:
-            raise ValueError("noise_scale must be >= 0")
+        # Written as `not x > b` so that NaN fails too.
+        if not np.all((self.eigenvalues > 0) & (self.eigenvalues < np.inf)):
+            raise ValueError("eigenvalues must be strictly positive and finite")
         self.dimension = len(self.eigenvalues)
 
     def loss(self, w: np.ndarray) -> float:
@@ -123,13 +130,11 @@ class LogisticObjective:
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = LOGISTIC_RIDGE):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
-        self.ridge = float(ridge)
+        self.ridge = _at_least("ridge", ridge, 0)
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with labels (n,)")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +-1")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         self.n_samples, self.dimension = self.features.shape
 
     def loss(self, w: np.ndarray) -> float:
@@ -225,8 +230,7 @@ def quadratic_oracle(
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not condition_number >= 1:
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
+    condition_number = _at_least("condition_number", condition_number, 1)
     eigenvalues = np.logspace(0.0, np.log10(condition_number), dimension)
     if optimum is None:
         optimum = seeding.stream(seed, seeding.TAG_DATA).standard_normal(dimension)
@@ -248,8 +252,7 @@ def logistic_oracle(
     """
     if dimension < 1 or n_samples < 2:
         raise ValueError("need dimension >= 1 and n_samples >= 2")
-    if not separation >= 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    separation = _at_least("separation", separation, 0)
     rng = seeding.stream(seed, seeding.TAG_DATA)
     direction = rng.standard_normal(dimension)
     direction /= np.linalg.norm(direction)

@@ -201,7 +201,7 @@ class RunConfig:
     iterations: int = _checked(check=">= 1")
     lr: float = _checked(check=">= 0")
     batch_size: int = _checked(check=">= 1")                    # per learner
-    seed: int
+    seed: int = _checked(check=">= 0")
     warmup_iters: int = _checked(0, ">= 0")                     # linear warmup to lr; 0 disables
     staleness_mode: str = _checked("async", ("sync", "async"))  # RAND_PSGD only
     init_scale: float = _checked(1.0, ">= 0")
@@ -241,31 +241,23 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
     return cfg.lr
 
 
-# Iterations whose stream states are derived together; one block is cached.
+# Iterations whose stream states are derived together; one block per tag is cached.
 _BLOCK = 64
 
 
-@functools.lru_cache(maxsize=1)
-def _stream_block(seed: int, n_learners: int, block: int) -> dict[int, np.ndarray]:
-    """Reseat rows (`seeding._reseat_rows`) of the streams of iterations
-    block*_BLOCK up to the next block.
-
-    By tag: (seed, TAG_GRADIENT, k, l) for every learner l, shaped
-    (_BLOCK, n_learners, 4), and (seed, TAG_CLOCK, k) and
-    (seed, TAG_PERMUTATION, k), shaped (_BLOCK, 1, 4).
+@functools.lru_cache(maxsize=3)
+def _stream_block(seed: int, n_learners: int, tag: int, block: int) -> np.ndarray:
+    """Reseat rows (`seeding._reseat_rows`) of the `tag` streams of iterations
+    block*_BLOCK up to the next block: (seed, TAG_GRADIENT, k, l) for every
+    learner l, shaped (_BLOCK, n_learners, 4), or (seed, tag, k) for the
+    clock and permutation tags, shaped (_BLOCK, 1, 4).
     """
     k = np.arange(block * _BLOCK, (block + 1) * _BLOCK)
-    learner_rows = np.stack(np.meshgrid(k, np.arange(n_learners), indexing="ij"), axis=-1)
-    words = {
-        seeding.TAG_GRADIENT: seeding.seed_words(
-            (seed, seeding.TAG_GRADIENT), learner_rows.reshape(-1, 2)
-        ).reshape(_BLOCK, n_learners, 4),
-    }
-    for tag in (seeding.TAG_CLOCK, seeding.TAG_PERMUTATION):
-        words[tag] = seeding.seed_words((seed, tag), k[:, None]).reshape(_BLOCK, 1, 4)
-    rows = {tag: seeding._reseat_rows(w) for tag, w in words.items()}
-    for r in rows.values():
-        r.setflags(write=False)
+    learners = [np.arange(n_learners)] if tag == seeding.TAG_GRADIENT else []
+    index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
+    words = seeding.seed_words((seed, tag), index.reshape(-1, index.shape[-1]))
+    rows = seeding._reseat_rows(words.reshape(_BLOCK, -1, 4))
+    rows.setflags(write=False)
     return rows
 
 
@@ -273,7 +265,7 @@ def _streams(seed: int, n_learners: int, tag: int, k: int) -> Iterator[np.random
     """Iteration k's streams under `tag`, in learner order: the l-th draws
     as seeding.stream(seed, tag, k[, l]).  They share one reseated
     Generator, so each is done with before the next is taken."""
-    return seeding._reseated(_stream_block(seed, n_learners, k // _BLOCK)[tag][k % _BLOCK])
+    return seeding._reseated(_stream_block(seed, n_learners, tag, k // _BLOCK)[k % _BLOCK])
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import string
 from dataclasses import replace
@@ -16,6 +17,7 @@ from ringmix.config import (
     with_overrides,
 )
 from ringmix.harness import run_sweep
+from ringmix.objectives import ORACLES
 from ringmix.simulation import CostModel, RunConfig, Strategy
 
 MINIMAL = """
@@ -96,6 +98,18 @@ def test_oracle_kind_scopes_keys():
 
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "\n[oracle]\nkind = cubic\n")
+
+
+def test_oracle_key_scope_is_derived_from_factory_arguments():
+    args = {kind: set(inspect.signature(factory).parameters) for kind, factory in ORACLES.items()}
+    declared = {f.metadata["key"] or f.name for f in ExperimentConfig.__dataclass_fields__.values()
+                if f.metadata["section"] == "oracle"} - {"kind"}
+    for kind in ORACLES:
+        keys = {e.key for e in config_module._entries(kind) if e.section == "oracle"} - {"kind"}
+        assert keys == args[kind] & declared, kind
+    every_arg = set().union(*args.values())
+    assert declared <= every_arg, declared - every_arg
+    assert every_arg - {"optimum"} <= declared, every_arg - declared
 
 
 def test_cost_model_keys_and_ranges():

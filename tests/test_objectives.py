@@ -55,9 +55,15 @@ def test_quadratic_oracle_validation():
         (lambda: logistic_oracle(3, 8, separation=-1.0), "separation"),
         (lambda: logistic_oracle(3, 8, 1.0, ridge=math.nan), "ridge"),
         (lambda: logistic_oracle(3, 8, 1.0, ridge=-1.0), "ridge"),
+        (lambda: quadratic_oracle(4, condition_number=math.inf), "condition_number"),
+        (lambda: quadratic_oracle(4, noise_scale=math.inf), "noise_scale"),
+        (lambda: QuadraticObjective(np.array([1.0, math.inf]), np.zeros(2), 0.0), "eigenvalues"),
+        (lambda: logistic_oracle(3, 8, separation=math.inf), "separation"),
+        (lambda: logistic_oracle(3, 8, 1.0, ridge=math.inf), "ridge"),
     ],
     ids=["condition_number_nan", "noise_scale_nan", "eigenvalue_nan", "separation_nan",
-         "separation_negative", "ridge_nan", "ridge_negative"],
+         "separation_negative", "ridge_nan", "ridge_negative", "condition_number_inf",
+         "noise_scale_inf", "eigenvalue_inf", "separation_inf", "ridge_inf"],
 )
 def test_oracle_constructors_reject_nan_and_out_of_range(build, name):
     with pytest.raises(ValueError, match=name):

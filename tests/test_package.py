@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ringmix
@@ -34,3 +37,13 @@ def test_names_the_benchmark_tracer_wraps_stay_bound():
     assert harness.monte_carlo_consensus is spectral.monte_carlo_consensus
     for s in simulation.Strategy:
         assert simulation._STEP_FUNCTIONS[s] is getattr(simulation, f"step_{s.value}")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random takes about 14 ms to load; seeding loads it at the first
+    # stream, so importing the package and its CLI stays that much lighter.
+    code = "import sys, ringmix, ringmix.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ringmix.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

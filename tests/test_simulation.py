@@ -497,6 +497,8 @@ def test_run_config_validation():
         _cfg(data_partition="split")
     with pytest.raises(ValueError):
         _cfg(log_every=0)
+    with pytest.raises(ValueError, match="seed: must be >= 0"):
+        _cfg(seed=-1)
     for key in ("lr", "init_scale"):
         with pytest.raises(ValueError):
             _cfg(**{key: math.nan})
