@@ -191,7 +191,7 @@ def _check(e: _Entry, value) -> None:
     for v in e.items(value):
         if isinstance(v, bool) or not isinstance(v, (int, float) if e.type is float else e.type):
             raise ConfigError(f"[{e.section}] {e.key}: expected {e.type.__name__}, got {v!r}")
-        failure = _check_failure(v, e.field.metadata["check"])
+        failure = _check_failure(v, e.field.metadata["check"], e.type is float)
         if failure:
             raise ConfigError(f"[{e.section}] {e.key}: {failure}")
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
@@ -88,8 +89,9 @@ def _checked(default=MISSING, check=None, **metadata):
     return field(default=default, metadata={"check": check, **metadata})
 
 
-def _check_failure(value, check) -> str | None:
-    """Why `value` fails `check`, or None when it passes."""
+def _check_failure(value, check, as_float: bool = False) -> str | None:
+    """Why `value` fails `check`, or None when it passes.  A float field's
+    value (`as_float`) may be an int, which must not overflow a float."""
     if isinstance(check, tuple):
         if value not in check:
             return f"expected {'|'.join(check)}, got {value!r}"
@@ -97,7 +99,7 @@ def _check_failure(value, check) -> str | None:
         op, bound = check.split()
         if not _PASSES[op](value, float(bound)):
             return f"must be {check}"
-        if value == math.inf:  # not math.isfinite: it overflows on huge ints
+        if value == math.inf or as_float and abs(value) > sys.float_info.max:
             return "must be finite"
     return None
 
@@ -106,7 +108,7 @@ def _check_fields(obj) -> None:
     """Raise ValueError, led by the field's name, at the first field of the
     dataclass `obj` that fails its declared check."""
     for f in fields(obj):
-        failure = _check_failure(getattr(obj, f.name), f.metadata.get("check"))
+        failure = _check_failure(getattr(obj, f.name), f.metadata.get("check"), f.type == "float")
         if failure:
             raise ValueError(f"{f.name}: {failure}")
 
@@ -131,7 +133,7 @@ class CostModel:
 
     def __post_init__(self):
         _check_fields(self)
-        if not -math.inf < self.compute_mu < math.inf:
+        if not abs(self.compute_mu) <= sys.float_info.max:
             raise ValueError("compute_mu: must be finite")
         if not self.allreduce_time(1) < math.inf:  # each is finite; 2 m / b may overflow
             raise ValueError(
@@ -241,31 +243,43 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
     return cfg.lr
 
 
-# Iterations whose stream states are derived together; one block per tag is cached.
-_BLOCK = 64
+# Gradient rows whose stream states are derived together; one block per tag is cached.
+_ROW_BUDGET = 4096
 
 
 @functools.lru_cache(maxsize=3)
-def _stream_block(seed: int, n_learners: int, tag: int, block: int) -> np.ndarray:
+def _stream_block(seed: int, n_learners: int, tag: int, start: int, stop: int) -> np.ndarray:
     """Reseat rows (`seeding._reseat_rows`) of the `tag` streams of iterations
-    block*_BLOCK up to the next block: (seed, TAG_GRADIENT, k, l) for every
-    learner l, shaped (_BLOCK, n_learners, 4), or (seed, tag, k) for the
-    clock and permutation tags, shaped (_BLOCK, 1, 4).
-    """
-    k = np.arange(block * _BLOCK, (block + 1) * _BLOCK)
+    start up to stop, derived in one `seeding.seed_words` pass: (seed,
+    TAG_GRADIENT, k, l) for every learner l, shaped (stop - start,
+    n_learners, 4), or (seed, tag, k) for the clock and permutation tags,
+    shaped (stop - start, 1, 4).  `_block` sizes the blocks to the run."""
+    k = np.arange(start, stop)
     learners = [np.arange(n_learners)] if tag == seeding.TAG_GRADIENT else []
     index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
     words = seeding.seed_words((seed, tag), index.reshape(-1, index.shape[-1]))
-    rows = seeding._reseat_rows(words.reshape(_BLOCK, -1, 4))
+    rows = seeding._reseat_rows(words.reshape(stop - start, -1, 4))
     rows.setflags(write=False)
     return rows
 
 
-def _streams(seed: int, n_learners: int, tag: int, k: int) -> Iterator[np.random.Generator]:
+def _block(cfg: RunConfig, tag: int, k: int) -> tuple[int, np.ndarray]:
+    """The first iteration and the `_stream_block` rows of the `tag` block
+    holding iteration k.  Blocks hold max(1, _ROW_BUDGET // L) iterations
+    from 0, the last one cut at the run's end; a k past the run gets a
+    whole block."""
+    size = max(1, _ROW_BUDGET // cfg.n_learners)
+    start = k - k % size
+    stop = start + size if k >= cfg.iterations else min(start + size, cfg.iterations)
+    return start, _stream_block(cfg.seed, cfg.n_learners, tag, start, stop)
+
+
+def _streams(cfg: RunConfig, tag: int, k: int) -> Iterator[np.random.Generator]:
     """Iteration k's streams under `tag`, in learner order: the l-th draws
-    as seeding.stream(seed, tag, k[, l]).  They share one reseated
+    as seeding.stream(cfg.seed, tag, k[, l]).  They share one reseated
     Generator, so each is done with before the next is taken."""
-    return seeding._reseated(_stream_block(seed, n_learners, tag, k // _BLOCK)[k % _BLOCK])
+    start, rows = _block(cfg, tag, k)
+    return seeding._reseated(rows[k - start])
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
@@ -276,22 +290,25 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     a seed share gradient noise.
     """
     L = cfg.n_learners
-    rngs = _streams(cfg.seed, L, seeding.TAG_GRADIENT, k)
+    rngs = _streams(cfg, seeding.TAG_GRADIENT, k)
     shards = [(l, L) for l in range(L)] if cfg.data_partition == "sharded" else None
     return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
 
 
-def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
-    """One iteration of `strategy`, as its mixing and gradient say."""
+def _update(
+    strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration k of `strategy`, as its mixing and gradient say, from the
+    weights W and the one-step-stale W_prev: (next weights, gradients)."""
     mixing, gradient = strategy.mixing, strategy.gradient
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
-    k, W, L = state.iteration, state.weights, cfg.n_learners
+    L = cfg.n_learners
     if mixing == "none" and np.any(W != W[:, :1]):
         raise ValueError("SPSGD requires identical weights on all learners")
     if L == 3 and strategy.uses_ring:
         mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
-    G = gradient_matrix(oracle, state.prev_weights if gradient == "stale" else W, cfg, k)
+    G = gradient_matrix(oracle, W_prev if gradient == "stale" else W, cfg, k)
     lr = learning_rate(cfg, k)
     if mixing == "none":
         W_next = W - lr * G.mean(axis=1, keepdims=True)
@@ -302,10 +319,17 @@ def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimSta
         if mixing == "relabelled":
             # = mixing.permutation_for_step(L, cfg.seed, k), from the cached block;
             # taken after the gradient streams, which share its Generator
-            rng = next(_streams(cfg.seed, L, seeding.TAG_PERMUTATION, k))
+            rng = next(_streams(cfg, seeding.TAG_PERMUTATION, k))
             perm = sample_permutation(L, rng)
             T = T[np.ix_(perm, perm)]
         W_next = W @ T - lr * G
+    return W_next, G
+
+
+def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
+    """One iteration of `strategy` on `state` (`_update`)."""
+    k, W = state.iteration, state.weights
+    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k)
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
@@ -348,6 +372,7 @@ def step_d1d(state: SimState, oracle, cfg: RunConfig) -> SimState:
     return _step(Strategy.D1D, state, oracle, cfg)
 
 
+# _STEP_FUNCTIONS is unused here; perfbench's tracer wraps its entries.
 _STEP_FUNCTIONS = {
     Strategy.SPSGD: step_spsgd,
     Strategy.DPSGD_FIXED: step_dpsgd_fixed,
@@ -380,10 +405,13 @@ def consensus_distance(W: np.ndarray) -> float:
     return float(np.sqrt((dev * dev).sum(axis=0).max()))
 
 
-def advance_clock(
-    state: SimState, strategy: Strategy, cost_model: CostModel, rng: np.random.Generator
-) -> tuple[SimState, float]:
-    """Account one iteration of simulated wall-clock time.
+def _clock(
+    strategy: Strategy, cost_model: CostModel, rngs, compute_time_s: np.ndarray, sim_time_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulated wall-clock time of n iterations, each drawing its compute
+    times from one of `rngs`: running totals of the per-learner compute and
+    of the simulated seconds, from the totals given as row 0, shaped (n + 1,
+    L) and (n + 1,); and the iterations' durations.
 
     Barrier strategies (not `strategy.uses_ring`) wait for the slowest
     learner's compute, then pay a slowest-link allreduce.  Ring (gossip)
@@ -391,27 +419,46 @@ def advance_clock(
     iteration costs max(compute, own exchange), and the recorded duration
     is the mean over learners.
     """
-    L = len(state.compute_time_s)
-    compute = cost_model.sample_compute_times(L, rng)
+    L = len(compute_time_s)
+    compute = np.array([compute_time_s, *(cost_model.sample_compute_times(L, r) for r in rngs)])
+    exchange = cost_model.allreduce_time(L)
     if strategy.uses_ring:
-        duration = float(np.maximum(compute, cost_model.allreduce_time(L)).mean())
+        durations = np.maximum(compute[1:], exchange).mean(axis=1)
     else:
-        duration = float(compute.max()) + cost_model.allreduce_time(L)
-    new_state = replace(
-        state,
-        compute_time_s=state.compute_time_s + compute,
-        sim_time_s=state.sim_time_s + duration,
-    )
-    return new_state, duration
+        durations = compute[1:].max(axis=1) + exchange
+    return np.cumsum(compute, axis=0), np.cumsum(np.r_[sim_time_s, durations]), durations
 
 
-def _record(state: SimState, oracle, rho: float) -> TraceRecord:
-    W = state.weights
+def advance_clock(
+    state: SimState, strategy: Strategy, cost_model: CostModel, rng: np.random.Generator
+) -> tuple[SimState, float]:
+    """Account one iteration of simulated wall-clock time (`_clock`)."""
+    compute, sim, durations = _clock(strategy, cost_model, [rng], state.compute_time_s,
+                                     state.sim_time_s)
+    return replace(state, compute_time_s=compute[1], sim_time_s=float(sim[1])), float(durations[0])
+
+
+def _overflowed_clock(compute: np.ndarray, sim: np.ndarray) -> tuple[int, str] | None:
+    """The first row of `_clock` totals with a total that is not finite, and
+    that total as "name = value"; None if all are finite.  Gossip records
+    the mean over learners as sim_time_s, so one learner's compute total can
+    overflow while sim_time_s stays finite."""
+    finite = (sim < math.inf) & (compute.max(axis=1) < math.inf)
+    if finite.all():
+        return None
+    j = int(finite.argmin())
+    if not sim[j] < math.inf:
+        return j, f"sim_time_s = {sim[j]}"
+    learner = int(np.argmax(compute[j]))
+    return j, f"compute_time_s[{learner}] = {compute[j, learner]}"
+
+
+def _record(W: np.ndarray, iteration: int, sim_time_s: float, oracle, rho: float) -> TraceRecord:
     mean_loss = float(oracle.loss_columns(W).mean())
     avg_model_loss = float(oracle.loss(W.mean(axis=1)))
     return TraceRecord(
-        iteration=state.iteration,
-        sim_time_s=state.sim_time_s,
+        iteration=iteration,
+        sim_time_s=sim_time_s,
         mean_loss=mean_loss,
         avg_model_loss=avg_model_loss,
         consensus_dist=consensus_distance(W),
@@ -419,52 +466,48 @@ def _record(state: SimState, oracle, rho: float) -> TraceRecord:
     )
 
 
-def _overflowed_clock(state: SimState) -> str | None:
-    """The first simulated-clock total that is not finite, as "name = value",
-    or None.  Gossip records the mean over learners as sim_time_s, so one
-    learner's compute total can overflow while sim_time_s stays finite."""
-    if not state.sim_time_s < math.inf:
-        return f"sim_time_s = {state.sim_time_s}"
-    if not state.compute_time_s.max() < math.inf:
-        learner = int(np.argmax(state.compute_time_s))
-        return f"compute_time_s[{learner}] = {state.compute_time_s[learner]}"
-    return None
-
-
 def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     """Run one strategy to completion (or divergence).
 
     Records a trace point every `log_every` iterations and always at
     the final iteration.  On divergence the partial trace up to the
-    last healthy iteration is returned with the diverged flag set; the
-    exploded weights are not logged.  Raises ValueError, naming the
-    iteration and the total, if the simulated clock overflows: sim_time_s
-    or a learner's compute_time_s is not finite.
+    last healthy iteration is returned with the diverged flag set, and
+    the state is that iteration's; the exploded weights are not logged.
+    Raises ValueError, naming the iteration and the total, if the
+    simulated clock overflows: sim_time_s or a learner's compute_time_s
+    is not finite.
+
+    The loop keeps the weights, the stale model, the last gradients and
+    the clock totals in arrays and builds a `SimState` only for the result.
+    At the start of each stream block (`_block`) it draws the whole block's
+    clock at once (`_clock`), then steps through the block (`_update`).
     """
-    step = _STEP_FUNCTIONS[strategy]
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
+    W, W_prev, G = state.weights, state.prev_weights, state.last_gradients
+    compute, sim = state.compute_time_s[None], np.array([state.sim_time_s])
     records: list[TraceRecord] = []
-    diverged = False
-    for k in range(cfg.iterations):
+    done, diverged = 0, False  # done: healthy iterations
+    while done < cfg.iterations and not diverged:
+        start, rows = _block(cfg, seeding.TAG_CLOCK, done)
+        # A clock overflow is raised at its iteration as an error, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            new_state = step(state, oracle, cfg)
-            # Taken after the step: its streams reseat the same Generator.
-            clock = next(_streams(cfg.seed, cfg.n_learners, seeding.TAG_CLOCK, k))
-            # A clock overflow is raised below as an error, not warned about.
-            new_state, _ = advance_clock(new_state, strategy, cfg.cost_model, clock)
-        # One reduction: NaN and +-inf fail the comparison too.
-        if not np.abs(new_state.weights).max() <= DIVERGENCE_THRESHOLD:
-            diverged = True
-            break
-        overflowed = _overflowed_clock(new_state)
-        if overflowed:
-            raise ValueError(
-                f"simulated clock overflowed at iteration {new_state.iteration}: {overflowed}"
-            )
-        state = new_state
-        if state.iteration % cfg.log_every == 0:
-            records.append(_record(state, oracle, rho))
+            compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(rows[:, 0]),
+                                     compute[-1], sim[-1])
+            overflowed = _overflowed_clock(compute, sim)
+        for k in range(start, start + len(rows)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k)
+            # One reduction: NaN and +-inf fail the comparison too.
+            if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
+                diverged = True
+                break
+            if overflowed and k + 1 - start == overflowed[0]:
+                raise ValueError(f"simulated clock overflowed at iteration {k + 1}: {overflowed[1]}")
+            W_prev, W, G, done = W, W_next, G_next, k + 1
+            if done % cfg.log_every == 0:
+                records.append(_record(W, done, float(sim[done - start]), oracle, rho))
+    state = SimState(W, W_prev, done, compute[done - start].copy(), float(sim[done - start]), G)
     if state.iteration != (records[-1].iteration if records else 0):
-        records.append(_record(state, oracle, rho))
+        records.append(_record(W, done, state.sim_time_s, oracle, rho))
     return RunResult(records=tuple(records), diverged=diverged, state=state)

@@ -166,6 +166,19 @@ def test_with_overrides():
         with_overrides(cfg, trials=0)
 
 
+def test_int_too_large_for_a_float_fails_a_float_key_as_not_finite():
+    # An int may stand for a float, but one past the largest float would
+    # overflow in make_oracle or echo_config; an int key takes any size.
+    cfg = parse_config(MINIMAL)
+    for key, section in (("condition_number", "oracle"), ("lr", "experiment"),
+                         ("bandwidth_gbps", "cost_model")):
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, **{key: 10**400})
+        assert str(err.value) == f"[{section}] {key}: must be finite"
+    assert replace(cfg, condition_number=10**300).condition_number == 10**300
+    assert replace(cfg, master_seed=10**400).master_seed == 10**400
+
+
 def test_direct_construction_validates_via_parse_path(tmp_path):
     # A hand-built or replaced config passes the checks an INI file does,
     # because the config runs them when it is constructed.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringmix import simulation
 from ringmix.mixing import (
     apply_mixing,
     build_ring_matrix,
@@ -20,6 +21,7 @@ from ringmix.simulation import (
     DIVERGENCE_THRESHOLD,
     CostModel,
     RunConfig,
+    SimState,
     Strategy,
     advance_clock,
     consensus_distance,
@@ -283,6 +285,10 @@ def test_cost_model_values_and_validation():
     # Both finite, but the exchange time 2 m / b overflows.
     with pytest.raises(ValueError, match="^message_size_bytes, bandwidth_bytes_per_s: "):
         CostModel(message_size_bytes=1e306, bandwidth_bytes_per_s=1e-191)
+    # An int may stand for a float, but not one that overflows a float.
+    for key in ("message_size_bytes", "bandwidth_bytes_per_s", "compute_mu"):
+        with pytest.raises(ValueError, match=f"^{key}: must be finite$"):
+            CostModel(**{key: 10**400})
     largest = CostModel(message_size_bytes=8e307, bandwidth_bytes_per_s=1.0)
     assert largest.allreduce_time(4) < math.inf
     cm2 = CostModel(compute_scale=(1.0, 2.0, 1.0))
@@ -305,6 +311,32 @@ def test_advance_clock_formulas():
     expected = np.maximum(rng_draw, cm.allreduce_time(4)).mean()
     assert dt_g == pytest.approx(expected, rel=1e-15)
     assert gossip.sim_time_s == pytest.approx(dt_g, rel=1e-15)
+
+
+def test_block_clock_equals_advance_clock_row_by_row():
+    # run_training draws a block's clock in one (n, L) array; each row's
+    # duration and running totals must equal one advance_clock call's, bit
+    # for bit, across the pairwise-summation block sizes of 8 and 128.
+    for L in range(1, 301):
+        cm = CostModel(compute_sigma=0.5, compute_scale=tuple(stream(L, 9).uniform(0.5, 20, L)))
+        start = SimState(np.zeros((1, L)), np.zeros((1, L)), 7, stream(L, 8).uniform(0, 50, L),
+                         sim_time_s=float(stream(L, 7).uniform(0, 50)))
+        for strategy in (Strategy.D1D, Strategy.RAND_PSGD):
+            compute, sim, durations = simulation._clock(
+                strategy, cm, (stream(L, TAG_CLOCK, k) for k in range(3)),
+                start.compute_time_s, start.sim_time_s,
+            )
+            state = start
+            for k in range(3):
+                draw = cm.sample_compute_times(L, stream(L, TAG_CLOCK, k))
+                if strategy.uses_ring:
+                    expected = float(np.maximum(draw, cm.allreduce_time(L)).mean())
+                else:
+                    expected = float(draw.max()) + cm.allreduce_time(L)
+                state, duration = advance_clock(state, strategy, cm, stream(L, TAG_CLOCK, k))
+                assert duration == expected == durations[k], (L, strategy, k)
+                assert np.array_equal(state.compute_time_s, compute[k + 1])
+                assert state.sim_time_s == sim[k + 1] and type(state.sim_time_s) is float
 
 
 def test_mixing_rho_per_strategy():
@@ -355,11 +387,11 @@ def test_run_training_sim_time_accumulates():
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_run_training_clock_equals_clock_stream_across_blocks(strategy):
-    # The clock, permutation and gradient streams reseat one shared
-    # Generator, so a clock taken before the step would draw from the last
-    # gradient stream instead.  Replayed here on fresh clock streams, past
-    # the first block of derived stream states.
+def test_run_training_clock_equals_clock_stream_across_blocks(strategy, monkeypatch):
+    # The loop draws each block's clock streams at the block's start, from
+    # the one Generator its gradient and permutation streams reseat too.
+    # Replayed here on fresh clock streams, across blocks of 16 iterations.
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 16 * 5)
     oracle = _oracle(d=4)
     cfg = _cfg(n_learners=5, iterations=70, log_every=1, lr=0.05)
     result = run_training(strategy, oracle, cfg)
@@ -413,6 +445,70 @@ def test_run_training_divergence_ends_trace_at_last_healthy_iteration(strategy, 
     assert result.state.iteration == 5
     assert [r.iteration for r in result.records] == ([1, 2, 3, 4, 5] if log_every == 1 else [3, 5])
     assert all(np.isfinite(r.mean_loss) for r in result.records)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e14])
+def test_diverged_state_equals_a_run_that_stops_at_the_last_healthy_iteration(strategy, value):
+    result = run_training(strategy, _PoisonedOracle(value, at=5), _cfg(iterations=10))
+    assert result.diverged
+    k = result.state.iteration
+    healthy = run_training(strategy, _PoisonedOracle(value, at=5), _cfg(iterations=k))
+    assert not healthy.diverged
+    for name in ("weights", "prev_weights", "last_gradients", "compute_time_s"):
+        assert np.array_equal(getattr(result.state, name), getattr(healthy.state, name)), name
+    assert result.state.sim_time_s == healthy.state.sim_time_s
+    assert result.state.iteration == healthy.state.iteration == k
+
+
+def _outcome(strategy, oracle, cfg):
+    """Everything run_training returns, as bytes and reprs, or its error."""
+    try:
+        result = run_training(strategy, oracle, cfg)
+    except ValueError as exc:
+        return str(exc)
+    s = result.state
+    arrays = (s.weights, s.prev_weights, s.compute_time_s, s.last_gradients)
+    assert all(type(r.sim_time_s) is float for r in result.records)
+    return (repr(result.records), result.diverged, s.iteration, repr(s.sim_time_s),
+            [None if a is None else a.tobytes() for a in arrays])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategy=st.sampled_from(list(Strategy)),
+    n_learners=st.integers(3, 12),
+    iterations=st.integers(1, 30),
+    log_every=st.integers(1, 7),
+    warmup_iters=st.integers(0, 8),
+    lr=st.sampled_from([0.05, 0.5, 20.0]),
+    oracle_kind=st.sampled_from(["quadratic", "logistic"]),
+    data_partition=st.sampled_from(["shared", "sharded"]),
+    staleness_mode=st.sampled_from(["sync", "async"]),
+    clock=st.sampled_from(["default", "straggler", "overflow"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_run_training_is_identical_under_any_row_budget(
+    strategy, n_learners, iterations, log_every, warmup_iters, lr, oracle_kind, data_partition,
+    staleness_mode, clock, seed,
+):
+    # Stream blocks of 1, 1, 2 and (by default) all iterations give the same
+    # run, divergence and clock overflow included.
+    if oracle_kind == "quadratic":
+        oracle = _oracle(noise=2.0)
+    else:
+        oracle = logistic_oracle(dimension=5, n_samples=48, separation=2.0, seed=3)
+    factor = {"default": None, "straggler": 10.0, "overflow": 1.7976931348623157e308}[clock]
+    cost_model = CostModel(compute_scale=None if factor is None else
+                           (factor,) + (1.0,) * (n_learners - 1))
+    cfg = _cfg(n_learners=n_learners, iterations=iterations, log_every=log_every,
+               warmup_iters=warmup_iters, lr=lr, data_partition=data_partition,
+               staleness_mode=staleness_mode, cost_model=cost_model, seed=seed)
+    expected = _outcome(strategy, oracle, cfg)
+    for budget in (1, n_learners, 2 * n_learners + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_ROW_BUDGET", budget)
+            assert _outcome(strategy, oracle, cfg) == expected, budget
 
 
 def test_divergence_threshold_is_inclusive():
@@ -505,3 +601,7 @@ def test_run_config_validation():
     assert _cfg(lr=0.0).lr == 0.0
     with pytest.raises(ValueError, match="lr: must be finite"):
         _cfg(lr=math.inf)
+    for key in ("lr", "init_scale"):
+        with pytest.raises(ValueError, match=f"^{key}: must be finite$"):
+            _cfg(**{key: 10**400})
+    assert _cfg(seed=10**400).seed == 10**400  # an int field takes any size

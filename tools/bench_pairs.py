@@ -1,0 +1,141 @@
+"""Alternating parent/change runs of perfbench, summarised pair by pair.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 1501-1510 \
+        [--workloads train-ring-L32,consensus-mc,sweep-logistic] [--seconds 30] \
+        --out PAIRS.json
+
+DIR is a checkout (or an exported tree) that holds `perfbench/` and
+`src/ringmix`.  For each seed, and for each workload in turn, it runs
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` once from
+each directory, one run at a time; the parent runs first in the first
+pair and the two sides take turns after that.  The three workloads are
+interleaved pair by pair, so a slow spell of a shared host falls on every
+workload alike.
+
+The output JSON holds, per workload, every run's end-to-end metrics and
+its correct/attempted/failed counts, and per metric each side's runs,
+their median and inclusive quartiles, the parent's IQR (q3 - q1), the
+change's median over the parent's, and the pairs the change won ("better"
+as BENCHMARK.json declares it; ties count for neither side).  It is
+rewritten after every run, so an interrupted sweep keeps what it measured.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1501-1510' or '1501,1503' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds += range(int(low), int(high or low) + 1)
+    return seeds
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run from `tree`: its final JSON line, or the error."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": proc.stderr.strip()[-2000:] or f"exit {proc.returncode}"}
+    result = json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """Inclusive q1, median and q3 (the value itself for a single run)."""
+    if len(values) == 1:
+        return values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per-metric figures over the complete pairs of one workload."""
+    pairs = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
+    out = {
+        "pairs": len(pairs),
+        "seeds": [r["seed"] for r in pairs],
+        "first_in_pair": [r["first"] for r in pairs],
+        "errors": [{"seed": r["seed"], side: r[side]["error"]}
+                   for r in runs for side in SIDES if "error" in r[side]],
+    }
+    for key in ("correct", "attempted", "failed"):
+        values = {side: [r[side][key] for r in pairs] for side in SIDES}
+        out[key] = {side: all(v) if key == "correct" else sum(v) for side, v in values.items()}
+    metrics = {}
+    for name, direction in better.items():
+        if not pairs:
+            break
+        values = {side: [r[side]["metrics"][name] for r in pairs] for side in SIDES}
+        q = {side: quartiles(values[side]) for side in SIDES}
+        sign = 1 if direction == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        metrics[name] = {
+            "better": direction,
+            **values,
+            "parent_q1_median_q3": q["parent"],
+            "change_q1_median_q3": q["change"],
+            "parent_iqr": q["parent"][2] - q["parent"][0],
+            "change_over_parent_median": q["change"][1] / q["parent"][1],
+            "change_better_pairs": f"{won}/{len(pairs)}",
+        }
+    out["metrics"] = metrics
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--workloads", default="train-ring-L32,consensus-mc,sweep-logistic")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = args.workloads.split(",")
+    runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{pair[side].get('metrics', pair[side].get('error'))}", flush=True)
+            runs[workload].append(pair)
+            report = {
+                "method": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, alternating "
+                          "which side runs first, workloads interleaved pair by pair",
+                "summary": {w: summarise(r, better) for w, r in runs.items()},
+                "runs": runs,
+            }
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
