@@ -11,10 +11,18 @@ Two oracle families:
   two-class Gaussian dataset (class means +-separation/2 along a
   random unit direction).  Minibatches are drawn with replacement, so
   the stochastic gradient is exactly unbiased for the full-batch one.
-  For many learners at once, the draws stay learner by learner, each
-  on its own stream; the gradient math after them is stacked over
-  chunks of learners (each chunk's gathered features at most
-  _CHUNK_BYTES) and is bit-identical to a learner-by-learner loop.
+  The gradient math is stacked over chunks of learners (each chunk's
+  gathered features at most _CHUNK_BYTES) and is bit-identical to a
+  learner-by-learner loop.
+
+Both oracles take a stochastic gradient in two steps, since their
+randomness does not depend on the model.  `draw(rngs, n, batch_size,
+shards)` makes n learners' draws (standard normals for the quadratic,
+minibatch sample indices for the logistic), each in full from its own
+rng before the next is taken, so the rngs may be one reseated Generator;
+`gradients(Phi, draws, batch_size)` does the math on them.
+`stochastic_gradients` is the two in turn; the training loop draws a
+whole stream block's draws first.
 
 A minibatch is identified by a BatchDescriptor; the same descriptor
 always yields the same samples and the same gradient, bit for bit.
@@ -24,6 +32,7 @@ paths with central finite differences.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -33,9 +42,12 @@ from . import seeding
 
 LOGISTIC_RIDGE = 1e-4  # fixed l2 coefficient for the logistic objective
 
-# LogisticObjective.stochastic_gradients stacks the minibatch features of
+# LogisticObjective.gradients stacks the minibatch features of
 # chunks of learners, each (chunk, batch_size, d) stack at most this size.
 _CHUNK_BYTES = 32 * 1024
+
+# Learner l's data shard is shards[l]: (index, count), or None for all data.
+_Shards = Sequence[tuple[int, int] | None] | None
 
 
 @dataclass(frozen=True)
@@ -103,25 +115,31 @@ class QuadraticObjective:
         return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
 
     def stochastic_gradients(
-        self,
-        Phi: np.ndarray,
-        batch_size: int,
-        rngs: Iterable[np.random.Generator],
-        shards: Sequence[tuple[int, int] | None] | None = None,
+        self, Phi: np.ndarray, batch_size: int, rngs: Iterable[np.random.Generator],
+        shards: _Shards = None,
     ) -> np.ndarray:
-        """Stochastic gradients of the columns of Phi, column l drawing from the l-th rng.
+        """Stochastic gradients of the columns of Phi, column l drawing from the l-th rng."""
+        draws = self.draw(rngs, np.shape(Phi)[1], batch_size, shards)
+        return self.gradients(Phi, draws, batch_size)
+
+    def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
+             shards: _Shards = None) -> np.ndarray:
+        """(n, d) standard normals, row l drawn from the l-th of the n rngs.
 
         Pure noise model: the sampled batch only sets the noise
-        magnitude, so a shard assignment changes nothing here.  The rngs
-        may be one shared Generator reseated as each is taken, so each
-        stream is drawn from in full before the next is taken.
+        magnitude, so neither it nor a shard assignment is drawn here.
         """
-        Phi = np.asarray(Phi, dtype=float)
-        noise = np.empty((Phi.shape[1], self.dimension))
+        noise = np.empty((n, self.dimension))
         for row, rng in zip(noise, rngs, strict=True):
             rng.standard_normal(out=row)
-        noise_sd = self.noise_scale / np.sqrt(batch_size)
-        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + noise_sd * noise.T
+        return noise
+
+    def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
+        """Gradients of the columns of Phi plus noise_scale / sqrt(batch_size)
+        times row l of the `draw`n normals in column l."""
+        Phi = np.asarray(Phi, dtype=float)
+        noise_sd = self.noise_scale / math.sqrt(batch_size)  # a float: numpy scalars are slower
+        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + noise_sd * draws.T
 
 
 class LogisticObjective:
@@ -172,40 +190,43 @@ class LogisticObjective:
         return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
 
     def stochastic_gradients(
-        self,
-        Phi: np.ndarray,
-        batch_size: int,
-        rngs: Iterable[np.random.Generator],
-        shards: Sequence[tuple[int, int] | None] | None = None,
+        self, Phi: np.ndarray, batch_size: int, rngs: Iterable[np.random.Generator],
+        shards: _Shards = None,
     ) -> np.ndarray:
         """Stochastic gradients of the columns of Phi, column l sampling its
-        minibatch with the l-th rng from its shard (all data when None).
+        minibatch with the l-th rng from its shard (all data when None)."""
+        draws = self.draw(rngs, np.shape(Phi)[1], batch_size, shards)
+        return self.gradients(Phi, draws, batch_size)
 
-        The draws are made learner by learner, each on its own stream,
-        and each is done before the next rng is taken: the rngs may be one
-        shared Generator reseated as each is taken.  The math after them
-        is stacked over chunks of learners whose (chunk, batch_size, d)
-        feature stack fits in _CHUNK_BYTES (one learner per chunk when
-        even one does not).  Each slice of a
-        stacked matmul is the same BLAS call, on the same strides, as
-        one learner's `X @ w` and `X.T @ coeff`, so the result is
-        bit-identical to a learner-by-learner loop.  (einsum would sum
-        in another order and change the last bits.)
+    def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
+             shards: _Shards = None) -> np.ndarray:
+        """(n, batch_size) sample indices: row l is a minibatch drawn with the
+        l-th of the n rngs from the l-th shard (all data when None)."""
+        picks = np.empty((n, batch_size), dtype=np.int64)
+        for row, rng, shard in zip(picks, rngs, shards or [None] * n, strict=True):
+            row[:] = self._sample_indices(rng, batch_size, shard)
+        return picks
+
+    def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
+        """Minibatch gradients of the columns of Phi, column l on the samples
+        in row l of the `draw`n indices.
+
+        The math is stacked over chunks of learners whose (chunk,
+        batch_size, d) feature stack fits in _CHUNK_BYTES (one learner per
+        chunk when even one does not).  Each slice of a stacked matmul is
+        the same BLAS call, on the same strides, as one learner's `X @ w`
+        and `X.T @ coeff`, so the result is bit-identical to a
+        learner-by-learner loop.  (einsum would sum in another order and
+        change the last bits.)
         """
         Phi = np.asarray(Phi, dtype=float)
         d, L = Phi.shape
-        if shards is None:
-            shards = [None] * L
-        picks = np.stack([
-            self._sample_indices(rng, batch_size, shard)
-            for rng, shard in zip(rngs, shards, strict=True)
-        ])
         G = np.empty_like(Phi)
         chunk = max(1, _CHUNK_BYTES // (Phi.itemsize * batch_size * d))
         for start in range(0, L, chunk):
             cols = slice(start, start + chunk)
-            X = self.features[picks[cols]]
-            y = self.labels[picks[cols]]
+            X = self.features[draws[cols]]
+            y = self.labels[draws[cols]]
             Phi_c = Phi[:, cols]
             margins = y * (X @ Phi_c.T[:, :, None])[:, :, 0]
             coeff = -y * _sigmoid(-margins)

@@ -10,11 +10,12 @@ perturbing the streams of existing ones.
 
 The training loop takes many streams per iteration.  It derives their
 seed words and PCG64 states a block of iterations at a time, a block sized
-to about 4096 gradient streams and cut at the run's end, and draws each
-stream from one module-held Generator reseated in place (`_reseated`)
-rather than from a freshly built one.  Those rngs are one shared object, so
-a consumer must finish with each stream before it takes the next.  If the
-in-place write fails its check, every stream falls back to `generator`.
+to about 4096 gradient streams and cut at the run's end, and draws all of
+a block's streams at its start, each from one module-held Generator
+reseated in place (`_reseated`) rather than from a freshly built one.
+Those rngs are one shared object, so a consumer must finish with each
+stream before it takes the next.  If the in-place write fails its check,
+every stream falls back to `generator`.
 """
 
 from __future__ import annotations

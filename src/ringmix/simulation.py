@@ -42,7 +42,7 @@ import functools
 import math
 import operator
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 
@@ -139,8 +139,10 @@ class CostModel:
             raise ValueError(
                 "message_size_bytes, bandwidth_bytes_per_s: exchange time must be finite"
             )
-        if self.compute_scale is not None and not np.all(np.asarray(self.compute_scale) > 0):
-            raise ValueError("compute_scale entries must be strictly positive")
+        for i, factor in enumerate(() if self.compute_scale is None else self.compute_scale):
+            failure = _check_failure(factor, "> 0", as_float=True)
+            if failure:
+                raise ValueError(f"compute_scale[{i}]: {failure}")
 
     def allreduce_time(self, n_learners: int) -> float:
         """One exchange over the (uniform) link bandwidth: a gossip learner's
@@ -213,6 +215,10 @@ class RunConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        scale = self.cost_model.compute_scale
+        if scale is not None and len(scale) != self.n_learners:
+            raise ValueError(f"cost_model.compute_scale: has {len(scale)} entries, "
+                             f"expected n_learners = {self.n_learners}")
 
 
 @dataclass(frozen=True)
@@ -274,12 +280,22 @@ def _block(cfg: RunConfig, tag: int, k: int) -> tuple[int, np.ndarray]:
     return start, _stream_block(cfg.seed, cfg.n_learners, tag, start, stop)
 
 
-def _streams(cfg: RunConfig, tag: int, k: int) -> Iterator[np.random.Generator]:
-    """Iteration k's streams under `tag`, in learner order: the l-th draws
-    as seeding.stream(cfg.seed, tag, k[, l]).  They share one reseated
-    Generator, so each is done with before the next is taken."""
-    start, rows = _block(cfg, tag, k)
-    return seeding._reseated(rows[k - start])
+def _draws(oracle, cfg: RunConfig, k: int, n: int, permutations: bool = False):
+    """The (gradient draws, permutation) pair of each iteration from k up to
+    k + n, which lie in one stream block.  The oracle draws learner l's at
+    iteration k from the stream (seed, TAG_GRADIENT, k, l), so strategies
+    sharing a seed share gradient noise.  With `permutations`, p_k is drawn
+    as `mixing.permutation_for_step(L, cfg.seed, k)`; else it is None."""
+    L = cfg.n_learners
+    start, rows = _block(cfg, seeding.TAG_GRADIENT, k)
+    rngs = seeding._reseated(rows[k - start : k - start + n].reshape(-1, 4))
+    shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
+    draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
+    if not permutations:
+        return zip(draws, [None] * n)
+    start, rows = _block(cfg, seeding.TAG_PERMUTATION, k)
+    rngs = seeding._reseated(rows[k - start : k - start + n, 0])
+    return zip(draws, [sample_permutation(L, rng) for rng in rngs])
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
@@ -289,17 +305,15 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     (seed, k, l) and independent of the strategy, so strategies sharing
     a seed share gradient noise.
     """
-    L = cfg.n_learners
-    rngs = _streams(cfg, seeding.TAG_GRADIENT, k)
-    shards = [(l, L) for l in range(L)] if cfg.data_partition == "sharded" else None
-    return oracle.stochastic_gradients(Phi, cfg.batch_size, rngs, shards)
+    [(draws, _)] = _draws(oracle, cfg, k, 1)
+    return oracle.gradients(Phi, draws, cfg.batch_size)
 
 
-def _update(
-    strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int,
+            draws: np.ndarray, perm: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Iteration k of `strategy`, as its mixing and gradient say, from the
-    weights W and the one-step-stale W_prev: (next weights, gradients)."""
+    weights W, the one-step-stale W_prev and the iteration's `_draws`:
+    (next weights, gradients)."""
     mixing, gradient = strategy.mixing, strategy.gradient
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
@@ -308,7 +322,7 @@ def _update(
         raise ValueError("SPSGD requires identical weights on all learners")
     if L == 3 and strategy.uses_ring:
         mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
-    G = gradient_matrix(oracle, W_prev if gradient == "stale" else W, cfg, k)
+    G = oracle.gradients(W_prev if gradient == "stale" else W, draws, cfg.batch_size)
     lr = learning_rate(cfg, k)
     if mixing == "none":
         W_next = W - lr * G.mean(axis=1, keepdims=True)
@@ -317,19 +331,17 @@ def _update(
     else:
         T = _ring(L)
         if mixing == "relabelled":
-            # = mixing.permutation_for_step(L, cfg.seed, k), from the cached block;
-            # taken after the gradient streams, which share its Generator
-            rng = next(_streams(cfg, seeding.TAG_PERMUTATION, k))
-            perm = sample_permutation(L, rng)
-            T = T[np.ix_(perm, perm)]
+            T = T[perm[:, None], perm]  # = mixing.conjugate_by_permutation(T, perm)
         W_next = W @ T - lr * G
     return W_next, G
 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
-    """One iteration of `strategy` on `state` (`_update`)."""
+    """One iteration of `strategy` on `state`: `_update` on a one-iteration
+    block of draws."""
     k, W = state.iteration, state.weights
-    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k)
+    [(draws, perm)] = _draws(oracle, cfg, k, 1, strategy.mixing == "relabelled")
+    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws, perm)
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
@@ -479,8 +491,10 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
 
     The loop keeps the weights, the stale model, the last gradients and
     the clock totals in arrays and builds a `SimState` only for the result.
-    At the start of each stream block (`_block`) it draws the whole block's
-    clock at once (`_clock`), then steps through the block (`_update`).
+    At the start of each stream block (`_block`) it draws all of the
+    block's randomness at once: its clock (`_clock`), every learner's
+    gradient draws and rand_psgd's permutations (`_draws`).  Each iteration
+    is then array math on its slice of them (`_update`).
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
@@ -495,9 +509,10 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
             compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(rows[:, 0]),
                                      compute[-1], sim[-1])
             overflowed = _overflowed_clock(compute, sim)
-        for k in range(start, start + len(rows)):
+        block = _draws(oracle, cfg, start, len(rows), strategy.mixing == "relabelled")
+        for k, (draws, perm) in enumerate(block, start):
             with np.errstate(over="ignore", invalid="ignore"):
-                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k)
+                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm)
             # One reduction: NaN and +-inf fail the comparison too.
             if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
                 diverged = True

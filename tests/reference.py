@@ -1,0 +1,109 @@
+"""A slow reference simulator of `simulation.run_training`, one learner at a time.
+
+It is built only from the public per-stream pieces and follows the
+docstrings, not the optimized loop:
+
+- learner l's gradient at iteration k is `stochastic_gradient` of its own
+  column on the stream `seeding.stream(seed, TAG_GRADIENT, k, l)`;
+- rand_psgd mixes with `conjugate_by_permutation(T0, permutation_for_step
+  (L, seed, k))`, and every mixing goes through `apply_mixing`;
+- iteration k's clock is `advance_clock` on `stream(seed, TAG_CLOCK, k)`.
+
+Tests compare it with `run_training` byte for byte.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ringmix import seeding
+from ringmix.mixing import (
+    apply_mixing,
+    build_ring_matrix,
+    build_uniform_matrix,
+    conjugate_by_permutation,
+    permutation_for_step,
+)
+from ringmix.objectives import BatchDescriptor
+from ringmix.simulation import (
+    DIVERGENCE_THRESHOLD,
+    RunResult,
+    SimState,
+    TraceRecord,
+    advance_clock,
+    consensus_distance,
+)
+from ringmix.spectral import second_eigenvalue_ring
+
+
+def _gradients(oracle, Phi, cfg, k):
+    """Each learner's stochastic gradient at its column of Phi, one by one."""
+    L = cfg.n_learners
+    columns = []
+    for l in range(L):
+        batch = BatchDescriptor(cfg.batch_size, (cfg.seed, seeding.TAG_GRADIENT, k, l))
+        shard = (l, L) if cfg.data_partition == "sharded" else None
+        columns.append(oracle.stochastic_gradient(Phi[:, l], batch, shard))
+    return np.stack(columns, axis=1)
+
+
+def _record(oracle, W, iteration, sim_time_s, rho):
+    return TraceRecord(
+        iteration=iteration,
+        sim_time_s=sim_time_s,
+        mean_loss=float(oracle.loss_columns(W).mean()),
+        avg_model_loss=float(oracle.loss(W.mean(axis=1))),
+        consensus_dist=consensus_distance(W),
+        rho=rho,
+    )
+
+
+def run_training(strategy, oracle, cfg) -> RunResult:
+    """What `simulation.run_training` returns, or the ValueError it raises."""
+    L = cfg.n_learners
+    w0 = cfg.init_scale * seeding.stream(cfg.seed, seeding.TAG_INIT).standard_normal(
+        oracle.dimension
+    )
+    W = np.tile(w0[:, None], (1, L))
+    state = SimState(W, W.copy(), 0, np.zeros(L))
+    rho = second_eigenvalue_ring(L) if strategy.value in ("dpsgd_fixed", "adpsgd_fixed",
+                                                          "rand_psgd") else 0.0
+    stale = strategy.value in ("adpsgd_fixed", "d1d") or (
+        strategy.value == "rand_psgd" and cfg.staleness_mode == "async")
+    records, diverged = [], False
+    for k in range(cfg.iterations):
+        G = _gradients(oracle, state.prev_weights if stale else state.weights, cfg, k)
+        lr = cfg.lr * (k + 1) / cfg.warmup_iters if k < cfg.warmup_iters else cfg.lr
+        W = state.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            if strategy.value == "spsgd":
+                W_next = W - lr * G.mean(axis=1, keepdims=True)
+            elif strategy.value == "d1d":
+                W_next = apply_mixing(W, build_uniform_matrix(L)) - lr * G
+            else:
+                T = build_ring_matrix(L)
+                if strategy.value == "rand_psgd":
+                    T = conjugate_by_permutation(T, permutation_for_step(L, cfg.seed, k))
+                W_next = apply_mixing(W, T) - lr * G
+        if not np.all(np.abs(W_next) <= DIVERGENCE_THRESHOLD):
+            diverged = True
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            clock = seeding.stream(cfg.seed, seeding.TAG_CLOCK, k)
+            state, _ = advance_clock(state, strategy, cfg.cost_model, clock)
+        if not math.isfinite(state.sim_time_s):
+            raise ValueError(f"simulated clock overflowed at iteration {k + 1}: "
+                             f"sim_time_s = {state.sim_time_s}")
+        for l, total in enumerate(state.compute_time_s):
+            if not math.isfinite(total):
+                raise ValueError(f"simulated clock overflowed at iteration {k + 1}: "
+                                 f"compute_time_s[{l}] = {total}")
+        state.weights, state.prev_weights = W_next, W
+        state.iteration, state.last_gradients = k + 1, G
+        if state.iteration % cfg.log_every == 0:
+            records.append(_record(oracle, W_next, state.iteration, state.sim_time_s, rho))
+    if state.iteration != (records[-1].iteration if records else 0):
+        records.append(_record(oracle, state.weights, state.iteration, state.sim_time_s, rho))
+    return RunResult(records=tuple(records), diverged=diverged, state=state)

@@ -28,7 +28,8 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
         {"seed": 3, "first": "parent", "parent": _run(90.0, 40.0), "change": _run(95.0, 41.0)},
         {"seed": 4, "first": "change", "parent": {"error": "boom"}, "change": _run(1.0, 1.0)},
     ]
-    out = bench_pairs.summarise(runs, {"work_per_s": "higher", "peak_rss_mb": "lower"})
+    out = bench_pairs.summarise(runs, {"work_per_s": ("higher", 0.15),
+                                       "peak_rss_mb": ("lower", 0.1)})
     assert out["pairs"] == 3 and out["seeds"] == [1, 2, 3]
     assert out["errors"] == [{"seed": 4, "parent": "boom"}]
     assert out["attempted"] == {"parent": 30, "change": 30}
@@ -38,3 +39,47 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
     assert work["parent_q1_median_q3"] == [95.0, 100.0, 105.0]  # inclusive quartiles
     assert work["parent_iqr"] == 10.0
     assert work["change_over_parent_median"] == pytest.approx(110.0 / 100.0)
+    assert work["bound"] == 0.15 and work["verdict"] == "unchanged"  # won only 2/3
+
+
+# Median 100, inclusive quartiles 99.5 and 100.5: an IQR of 1.
+_PARENT = [100.0, 101.0, 99.5, 100.5, 98.0, 100.0, 102.0, 99.5, 100.5, 99.0]
+
+
+@pytest.mark.parametrize("change, better, bound, more_failed, expected", [
+    # 10/10 pairs, median +5 against the parent's IQR of 1
+    ([p + 5.0 for p in _PARENT], "higher", 0.15, False, "gain"),
+    # the same, but the change's runs failed more operations than the parent's
+    ([p + 5.0 for p in _PARENT], "higher", 0.15, True, "unchanged"),
+    # 9/10 pairs still gains; 8/10 does not
+    ([p + 5.0 for p in _PARENT[:9]] + [_PARENT[9] - 1.0], "higher", 0.15, False, "gain"),
+    ([p + 5.0 for p in _PARENT[:8]] + [p - 1.0 for p in _PARENT[8:]], "higher", 0.15, False,
+     "unchanged"),
+    # 10/10 pairs but a median gain of 0.5, inside the parent's IQR
+    ([p + 0.5 for p in _PARENT], "higher", 0.15, False, "unchanged"),
+    # lower is better: the same +5 is 5% worse, past a 2% bound but inside 10%
+    ([p + 5.0 for p in _PARENT], "lower", 0.02, False, "worse"),
+    ([p + 5.0 for p in _PARENT], "lower", 0.1, False, "unchanged"),
+    # the parent's IQR of 1% is wider than a 0.5% bound
+    ([p + 0.2 for p in _PARENT], "higher", 0.005, False, "unresolved"),
+])
+def test_verdict_against_the_parents_iqr_and_the_bound(change, better, bound, more_failed,
+                                                       expected):
+    assert bench_pairs.quartiles(_PARENT) == [99.5, 100.0, 100.5]
+    assert bench_pairs.verdict(_PARENT, change, better, bound, more_failed) == expected
+
+
+# Median 100, inclusive quartiles 94 and 100 (an IQR of 6), highest run 100.2.
+_WIDE_PARENT = [90.0, 91.0, 92.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.2]
+
+
+@pytest.mark.parametrize("change, expected", [
+    # every change run beats every parent run: resolved, though the gain is
+    # inside the parent's IQR
+    ([100.5] * 10, "unchanged"),
+    # one change run (100.1) is below the parent's best
+    ([100.5] * 9 + [100.1], "unresolved"),
+])
+def test_verdict_when_the_parents_iqr_is_wider_than_the_bound(change, expected):
+    assert bench_pairs.quartiles(_WIDE_PARENT) == [94.0, 100.0, 100.0]
+    assert bench_pairs.verdict(_WIDE_PARENT, change, "higher", 0.05) == expected

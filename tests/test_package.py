@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -37,6 +39,37 @@ def test_names_the_benchmark_tracer_wraps_stay_bound():
     assert harness.monte_carlo_consensus is spectral.monte_carlo_consensus
     for s in simulation.Strategy:
         assert simulation._STEP_FUNCTIONS[s] is getattr(simulation, f"step_{s.value}")
+
+
+def _named_spans() -> dict:
+    """perfbench/run.py's NAMED_SPANS, read from its source without running it."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["NAMED_SPANS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("NAMED_SPANS not found in perfbench/run.py")
+
+
+def _traced(module, attr: str) -> bool:
+    """True if the tracer would name a span `<layer>.attr`: a public function
+    of that module, or a method of a public class it defines."""
+    if inspect.isfunction(vars(module).get(attr)):
+        return vars(module)[attr].__module__ == module.__name__
+    return any(
+        inspect.isfunction(vars(cls).get(attr))
+        for name, cls in vars(module).items()
+        if not name.startswith("_") and inspect.isclass(cls) and cls.__module__ == module.__name__
+    )
+
+
+def test_every_named_benchmark_span_resolves_to_a_ringmix_function():
+    # perfbench --trace 1 reports correct: false when a named span is gone,
+    # so renaming or removing one of these breaks the benchmark.
+    spans = _named_spans()
+    assert spans
+    for name in spans:
+        layer, attr = name.split(".")
+        assert _traced(importlib.import_module(f"ringmix.{layer}"), attr), name
 
 
 def test_import_leaves_numpy_random_unloaded():

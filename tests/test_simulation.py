@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,14 @@ from ringmix.simulation import (
     step_spsgd,
 )
 from ringmix.spectral import second_eigenvalue_ring
+
+# Loaded by path, not as `reference`, which would shadow perfbench's module
+# of that name when both suites run in one session.
+_spec = importlib.util.spec_from_file_location(
+    "reference_simulator", Path(__file__).with_name("reference.py")
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def _oracle(d=6, noise=1.0, seed=2):
@@ -280,8 +290,14 @@ def test_cost_model_values_and_validation():
     for value in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="compute_mu: must be finite"):
             CostModel(compute_mu=value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^compute_scale\[1\]: must be > 0$"):
         CostModel(compute_scale=(1.0, math.nan))
+    # Each factor must be a float: neither inf nor an int too large for one.
+    for factor in (math.inf, 10**400):
+        with pytest.raises(ValueError, match=r"^compute_scale\[0\]: must be finite$"):
+            CostModel(compute_scale=(factor, 1, 1))
+    with pytest.raises(ValueError, match=r"^compute_scale\[2\]: must be > 0$"):
+        CostModel(compute_scale=(1, 1, -math.inf))
     # Both finite, but the exchange time 2 m / b overflows.
     with pytest.raises(ValueError, match="^message_size_bytes, bandwidth_bytes_per_s: "):
         CostModel(message_size_bytes=1e306, bandwidth_bytes_per_s=1e-191)
@@ -423,8 +439,11 @@ class _PoisonedOracle:
         self.dimension = self._inner.dimension
         self.value, self.at, self.calls = value, at, 0
 
-    def stochastic_gradients(self, Phi, batch_size, rngs, shards):
-        G = self._inner.stochastic_gradients(Phi, batch_size, rngs, shards)
+    def draw(self, rngs, n, batch_size, shards=None):
+        return self._inner.draw(rngs, n, batch_size, shards)
+
+    def gradients(self, Phi, draws, batch_size):
+        G = self._inner.gradients(Phi, draws, batch_size)
         self.calls += 1
         return np.full_like(G, self.value) if self.calls > self.at else G
 
@@ -461,10 +480,11 @@ def test_diverged_state_equals_a_run_that_stops_at_the_last_healthy_iteration(st
     assert result.state.iteration == healthy.state.iteration == k
 
 
-def _outcome(strategy, oracle, cfg):
-    """Everything run_training returns, as bytes and reprs, or its error."""
+def _outcome(strategy, oracle, cfg, run=run_training):
+    """Everything `run` (by default run_training) returns, as bytes and reprs,
+    or its error."""
     try:
-        result = run_training(strategy, oracle, cfg)
+        result = run(strategy, oracle, cfg)
     except ValueError as exc:
         return str(exc)
     s = result.state
@@ -474,41 +494,55 @@ def _outcome(strategy, oracle, cfg):
             [None if a is None else a.tobytes() for a in arrays])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    strategy=st.sampled_from(list(Strategy)),
-    n_learners=st.integers(3, 12),
-    iterations=st.integers(1, 30),
-    log_every=st.integers(1, 7),
-    warmup_iters=st.integers(0, 8),
-    lr=st.sampled_from([0.05, 0.5, 20.0]),
-    oracle_kind=st.sampled_from(["quadratic", "logistic"]),
-    data_partition=st.sampled_from(["shared", "sharded"]),
-    staleness_mode=st.sampled_from(["sync", "async"]),
-    clock=st.sampled_from(["default", "straggler", "overflow"]),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_run_training_is_identical_under_any_row_budget(
-    strategy, n_learners, iterations, log_every, warmup_iters, lr, oracle_kind, data_partition,
-    staleness_mode, clock, seed,
-):
-    # Stream blocks of 1, 1, 2 and (by default) all iterations give the same
-    # run, divergence and clock overflow included.
-    if oracle_kind == "quadratic":
+@st.composite
+def _runs(draw, max_iterations):
+    """An oracle and a run config, over L from 3 to 12, log_every, warmup,
+    lr up to 20 (so some runs diverge), both oracles, partitions and
+    staleness modes, and a default, a straggler and an overflowing clock."""
+    n_learners = draw(st.integers(3, 12))
+    if draw(st.sampled_from(["quadratic", "logistic"])) == "quadratic":
         oracle = _oracle(noise=2.0)
     else:
         oracle = logistic_oracle(dimension=5, n_samples=48, separation=2.0, seed=3)
-    factor = {"default": None, "straggler": 10.0, "overflow": 1.7976931348623157e308}[clock]
+    factor = draw(st.sampled_from([None, 10.0, 1.7976931348623157e308]))
     cost_model = CostModel(compute_scale=None if factor is None else
                            (factor,) + (1.0,) * (n_learners - 1))
-    cfg = _cfg(n_learners=n_learners, iterations=iterations, log_every=log_every,
-               warmup_iters=warmup_iters, lr=lr, data_partition=data_partition,
-               staleness_mode=staleness_mode, cost_model=cost_model, seed=seed)
+    cfg = _cfg(
+        n_learners=n_learners,
+        iterations=draw(st.integers(1, max_iterations)),
+        log_every=draw(st.integers(1, 7)),
+        warmup_iters=draw(st.integers(0, 8)),
+        lr=draw(st.sampled_from([0.05, 0.5, 20.0])),
+        data_partition=draw(st.sampled_from(["shared", "sharded"])),
+        staleness_mode=draw(st.sampled_from(["sync", "async"])),
+        cost_model=cost_model,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return oracle, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), run=_runs(max_iterations=30))
+def test_run_training_is_identical_under_any_row_budget(strategy, run):
+    # Stream blocks of 1, 1, 2 and (by default) all iterations give the same
+    # run, divergence and clock overflow included.
+    oracle, cfg = run
     expected = _outcome(strategy, oracle, cfg)
-    for budget in (1, n_learners, 2 * n_learners + 1):
+    for budget in (1, cfg.n_learners, 2 * cfg.n_learners + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_ROW_BUDGET", budget)
             assert _outcome(strategy, oracle, cfg) == expected, budget
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=_runs(max_iterations=20))
+def test_run_training_equals_the_one_learner_at_a_time_reference(run):
+    # tests/reference.py steps each learner on its own public stream; every
+    # strategy's records, diverged flag, state and clock overflow must match.
+    oracle, cfg = run
+    for strategy in Strategy:
+        expected = _outcome(strategy, oracle, cfg, reference.run_training)
+        assert _outcome(strategy, oracle, cfg) == expected, strategy
 
 
 def test_divergence_threshold_is_inclusive():
@@ -605,3 +639,13 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match=f"^{key}: must be finite$"):
             _cfg(**{key: 10**400})
     assert _cfg(seed=10**400).seed == 10**400  # an int field takes any size
+
+
+def test_run_config_rejects_a_compute_scale_of_another_length():
+    # CostModel does not know L; RunConfig does, so the mismatch fails at
+    # construction, not at the first clock draw.
+    for scale in ((1.0, 2.0, 1.0), (1.0,) * 5):
+        message = rf"^cost_model.compute_scale: has {len(scale)} entries, expected n_learners = 4$"
+        with pytest.raises(ValueError, match=message):
+            _cfg(n_learners=4, cost_model=CostModel(compute_scale=scale))
+    assert _cfg(n_learners=4, cost_model=CostModel(compute_scale=np.ones(4))).n_learners == 4

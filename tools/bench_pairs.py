@@ -15,10 +15,11 @@ workload alike.
 The output JSON holds, per workload, every run's end-to-end metrics and
 its correct/attempted/failed counts, and per metric each side's runs,
 their median and inclusive quartiles, the parent's IQR (q3 - q1), the
-change's median over the parent's, and the pairs the change won ("better"
-as BENCHMARK.json declares it; ties count for neither side).  It is
-rewritten after every run, so an interrupted sweep keeps what it measured.
-Standard library only.
+change's median over the parent's, the pairs the change won ("better"
+as BENCHMARK.json declares it; ties count for neither side), and a
+verdict against the metric's BENCHMARK.json `bound` (see `verdict`).  It
+is rewritten after every run, so an interrupted sweep keeps what it
+measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,8 +70,37 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric figures over the complete pairs of one workload."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            more_failed: bool = False) -> str:
+    """One metric's verdict over paired runs, the first that holds of:
+
+    gain        the change wins at least 9 of 10 pairs, and its median beats
+                the parent's by more than the parent's IQR, and the change's
+                runs failed no more operations than the parent's
+                (`more_failed` is False);
+    worse       its median is worse than the parent's by more than `bound`,
+                a share of the parent's median;
+    unresolved  the parent's IQR is wider than `bound` (as that share), and
+                not every change run beats every parent run;
+    unchanged   otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    (p1, p_median, p3), c_median = quartiles(parent), quartiles(change)[1]
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gained = sign * (c_median - p_median)
+    if 10 * won >= 9 * len(parent) and gained > p3 - p1 and not more_failed:
+        return "gain"
+    if gained < -bound * abs(p_median):
+        return "worse"
+    every_run_better = all(sign * (c - p) > 0 for p in parent for c in change)
+    if p3 - p1 > bound * abs(p_median) and not every_run_better:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
+    """Per-metric figures over the complete pairs of one workload; `spec`
+    maps each metric to its (better, bound) in BENCHMARK.json."""
     pairs = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
     out = {
         "pairs": len(pairs),
@@ -83,7 +113,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         values = {side: [r[side][key] for r in pairs] for side in SIDES}
         out[key] = {side: all(v) if key == "correct" else sum(v) for side, v in values.items()}
     metrics = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in spec.items():
         if not pairs:
             break
         values = {side: [r[side]["metrics"][name] for r in pairs] for side in SIDES}
@@ -98,6 +128,9 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "parent_iqr": q["parent"][2] - q["parent"][0],
             "change_over_parent_median": q["change"][1] / q["parent"][1],
             "change_better_pairs": f"{won}/{len(pairs)}",
+            "bound": bound,
+            "verdict": verdict(values["parent"], values["change"], direction, bound,
+                               out["failed"]["change"] > out["failed"]["parent"]),
         }
     out["metrics"] = metrics
     return out
@@ -114,7 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metric_spec = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads.split(",")
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
@@ -130,7 +163,7 @@ def main(argv=None) -> int:
             report = {
                 "method": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, alternating "
                           "which side runs first, workloads interleaved pair by pair",
-                "summary": {w: summarise(r, better) for w, r in runs.items()},
+                "summary": {w: summarise(r, metric_spec) for w, r in runs.items()},
                 "runs": runs,
             }
             args.out.write_text(json.dumps(report, indent=1) + "\n")
