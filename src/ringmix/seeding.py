@@ -8,14 +8,13 @@ different tuples are statistically independent.  This is what makes
 simulated trajectories replayable and lets a sweep add cells without
 perturbing the streams of existing ones.
 
-The training loop takes many streams per iteration.  It derives their
-seed words and PCG64 states a block of iterations at a time, a block sized
-to about 4096 gradient streams and cut at the run's end, and draws all of
-a block's streams at its start, each from one module-held Generator
-reseated in place (`_reseated`) rather than from a freshly built one.
-Those rngs are one shared object, so a consumer must finish with each
-stream before it takes the next.  If the in-place write fails its check,
-every stream falls back to `generator`.
+Many-stream consumers (the training loop, the Monte Carlo trials) derive
+the PCG64 states of many streams in one vectorized pass (`stream_states`)
+and draw each from one module-held Generator reseated at that state
+(`_reseated`) rather than from a freshly built one.  Those rngs are one
+shared object, so a consumer must finish with each stream before it takes
+the next.  The reseat writes numpy's state struct in place; if that write
+fails its check, it goes through the public `bit_generator.state` setter.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ def stream(*entropy: int) -> np.random.Generator:
 
 # Batched derivation.  numpy's SeedSequence hashing is fixed by its
 # stream-compatibility policy (NEP 19), so it is reimplemented here to
-# derive many streams' seed words in one vectorized pass; PCG64 then seeds
-# itself from them as usual.  `stream` stays the reference they are tested
-# against.  Constants from numpy/random/bit_generator.pyx.
+# derive many streams' seed words in one vectorized pass; so is PCG64's
+# seeding from them (`_seed_in_place`).  `stream` stays the reference they
+# are tested against.  Constants from numpy/random/bit_generator.pyx.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -107,7 +106,7 @@ def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
     `rows` is an (n, m) array of indices, each a single 32-bit word;
     prefix ints may span several words.  Row j of the (n, 4) uint64
     result equals `seed_sequence(*prefix, *rows[j]).generate_state(4,
-    np.uint64)`; `generator` turns a row into that stream's Generator.
+    np.uint64)`; `stream_states` turns the rows into PCG64 states.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
@@ -141,47 +140,14 @@ def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
     return words
 
 
-@functools.cache
-def _seed_words_class() -> type:
-    # Made on first use: the base class lives in numpy.random, which
-    # `import ringmix` otherwise leaves unloaded (it takes about 14 ms).
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """Four `seed_words` posing as the SeedSequence a PCG64 is built from.
-
-        PCG64 asks its seed sequence for generate_state(4, uint64) and seeds
-        itself from those words, exactly as it does for `stream`'s
-        SeedSequence; any other request is refused.
-        """
-
-        def __init__(self, words: np.ndarray):
-            # PCG64 reads the four words straight from the array's buffer.
-            self.words = np.ascontiguousarray(words, dtype=np.uint64)
-            if self.words.shape != (4,):
-                raise ValueError(f"need one row of four seed words, got {self.words.shape}")
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("seed words serve PCG64's generate_state(4, np.uint64) only")
-            return self.words
-
-    return SeedWords
-
-
-def generator(words: np.ndarray) -> np.random.Generator:
-    """Generator seeded by one row of `seed_words`: it draws exactly as
-    `stream(*prefix, *row)` does."""
-    return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))
-
-
 # In-place reseating.  Building a PCG64 and its Generator for a stream costs
-# about as much as the stream's draw, so the hot loops instead reseat one
-# module-held PCG64: they write a stream's {state, inc} over its state struct
-# (numpy/random/src/pcg64/pcg64.h) and clear its cached half-word.  The
-# struct is numpy-internal, so `_shared_generator` checks the write against
-# the public `state` and a draw once per process and, when they differ,
-# leaves every stream to `generator`.
+# about as much as the stream's draw, so every consumer instead reseats one
+# module-held PCG64 at the stream's state row: it writes the row's {state,
+# inc} over the PCG64 state struct (numpy/random/src/pcg64/pcg64.h) and
+# clears its cached half-word.  The struct is numpy-internal, so
+# `_shared_rng` checks the write against the public `state` setter and
+# a draw once per process and, when they differ, `_reseated` reseats the
+# same Generator through that setter instead.
 _PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
 
 
@@ -216,12 +182,27 @@ def _seed_in_place(words: np.ndarray) -> np.ndarray:
     return words
 
 
+def stream_states(prefix: tuple[int, ...], rows) -> np.ndarray:
+    """PCG64 state rows of `stream(*prefix, *row)` for every row of
+    `seed_words(prefix, rows)`, shaped (n, 4); `_reseated` draws from them."""
+    return _seed_in_place(seed_words(prefix, rows))
+
+
+def _set_state(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Reseat `rng` at one state row through the public `bit_generator.state`
+    setter, with no cached half-word."""
+    state, inc = (int(row[j + 1]) << 64 | int(row[j]) for j in (0, 2))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+
+
 def _reseat_guard(rng: np.random.Generator, state: np.ndarray, half_word: np.ndarray) -> bool:
-    """True when writing through `state` and `half_word` reseats `rng`, which
-    holds a cached half-word, exactly as `generator` seeds a fresh one."""
-    words = np.full((1, 4), 2**64 - 1, dtype=np.uint64)  # carries through every half
-    reference = generator(words[0])
-    state[:] = _seed_in_place(words)[0]
+    """True when writing a state row through `state` and `half_word` reseats
+    `rng`, which holds a cached half-word, exactly as `_set_state` does."""
+    row = _seed_in_place(np.full((1, 4), 2**64 - 1, dtype=np.uint64))[0]  # every half carries
+    reference = np.random.Generator(np.random.PCG64(0))
+    _set_state(reference, row)
+    state[:] = row
     half_word[0] = 0
     if rng.bit_generator.state != reference.bit_generator.state:
         return False
@@ -229,10 +210,10 @@ def _reseat_guard(rng: np.random.Generator, state: np.ndarray, half_word: np.nda
 
 
 @functools.cache
-def _shared_generator():
+def _shared_rng():
     """The module-held Generator and writable uint64 views of its {state, inc}
-    and of its (has_uint32, uinteger) word; None when the views do not read
-    back the public state or the in-place write fails `_reseat_guard`."""
+    and of its (has_uint32, uinteger) word; None for the views when they do
+    not read back the public state or their write fails `_reseat_guard`."""
     import ctypes
 
     rng = np.random.Generator(np.random.PCG64(0))
@@ -243,37 +224,32 @@ def _shared_generator():
     address = rng.bit_generator.ctypes.state_address
     header = np.frombuffer((ctypes.c_uint64 * 2).from_address(address), dtype=np.uint64)
     if int(header[1]) != public["has_uint32"] | public["uinteger"] << 32:
-        return None
+        return rng, None
     state = np.frombuffer((ctypes.c_uint64 * 4).from_address(int(header[0])), dtype=np.uint64)
     expected = [public["state"][key] >> shift & (2**64 - 1)
                 for key in ("state", "inc") for shift in (0, 64)]
     if state.tolist() != expected:
-        return None
+        return rng, None
     half_word = header[1:]
-    return (rng, state, half_word) if _reseat_guard(rng, state, half_word) else None
-
-
-def _reseat_rows(words: np.ndarray) -> np.ndarray:
-    """The rows `_reseated` draws the streams of `seed_words` rows from:
-    their PCG64 states, written over `words`, or, when the reseat failed
-    its check, the words themselves."""
-    return words if _shared_generator() is None else _seed_in_place(words)
+    return rng, ((state, half_word) if _reseat_guard(rng, state, half_word) else None)
 
 
 def _reseated(rows: np.ndarray) -> Iterator[np.random.Generator]:
-    """A Generator for each row of `_reseat_rows(words)`, drawing as
-    `generator` of that row of words.
+    """A Generator for each state row (`stream_states`), drawing as the
+    `stream` that row was derived for.
 
-    Every one is the same module-held Generator, reseated in place as the
-    next is taken, so a consumer must finish with each stream before it
-    takes the next.  If the reseat failed its check, these are built by
-    `generator`.
+    Every one is the same module-held Generator, reseated as the next is
+    taken, so a consumer must finish with each stream before it takes the
+    next.  The reseat writes the row in place or, if that failed its check,
+    goes through `_set_state`.
     """
-    shared = _shared_generator()
-    if shared is None:
-        yield from map(generator, rows)
+    rng, views = _shared_rng()
+    if views is None:
+        for row in rows:
+            _set_state(rng, row)
+            yield rng
         return
-    rng, state, half_word = shared
+    state, half_word = views
     for row in rows:
         state[:] = row
         half_word[0] = 0

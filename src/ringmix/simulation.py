@@ -255,16 +255,16 @@ _ROW_BUDGET = 4096
 
 @functools.lru_cache(maxsize=3)
 def _stream_block(seed: int, n_learners: int, tag: int, start: int, stop: int) -> np.ndarray:
-    """Reseat rows (`seeding._reseat_rows`) of the `tag` streams of iterations
-    start up to stop, derived in one `seeding.seed_words` pass: (seed,
-    TAG_GRADIENT, k, l) for every learner l, shaped (stop - start,
-    n_learners, 4), or (seed, tag, k) for the clock and permutation tags,
-    shaped (stop - start, 1, 4).  `_block` sizes the blocks to the run."""
+    """PCG64 state rows (`seeding.stream_states`) of the `tag` streams of
+    iterations start up to stop, derived in one pass: (seed, TAG_GRADIENT,
+    k, l) for every learner l, shaped (stop - start, n_learners, 4), or
+    (seed, tag, k) for the clock and permutation tags, shaped (stop - start,
+    1, 4).  `_block` sizes the blocks to the run."""
     k = np.arange(start, stop)
     learners = [np.arange(n_learners)] if tag == seeding.TAG_GRADIENT else []
     index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
-    words = seeding.seed_words((seed, tag), index.reshape(-1, index.shape[-1]))
-    rows = seeding._reseat_rows(words.reshape(stop - start, -1, 4))
+    rows = seeding.stream_states((seed, tag), index.reshape(-1, index.shape[-1]))
+    rows = rows.reshape(stop - start, -1, 4)
     rows.setflags(write=False)
     return rows
 

@@ -258,12 +258,12 @@ def _trial_distances(
     L = T0.shape[0]
     values = np.empty((len(kinds), trials, k_max))
     chunk = max(1, _CHUNK_BYTES // (T0.itemsize * L * L))
-    words = seeding.seed_words((seed, seeding.TAG_TRIAL), np.arange(trials)[:, None])
+    rows = seeding.stream_states((seed, seeding.TAG_TRIAL), np.arange(trials)[:, None])
     labels = np.broadcast_to(np.arange(L), (k_max, L))
     for start in range(0, trials, chunk):
-        rngs = map(seeding.generator, words[start : start + chunk])
         perms = np.empty((min(chunk, trials - start), k_max, L), dtype=np.intp)
-        for i, rng in enumerate(rngs):
+        # One shared Generator: each trial's draw is done before the next reseat.
+        for i, rng in enumerate(seeding._reseated(rows[start : start + chunk])):
             rng.permuted(labels, axis=1, out=perms[i])
         rings = (T0[p[:, :, None], p[:, None, :]] for p in perms.swapaxes(0, 1))
         values[:, start : start + chunk] = _product_distances(rings, U, kinds)

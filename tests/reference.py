@@ -1,15 +1,19 @@
-"""A slow reference simulator of `simulation.run_training`, one learner at a time.
+"""Slow references of the optimized paths: `simulation.run_training`, one
+learner at a time, and the Monte Carlo trials of `spectral`, one trial and
+one step at a time.
 
-It is built only from the public per-stream pieces and follows the
-docstrings, not the optimized loop:
+They are built only from the public per-stream pieces and follow the
+docstrings, not the optimized code:
 
 - learner l's gradient at iteration k is `stochastic_gradient` of its own
   column on the stream `seeding.stream(seed, TAG_GRADIENT, k, l)`;
 - rand_psgd mixes with `conjugate_by_permutation(T0, permutation_for_step
   (L, seed, k))`, and every mixing goes through `apply_mixing`;
-- iteration k's clock is `advance_clock` on `stream(seed, TAG_CLOCK, k)`.
+- iteration k's clock is `advance_clock` on `stream(seed, TAG_CLOCK, k)`;
+- Monte Carlo trial t relabels the ring by `sample_permutation` on its own
+  stream `stream(seed, TAG_TRIAL, t)`.
 
-Tests compare it with `run_training` byte for byte.
+Tests compare them with the optimized paths byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from ringmix.mixing import (
     build_uniform_matrix,
     conjugate_by_permutation,
     permutation_for_step,
+    sample_permutation,
 )
 from ringmix.objectives import BatchDescriptor
 from ringmix.simulation import (
@@ -35,7 +40,7 @@ from ringmix.simulation import (
     advance_clock,
     consensus_distance,
 )
-from ringmix.spectral import second_eigenvalue_ring
+from ringmix.spectral import frobenius_norm, second_eigenvalue_ring, spectral_norm
 
 
 def _gradients(oracle, Phi, cfg, k):
@@ -107,3 +112,20 @@ def run_training(strategy, oracle, cfg) -> RunResult:
     if state.iteration != (records[-1].iteration if records else 0):
         records.append(_record(oracle, state.weights, state.iteration, state.sim_time_s, rho))
     return RunResult(records=tuple(records), diverged=diverged, state=state)
+
+
+def trial_distances(L, k_max, trials, seed, norm_kind):
+    """Each Monte Carlo trial's distance from consensus after each step,
+    shaped (trials, k_max): one trial, one step and one 2-d norm at a time."""
+    T0 = build_ring_matrix(L)
+    U = build_uniform_matrix(L)
+    measure = spectral_norm if norm_kind == "spectral" else frobenius_norm
+    values = np.empty((trials, k_max))
+    for t in range(trials):
+        rng = seeding.stream(seed, seeding.TAG_TRIAL, t)
+        product = np.eye(L)
+        for k in range(k_max):
+            Tk = conjugate_by_permutation(T0, sample_permutation(L, rng))
+            product = product @ Tk
+            values[t, k] = measure(product - U)
+    return values

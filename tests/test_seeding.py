@@ -10,10 +10,10 @@ from ringmix.seeding import (
     TAG_GRADIENT,
     TAG_INIT,
     TAG_PERMUTATION,
-    generator,
     seed_sequence,
     seed_words,
     stream,
+    stream_states,
 )
 
 
@@ -79,10 +79,11 @@ def _index_rows(draw):
 )
 def test_batched_states_draw_bit_identical_to_stream(prefix, rows, d, n, b):
     words = seed_words(prefix, rows)
-    for j, row in enumerate(rows.tolist()):
+    reseated = seeding._reseated(stream_states(prefix, rows))
+    for j, (row, rng) in enumerate(zip(rows.tolist(), reseated, strict=True)):
         expected_words = seed_sequence(*prefix, *row).generate_state(4, np.uint64)
         assert np.array_equal(words[j], expected_words)
-        _assert_same_draws(generator(words[j]), stream(*prefix, *row), d, n, b)
+        _assert_same_draws(rng, stream(*prefix, *row), d, n, b)
 
 
 def _assert_same_draws(rng, ref, d, n, b):
@@ -98,9 +99,9 @@ def _assert_same_draws(rng, ref, d, n, b):
 
 
 def test_reseat_passes_its_guard_here():
-    # Otherwise every stream falls back to `generator`, and the property
-    # below tests that path only.
-    assert seeding._shared_generator() is not None
+    # Otherwise every stream falls back to the state setter, and the
+    # properties here test that path only.
+    assert seeding._shared_rng()[1] is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,9 +114,8 @@ def test_reseat_passes_its_guard_here():
     leftover=st.integers(0, 3),
 )
 def test_reseated_streams_draw_bit_identical_to_stream(prefix, rows, d, n, b, leftover):
-    words = seed_words(prefix, rows)
     taken = []
-    reseated = seeding._reseated(seeding._reseat_rows(words))
+    reseated = seeding._reseated(stream_states(prefix, rows))
     for row, rng in zip(rows.tolist(), reseated, strict=True):
         ref = stream(*prefix, *row)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -126,64 +126,35 @@ def test_reseated_streams_draw_bit_identical_to_stream(prefix, rows, d, n, b, le
     assert all(rng is taken[0] for rng in taken)
 
 
-def _clear_reseat_caches():
-    # The training loop's cached rows are states or words as the guard decided.
-    seeding._shared_generator.cache_clear()
-    simulation._stream_block.cache_clear()
-
-
-@pytest.fixture
-def failed_guard(monkeypatch):
-    """Force the reseat's guard to fail; returns the Generators `generator` builds."""
-    _clear_reseat_caches()
-    monkeypatch.setattr(seeding, "_reseat_guard", lambda rng, state, half_word: False)
-    built = []
-
-    def recorded_generator(words):
-        built.append(generator(words))
-        return built[-1]
-
-    monkeypatch.setattr(seeding, "generator", recorded_generator)
-    yield built
-    _clear_reseat_caches()
-
-
-def test_reseat_falls_back_to_generator_when_its_guard_fails(failed_guard):
-    built = failed_guard
+def test_reseat_falls_back_to_the_state_setter_when_its_guard_fails(failed_guard):
     rows = np.array([[k, l] for k in (0, 1, 70) for l in range(3)])
-    words = seed_words((9, TAG_GRADIENT), rows)
-    assert seeding._reseat_rows(words) is words  # the words, unconverted
-    assert np.array_equal(words, seed_words((9, TAG_GRADIENT), rows))
-    taken = list(seeding._reseated(words))
-    assert len(built) == len(rows) and all(a is b for a, b in zip(taken, built))
-    for row, rng in zip(rows.tolist(), taken):
-        _assert_same_draws(rng, stream(9, TAG_GRADIENT, *row), 5, 2**40, 3)
+    reseated = seeding._reseated(stream_states((9, TAG_GRADIENT), rows))
+    for row, rng in zip(rows.tolist(), reseated, strict=True):
+        ref = stream(9, TAG_GRADIENT, *row)
+        assert rng is seeding._shared_rng()[0]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        _assert_same_draws(rng, ref, 5, 2**40, 3)
+        rng.integers(0, 2**32, 1)  # a cached half-word for the next reseat to clear
+    assert len(failed_guard) == len(rows)
 
 
 def test_training_is_unchanged_when_the_reseat_falls_back(request):
     oracle = quadratic_oracle(dimension=3, noise_scale=1.0, seed=4)
     cfg = simulation.RunConfig(n_learners=4, iterations=66, lr=0.1, batch_size=2, seed=8)
     fast = simulation.run_training(simulation.Strategy.RAND_PSGD, oracle, cfg)
-    built = request.getfixturevalue("failed_guard")
+    reseats = request.getfixturevalue("failed_guard")
     fallback = simulation.run_training(simulation.Strategy.RAND_PSGD, oracle, cfg)
     # Each iteration: one stream per learner, the permutation and the clock.
-    assert len(built) == cfg.iterations * (cfg.n_learners + 2)
+    assert len(reseats) == cfg.iterations * (cfg.n_learners + 2)
     assert fallback.records == fast.records
-    assert np.array_equal(fallback.state.weights, fast.state.weights)
+    for field in ("weights", "prev_weights", "last_gradients", "compute_time_s"):
+        assert getattr(fallback.state, field).tobytes() == getattr(fast.state, field).tobytes()
 
 
 def test_reseat_guard_rejects_a_write_that_misses_the_state():
-    rng = generator(seed_words((1,), np.zeros((1, 0), dtype=np.int64))[0])
+    rng = stream(1)
     rng.integers(0, 2**32, 1)  # caches a half-word
     assert not seeding._reseat_guard(rng, np.zeros(4, np.uint64), np.zeros(1, np.uint64))
-
-
-def test_seed_words_serve_pcg64_only():
-    words = seed_words((1, TAG_GRADIENT), np.array([[0, 0]]))[0]
-    with pytest.raises(ValueError, match="PCG64"):
-        np.random.MT19937(generator(words).bit_generator.seed_seq)
-    with pytest.raises(ValueError, match="four seed words"):
-        generator(words[:3])
 
 
 def test_seed_words_rejects_wide_or_negative_indices():

@@ -1,9 +1,7 @@
-import importlib.util
 import math
 import re
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,14 +37,6 @@ from ringmix.simulation import (
     step_spsgd,
 )
 from ringmix.spectral import second_eigenvalue_ring
-
-# Loaded by path, not as `reference`, which would shadow perfbench's module
-# of that name when both suites run in one session.
-_spec = importlib.util.spec_from_file_location(
-    "reference_simulator", Path(__file__).with_name("reference.py")
-)
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
 
 
 def _oracle(d=6, noise=1.0, seed=2):
@@ -195,7 +185,7 @@ def test_rand_psgd_matches_manual_conjugation():
 
 def test_rand_psgd_permutations_equal_permutation_for_step_across_blocks():
     # step_rand_psgd takes its permutation stream from the cached block of
-    # seed words; mixing.permutation_for_step is the reference.
+    # stream states; mixing.permutation_for_step is the reference.
     oracle = _oracle()
     for L, seed in ((5, 11), (8, 2**40 + 9)):
         cfg = _cfg(n_learners=L, seed=seed, staleness_mode="sync")
@@ -536,7 +526,7 @@ def test_run_training_is_identical_under_any_row_budget(strategy, run):
 
 @settings(max_examples=50, deadline=None)
 @given(run=_runs(max_iterations=20))
-def test_run_training_equals_the_one_learner_at_a_time_reference(run):
+def test_run_training_equals_the_one_learner_at_a_time_reference(reference, run):
     # tests/reference.py steps each learner on its own public stream; every
     # strategy's records, diverged flag, state and clock overflow must match.
     oracle, cfg = run

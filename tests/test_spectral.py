@@ -12,9 +12,7 @@ from ringmix.mixing import (
     build_ring_matrix,
     build_uniform_matrix,
     conjugate_by_permutation,
-    sample_permutation,
 )
-from ringmix.seeding import TAG_TRIAL, stream
 from ringmix.spectral import (
     expected_gram,
     fixed_consensus_curve,
@@ -163,23 +161,6 @@ def test_norm_helpers():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
-def _trial_by_trial(L, k_max, trials, seed, norm_kind):
-    """Reference Monte Carlo loop: one trial, one step and one 2-d norm at
-    a time."""
-    T0 = build_ring_matrix(L)
-    U = build_uniform_matrix(L)
-    measure = spectral_norm if norm_kind == "spectral" else frobenius_norm
-    values = np.empty((trials, k_max))
-    for t in range(trials):
-        rng = stream(seed, TAG_TRIAL, t)
-        product = np.eye(L)
-        for k in range(k_max):
-            Tk = conjugate_by_permutation(T0, sample_permutation(L, rng))
-            product = product @ Tk
-            values[t, k] = measure(product - U)
-    return values
-
-
 def _curve_bytes(curve):
     arrays = (curve.steps, curve.distances, curve.halfwidths,
               curve.squared_distances, curve.squared_halfwidths)
@@ -197,7 +178,7 @@ def _curve_bytes(curve):
     seed=st.one_of(st.integers(0, 50), st.integers(2**32, 2**64)),
     data=st.data(),
 )
-def test_batched_monte_carlo_equals_trial_by_trial_loop(L, k_max, kinds, seed, data):
+def test_batched_monte_carlo_equals_trial_by_trial_loop(reference, L, k_max, kinds, seed, data):
     # Chunks of the real byte budget, and of one to three trials so that
     # small rings cross chunk boundaries too.
     budget_chunk = max(1, spectral._CHUNK_BYTES // (8 * L * L))
@@ -211,7 +192,25 @@ def test_batched_monte_carlo_equals_trial_by_trial_loop(L, k_max, kinds, seed, d
         separate = [monte_carlo_consensus(L, k_max, trials, seed, norm_kind=k) for k in kinds]
     assert values.shape == (len(kinds), trials, k_max)
     for kind, row, curve, alone in zip(kinds, values, one_pass, separate):
-        expected = _trial_by_trial(L, k_max, trials, seed, kind)
+        expected = reference.trial_distances(L, k_max, trials, seed, kind)
         assert row.tobytes() == expected.tobytes()
         assert curve.distances.tobytes() == expected.mean(axis=0).tobytes()
         assert _curve_bytes(curve) == _curve_bytes(alone)
+
+
+@pytest.mark.parametrize("L", [8, 46])  # 46: one trial per chunk
+def test_monte_carlo_is_unchanged_when_the_reseat_falls_back(request, L):
+    k_max, trials, seed, kinds = 4, 5, 11, ("spectral", "frobenius")
+
+    def outputs():
+        values = spectral._trial_distances(
+            build_ring_matrix(L), build_uniform_matrix(L), k_max, trials, seed, kinds
+        )
+        curves = [monte_carlo_consensus(L, k_max, trials, seed, norm_kind=k) for k in kinds]
+        return values.tobytes(), [_curve_bytes(curve) for curve in curves]
+
+    fast = outputs()
+    reseats = request.getfixturevalue("failed_guard")
+    assert outputs() == fast
+    # One reseat per trial stream, in each of the three passes.
+    assert len(reseats) == 3 * trials
