@@ -25,7 +25,7 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
     seed = 0
     condition_number = 10.0                     ; quadratic only
     noise_scale = 1.0                           ; quadratic only
-    n_samples = 512                             ; logistic only
+    n_samples = 512                             ; logistic only; >= sharded learners
     separation = 2.0                            ; logistic only
     ridge = 0.0001                              ; logistic only
 
@@ -117,6 +117,7 @@ class ExperimentConfig:
         if len(set(self.learner_counts)) != len(self.learner_counts):
             raise ConfigError("[experiment] learners: duplicate count")
         needs_ring = any(s.uses_ring for s in self.strategies)
+        sharded = self.oracle_kind == "logistic" and self.data_partition == "sharded"
         for L in self.learner_counts:
             if needs_ring and L < 3:
                 raise ConfigError(
@@ -132,6 +133,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"[cost_model] straggler_count: {self.straggler_count} exceeds learners={L}"
                 )
+            if sharded and L > self.n_samples:  # else a learner's shard holds no sample
+                raise ConfigError(f"[experiment] learners: sharded data needs learners <= "
+                                  f"n_samples={self.n_samples}, got {L}")
 
     def per_learner_batch(self, n_learners: int) -> int:
         if self.batch_mode == "per-learner-fixed":

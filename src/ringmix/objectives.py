@@ -20,11 +20,9 @@ randomness does not depend on the model.  `draw(rngs, n, batch_size,
 shards)` makes n learners' draws (standard normals for the quadratic,
 minibatch sample indices for the logistic), each in full from its own
 rng before the next is taken, so the rngs may be one reseated Generator;
-`gradients(Phi, draws, batch_size)` does the math on them.
-`stochastic_gradients` is the two in turn; the training loop draws a
-whole stream block's draws first.
-
-A minibatch is identified by a BatchDescriptor; the same descriptor
+`gradients(Phi, draws, batch_size)` does the math on them.  The training
+loop draws a whole stream block's draws first.  `stochastic_gradient(w,
+rng, batch_size, shard)` is the two on one column: the same rng state
 always yields the same samples and the same gradient, bit for bit.
 `gradient_check` closes the loop between the loss and gradient code
 paths with central finite differences.
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,25 +47,6 @@ _CHUNK_BYTES = 32 * 1024
 _Shards = Sequence[tuple[int, int] | None] | None
 
 
-@dataclass(frozen=True)
-class BatchDescriptor:
-    """Identity of one minibatch: its size and its sample stream.
-
-    sample_seed is an entropy tuple in the library-wide counter-based
-    scheme; equal descriptors reproduce the exact same draw.
-    """
-
-    batch_size: int
-    sample_seed: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def rng(self) -> np.random.Generator:
-        return seeding.stream(*self.sample_seed)
-
-
 def _at_least(name: str, value: float, low: float) -> float:
     """`value` as a float; raise, naming it, unless it is finite and >= low
     (written so that NaN fails too)."""
@@ -81,6 +59,15 @@ def _at_least(name: str, value: float, low: float) -> float:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form is stable for large |z| in both directions
     return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _one_gradient(oracle, w: np.ndarray, rng, batch_size: int, shard) -> np.ndarray:
+    """`oracle`'s stochastic gradient at w: one learner's `draw` from rng,
+    then `gradients` on w as the one column."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    draws = oracle.draw([rng], 1, batch_size, [shard])
+    return oracle.gradients(np.asarray(w, dtype=float)[:, None], draws, batch_size)[:, 0]
 
 
 class QuadraticObjective:
@@ -108,19 +95,8 @@ class QuadraticObjective:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.eigenvalues * (np.asarray(w, dtype=float) - self.optimum)
 
-    def stochastic_gradient(
-        self, w: np.ndarray, batch: BatchDescriptor, shard: tuple[int, int] | None = None
-    ) -> np.ndarray:
-        column = np.asarray(w, dtype=float)[:, None]
-        return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
-
-    def stochastic_gradients(
-        self, Phi: np.ndarray, batch_size: int, rngs: Iterable[np.random.Generator],
-        shards: _Shards = None,
-    ) -> np.ndarray:
-        """Stochastic gradients of the columns of Phi, column l drawing from the l-th rng."""
-        draws = self.draw(rngs, np.shape(Phi)[1], batch_size, shards)
-        return self.gradients(Phi, draws, batch_size)
+    def stochastic_gradient(self, w: np.ndarray, rng, batch_size: int, shard=None) -> np.ndarray:
+        return _one_gradient(self, w, rng, batch_size, shard)
 
     def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
              shards: _Shards = None) -> np.ndarray:
@@ -181,22 +157,14 @@ class LogisticObjective:
         index, count = shard
         if not 0 <= index < count:
             raise ValueError(f"shard index {index} outside 0..{count - 1}")
-        return index + count * rng.integers(0, len(range(index, self.n_samples, count)), batch_size)
+        size = len(range(index, self.n_samples, count))
+        if not size:
+            raise ValueError(f"shard {index} of {count} holds no sample "
+                             f"(n_samples = {self.n_samples})")
+        return index + count * rng.integers(0, size, batch_size)
 
-    def stochastic_gradient(
-        self, w: np.ndarray, batch: BatchDescriptor, shard: tuple[int, int] | None = None
-    ) -> np.ndarray:
-        column = np.asarray(w, dtype=float)[:, None]
-        return self.stochastic_gradients(column, batch.batch_size, [batch.rng()], [shard])[:, 0]
-
-    def stochastic_gradients(
-        self, Phi: np.ndarray, batch_size: int, rngs: Iterable[np.random.Generator],
-        shards: _Shards = None,
-    ) -> np.ndarray:
-        """Stochastic gradients of the columns of Phi, column l sampling its
-        minibatch with the l-th rng from its shard (all data when None)."""
-        draws = self.draw(rngs, np.shape(Phi)[1], batch_size, shards)
-        return self.gradients(Phi, draws, batch_size)
+    def stochastic_gradient(self, w: np.ndarray, rng, batch_size: int, shard=None) -> np.ndarray:
+        return _one_gradient(self, w, rng, batch_size, shard)
 
     def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
              shards: _Shards = None) -> np.ndarray:

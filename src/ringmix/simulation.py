@@ -318,8 +318,6 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
     L = cfg.n_learners
-    if mixing == "none" and np.any(W != W[:, :1]):
-        raise ValueError("SPSGD requires identical weights on all learners")
     if L == 3 and strategy.uses_ring:
         mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
     G = oracle.gradients(W_prev if gradient == "stale" else W, draws, cfg.batch_size)
@@ -338,8 +336,10 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
     """One iteration of `strategy` on `state`: `_update` on a one-iteration
-    block of draws."""
+    block of draws.  SPSGD's one model must be the same in every column."""
     k, W = state.iteration, state.weights
+    if strategy.mixing == "none" and np.any(W != W[:, :1]):
+        raise ValueError("SPSGD requires identical weights on all learners")
     [(draws, perm)] = _draws(oracle, cfg, k, 1, strategy.mixing == "relabelled")
     W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws, perm)
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)

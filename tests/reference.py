@@ -1,12 +1,16 @@
-"""Slow references of the optimized paths: `simulation.run_training`, one
-learner at a time, and the Monte Carlo trials of `spectral`, one trial and
-one step at a time.
+"""Slow references of the optimized paths: `simulation.run_training` and
+the stacked logistic gradients, one learner at a time, and the Monte Carlo
+trials of `spectral`, one trial and one step at a time.
 
-They are built only from the public per-stream pieces and follow the
-docstrings, not the optimized code:
+They are built from the per-stream pieces (public, except the logistic
+`_sample_indices` and `_sigmoid`) and follow the docstrings, not the
+optimized code:
 
 - learner l's gradient at iteration k is `stochastic_gradient` of its own
-  column on the stream `seeding.stream(seed, TAG_GRADIENT, k, l)`;
+  column on the stream `seeding.stream(seed, TAG_GRADIENT, k, l)`
+  (`gradient_matrix`);
+- a logistic minibatch gradient is written out by hand, one learner at a
+  time, from `_sample_indices` (`logistic_gradients`);
 - rand_psgd mixes with `conjugate_by_permutation(T0, permutation_for_step
   (L, seed, k))`, and every mixing goes through `apply_mixing`;
 - iteration k's clock is `advance_clock` on `stream(seed, TAG_CLOCK, k)`;
@@ -31,7 +35,7 @@ from ringmix.mixing import (
     permutation_for_step,
     sample_permutation,
 )
-from ringmix.objectives import BatchDescriptor
+from ringmix.objectives import _sigmoid
 from ringmix.simulation import (
     DIVERGENCE_THRESHOLD,
     RunResult,
@@ -43,15 +47,35 @@ from ringmix.simulation import (
 from ringmix.spectral import frobenius_norm, second_eigenvalue_ring, spectral_norm
 
 
-def _gradients(oracle, Phi, cfg, k):
-    """Each learner's stochastic gradient at its column of Phi, one by one."""
+def gradient_matrix(oracle, Phi, cfg, k):
+    """Each learner's stochastic gradient at its column of Phi at iteration
+    k, one by one."""
     L = cfg.n_learners
     columns = []
     for l in range(L):
-        batch = BatchDescriptor(cfg.batch_size, (cfg.seed, seeding.TAG_GRADIENT, k, l))
+        rng = seeding.stream(cfg.seed, seeding.TAG_GRADIENT, k, l)
         shard = (l, L) if cfg.data_partition == "sharded" else None
-        columns.append(oracle.stochastic_gradient(Phi[:, l], batch, shard))
+        columns.append(oracle.stochastic_gradient(Phi[:, l], rng, cfg.batch_size, shard))
     return np.stack(columns, axis=1)
+
+
+def logistic_gradients(oracle, Phi, batch_size, rngs, shards=None):
+    """A logistic oracle's minibatch gradients of the columns of Phi as a
+    learner-by-learner loop, column l sampling with the l-th rng from the
+    l-th shard: the reference the stacked `gradients` must match bit for bit."""
+    Phi = np.asarray(Phi, dtype=float)
+    G = np.empty_like(Phi)
+    if shards is None:
+        shards = [None] * Phi.shape[1]
+    for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
+        w = Phi[:, l]
+        picks = oracle._sample_indices(rng, batch_size, shard)
+        X = oracle.features[picks]
+        y = oracle.labels[picks]
+        margins = y * (X @ w)
+        coeff = -y * _sigmoid(-margins)
+        G[:, l] = (X.T @ coeff) / batch_size + oracle.ridge * w
+    return G
 
 
 def _record(oracle, W, iteration, sim_time_s, rho):
@@ -79,7 +103,7 @@ def run_training(strategy, oracle, cfg) -> RunResult:
         strategy.value == "rand_psgd" and cfg.staleness_mode == "async")
     records, diverged = [], False
     for k in range(cfg.iterations):
-        G = _gradients(oracle, state.prev_weights if stale else state.weights, cfg, k)
+        G = gradient_matrix(oracle, state.prev_weights if stale else state.weights, cfg, k)
         lr = cfg.lr * (k + 1) / cfg.warmup_iters if k < cfg.warmup_iters else cfg.lr
         W = state.weights
         with np.errstate(over="ignore", invalid="ignore"):

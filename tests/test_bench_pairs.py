@@ -69,6 +69,31 @@ def test_verdict_against_the_parents_iqr_and_the_bound(change, better, bound, mo
     assert bench_pairs.verdict(_PARENT, change, better, bound, more_failed) == expected
 
 
+def _counted(work, attempted, failed):
+    return {"correct": True, "attempted": attempted, "failed": failed,
+            "metrics": {"work_per_s": work}}
+
+
+@pytest.mark.parametrize("attempted, failed, share, expected", [
+    # against the parent's 1 of 100: 1 of 150 is a smaller share, 2 of 100 a larger
+    ([15] * 10, [1] + [0] * 9, 1 / 150, "gain"),
+    ([10] * 10, [1, 1] + [0] * 8, 2 / 100, "unchanged"),
+    # where counts and shares disagree, the share decides: more failures at a
+    # smaller share (2 of 300), and as many at a larger share (1 of 50)
+    ([30] * 10, [1, 1] + [0] * 8, 2 / 300, "gain"),
+    ([5] * 10, [1] + [0] * 9, 1 / 50, "unchanged"),
+], ids=["smaller_share", "larger_share", "more_failed_smaller_share", "as_many_larger_share"])
+def test_summary_compares_failed_shares_not_counts(attempted, failed, share, expected):
+    runs = [
+        {"seed": i, "first": "parent", "parent": _counted(p, 10, int(i == 0)),
+         "change": _counted(p + 5.0, attempted[i], failed[i])}
+        for i, p in enumerate(_PARENT)
+    ]
+    out = bench_pairs.summarise(runs, {"work_per_s": ("higher", 0.15)})
+    assert out["failed_share"] == {"parent": 1 / 100, "change": share}
+    assert out["metrics"]["work_per_s"]["verdict"] == expected
+
+
 # Median 100, inclusive quartiles 94 and 100 (an IQR of 6), highest run 100.2.
 _WIDE_PARENT = [90.0, 91.0, 92.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.2]
 

@@ -102,7 +102,14 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     # Both pass; the exchange time 2 m / b overflows, and CostModel rejects it.
     (GOOD + "[cost_model]\nmessage_size_mb = 1e300\nbandwidth_gbps = 1e-200\n",
      "message_size_bytes, bandwidth_bytes_per_s: exchange time must be finite"),
-], ids=["condition_number", "message_and_bandwidth", "bandwidth_overflow", "exchange_overflow"])
+    # Each of 6 learners holds one of the 6 samples, but learner 6 of 7 would
+    # draw from an empty shard; the sweep is refused before its first cell.
+    (GOOD.replace("learners = 4", "learners = 6, 7\ndata_partition = sharded")
+     .replace("kind = quadratic", "kind = logistic")
+     .replace("condition_number = 5.0\nnoise_scale = 1.0", "n_samples = 6"),
+     "[experiment] learners: sharded data needs learners <= n_samples=6, got 7"),
+], ids=["condition_number", "message_and_bandwidth", "bandwidth_overflow", "exchange_overflow",
+        "sharded_more_learners_than_samples"])
 def test_run_rejected_value_exits_one_and_writes_nothing(tmp_path, capsys, text, message):
     cfg_file = tmp_path / "exp.ini"
     cfg_file.write_text(text)

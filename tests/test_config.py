@@ -410,11 +410,14 @@ def valid_fields(draw) -> dict:
     else:
         batch_size = draw(st.integers(1, 10**6))
     kind = draw(st.sampled_from(["quadratic", "logistic"]))
+    data_partition = draw(st.sampled_from(["shared", "sharded"]))
     if kind == "quadratic":
         oracle = dict(condition_number=draw(_float_values(1, True)),
                       noise_scale=draw(_float_values(0, True)))
     else:
-        oracle = dict(n_samples=draw(st.integers(2, 10**6)),
+        # Each sharded learner needs a sample of its own.
+        fewest = max(2, *learners) if data_partition == "sharded" else 2
+        oracle = dict(n_samples=draw(st.integers(fewest, 10**6)),
                       separation=draw(_float_values(0, True)),
                       ridge=draw(_float_values(0, True)))
     return dict(
@@ -429,7 +432,7 @@ def valid_fields(draw) -> dict:
         warmup_iters=draw(st.integers(0, 10**6)),
         staleness_mode=draw(st.sampled_from(["sync", "async"])),
         init_scale=draw(_float_values(0, True)),
-        data_partition=draw(st.sampled_from(["shared", "sharded"])),
+        data_partition=data_partition,
         log_every=draw(st.integers(1, 1000)),
         oracle_kind=kind,
         dimension=draw(st.integers(1, 4096)),
@@ -510,7 +513,8 @@ def broken(draw, values: dict) -> dict:
               if k != "learners" and FIELD_OF[s, k] not in OUT_OF_SCOPE.get(kind, ())]
     rule = draw(st.sampled_from(["range", "choice", "no_strategies", "duplicate_strategy",
                                  "no_learners", "duplicate_learners", "learners_below_1",
-                                 "ring_below_3", "indivisible_total", "stragglers"]))
+                                 "ring_below_3", "indivisible_total", "stragglers",
+                                 "empty_shard"]))
     if rule == "range":
         name, op, bound, type_ = draw(st.sampled_from(ranges))
         v[name] = draw(_out_of_range(op, bound, type_))
@@ -537,8 +541,14 @@ def broken(draw, values: dict) -> dict:
         v["learner_counts"] += (count,)
         v["batch_mode"] = "total-fixed"
         v["batch_size"] = count * draw(st.integers(0, 50)) + draw(st.integers(1, count - 1))
-    else:
+    elif rule == "stragglers":
         v["straggler_count"] = min(v["learner_counts"], default=0) + draw(st.integers(1, 10))
+    else:
+        # Sharded logistic data with more learners than samples.
+        v = {name: x for name, x in v.items() if name not in OUT_OF_SCOPE["logistic"]}
+        n_samples = draw(st.integers(2, 64))
+        v.update(oracle_kind="logistic", data_partition="sharded", n_samples=n_samples)
+        v["learner_counts"] += (n_samples + draw(st.integers(1, 10)),)
     return v
 
 

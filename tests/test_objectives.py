@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from ringmix import objectives
 from ringmix.objectives import (
-    BatchDescriptor,
     LogisticObjective,
     QuadraticObjective,
-    _sigmoid,
     gradient_check,
     logistic_oracle,
     quadratic_oracle,
 )
 from ringmix.seeding import stream
+from ringmix.simulation import RunConfig, Strategy, run_training
 
 
 def test_quadratic_oracle_spectrum():
@@ -87,31 +86,31 @@ def test_loss_columns_matches_per_column_loss():
 def test_quadratic_stochastic_gradient_noise_free_limit():
     oracle = quadratic_oracle(dimension=5, condition_number=4.0, seed=4, noise_scale=0.0)
     w = stream(3, 2).standard_normal(5)
-    batch = BatchDescriptor(8, (1, 0, 0, 0))
-    assert np.array_equal(oracle.stochastic_gradient(w, batch), oracle.gradient(w))
+    assert np.array_equal(oracle.stochastic_gradient(w, stream(1, 0, 0, 0), 8), oracle.gradient(w))
 
 
 def test_quadratic_stochastic_gradient_replays_and_averages_out():
     oracle = quadratic_oracle(dimension=8, condition_number=10.0, seed=2, noise_scale=1.0)
     w = stream(3, 3).standard_normal(8)
-    b = BatchDescriptor(4, (1, 0, 5, 2))
-    g1 = oracle.stochastic_gradient(w, b)
-    g2 = oracle.stochastic_gradient(w, b)
+    g1 = oracle.stochastic_gradient(w, stream(1, 0, 5, 2), 4)
+    g2 = oracle.stochastic_gradient(w, stream(1, 0, 5, 2), 4)
     assert np.array_equal(g1, g2)
     # Noise sd per coordinate is noise_scale / sqrt(batch); the average
     # of n independent draws concentrates around the exact gradient.
     n = 4000
     acc = np.zeros(8)
     for i in range(n):
-        acc += oracle.stochastic_gradient(w, BatchDescriptor(4, (1, 0, i, 0)))
+        acc += oracle.stochastic_gradient(w, stream(1, 0, i, 0), 4)
     dev = np.abs(acc / n - oracle.gradient(w))
     se = 1.0 / np.sqrt(4) / np.sqrt(n)
     assert dev.max() <= 5 * se
 
 
-def test_batch_descriptor_validation():
-    with pytest.raises(ValueError):
-        BatchDescriptor(0, (1, 2))
+@pytest.mark.parametrize("oracle", [quadratic_oracle(3), logistic_oracle(3, 8, 1.0)],
+                         ids=["quadratic", "logistic"])
+def test_stochastic_gradient_rejects_an_empty_batch(oracle):
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
+        oracle.stochastic_gradient(np.zeros(3), stream(1, 2), batch_size=0)
 
 
 def test_logistic_oracle_shape_and_balance():
@@ -156,7 +155,7 @@ def test_logistic_stochastic_gradient_unbiased_on_full_pool():
     n = 3000
     acc = np.zeros(5)
     for i in range(n):
-        acc += oracle.stochastic_gradient(w, BatchDescriptor(4, (2, 0, i, 0)))
+        acc += oracle.stochastic_gradient(w, stream(2, 0, i, 0), 4)
     dev = np.linalg.norm(acc / n - oracle.gradient(w))
     assert dev <= 0.05
 
@@ -170,26 +169,8 @@ def test_logistic_shard_restricts_sampling():
     feats[mask] = 0.0
     shard_oracle = LogisticObjective(feats, oracle.labels, ridge=0.0)
     w = stream(4, 3).standard_normal(4)
-    g = shard_oracle.stochastic_gradient(w, BatchDescriptor(6, (3, 0, 0, 0)), shard=(1, 2))
+    g = shard_oracle.stochastic_gradient(w, stream(3, 0, 0, 0), 6, shard=(1, 2))
     assert np.array_equal(g, np.zeros(4))
-
-
-def _per_learner_gradients(oracle, Phi, batch_size, rngs, shards=None):
-    """LogisticObjective.stochastic_gradients as a learner-by-learner loop:
-    the reference the stacked version must match bit for bit."""
-    Phi = np.asarray(Phi, dtype=float)
-    G = np.empty_like(Phi)
-    if shards is None:
-        shards = [None] * Phi.shape[1]
-    for l, (rng, shard) in enumerate(zip(rngs, shards, strict=True)):
-        w = Phi[:, l]
-        picks = oracle._sample_indices(rng, batch_size, shard)
-        X = oracle.features[picks]
-        y = oracle.labels[picks]
-        margins = y * (X @ w)
-        coeff = -y * _sigmoid(-margins)
-        G[:, l] = (X.T @ coeff) / batch_size + oracle.ridge * w
-    return G
 
 
 @st.composite
@@ -211,20 +192,19 @@ def _logistic_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_logistic_cases())
-def test_logistic_stacked_gradients_match_per_learner_loop(case):
+def test_logistic_stacked_gradients_match_per_learner_loop(reference, case):
     L, sharded, n_samples, batch_size, d, layout, budget, seed = case
     oracle = logistic_oracle(dimension=d, n_samples=n_samples, separation=1.5, seed=seed)
     base = stream(seed, 1).standard_normal((d, 2 * L))
     Phi = {"C": np.ascontiguousarray(base[:, :L]), "F": np.asfortranarray(base[:, :L]),
            "strided": base[:, ::2]}[layout]
     shards = [(l, L) for l in range(L)] if sharded else None
-    expected = _per_learner_gradients(
+    expected = reference.logistic_gradients(
         oracle, Phi, batch_size, [stream(seed, 2, l) for l in range(L)], shards
     )
+    draws = oracle.draw((stream(seed, 2, l) for l in range(L)), L, batch_size, shards)
     with mock.patch.object(objectives, "_CHUNK_BYTES", budget):
-        G = oracle.stochastic_gradients(
-            Phi, batch_size, (stream(seed, 2, l) for l in range(L)), shards
-        )
+        G = oracle.gradients(Phi, draws, batch_size)
     assert G.shape == expected.shape
     assert G.tobytes() == expected.tobytes()
 
@@ -236,7 +216,15 @@ def test_logistic_validation():
         LogisticObjective(np.zeros((4, 2)), np.array([1.0, 1.0, -1.0, 2.0]))
     oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
     with pytest.raises(ValueError, match="shard index"):
-        oracle.stochastic_gradient(np.zeros(3), BatchDescriptor(2, (0,)), shard=(5, 4))
+        oracle.stochastic_gradient(np.zeros(3), stream(0), 2, shard=(5, 4))
+    # Shard 8 of 9 would sample from range(8, 8, 9): no sample at all.
+    with pytest.raises(ValueError, match=r"^shard 8 of 9 holds no sample \(n_samples = 8\)$"):
+        oracle.stochastic_gradient(np.zeros(3), stream(0), 2, shard=(8, 9))
+    # A sharded run with more learners than samples names its first empty shard.
+    cfg = RunConfig(n_learners=10, iterations=2, lr=0.1, batch_size=2, seed=0,
+                    data_partition="sharded")
+    with pytest.raises(ValueError, match=r"^shard 8 of 10 holds no sample"):
+        run_training(Strategy.D1D, oracle, cfg)
 
 
 def test_evaluate_loss_and_gradient_check_validation():

@@ -15,8 +15,8 @@ from ringmix.mixing import (
     build_uniform_matrix,
     permutation_for_step,
 )
-from ringmix.objectives import BatchDescriptor, logistic_oracle, quadratic_oracle
-from ringmix.seeding import TAG_CLOCK, TAG_GRADIENT, stream
+from ringmix.objectives import logistic_oracle, quadratic_oracle
+from ringmix.seeding import TAG_CLOCK, stream
 from ringmix.simulation import (
     DIVERGENCE_THRESHOLD,
     CostModel,
@@ -79,43 +79,25 @@ def test_gradient_matrix_is_strategy_free_and_replays():
 
 
 @pytest.mark.parametrize("partition", ["shared", "sharded"])
-def test_gradient_matrix_equals_per_learner_streams_across_blocks(partition):
+def test_gradient_matrix_equals_per_learner_streams_across_blocks(reference, partition):
     # gradient_matrix derives its learners' states a block of iterations at
-    # a time; per-learner BatchDescriptor streams are the reference.
+    # a time; the reference's per-learner streams are drawn one by one.
     cfg = _cfg(n_learners=3, seed=2**40 + 1, data_partition=partition)
     Phi = stream(8, 0).standard_normal((4, 3))
     for oracle in (_oracle(d=4), logistic_oracle(dimension=4, n_samples=30, separation=1.0)):
         for k in (0, 63, 64, 130, 63):
-            expected = np.stack(
-                [
-                    oracle.stochastic_gradient(
-                        Phi[:, l],
-                        BatchDescriptor(cfg.batch_size, (cfg.seed, TAG_GRADIENT, k, l)),
-                        (l, 3) if partition == "sharded" else None,
-                    )
-                    for l in range(3)
-                ],
-                axis=1,
-            )
+            expected = reference.gradient_matrix(oracle, Phi, cfg, k)
             assert np.array_equal(gradient_matrix(oracle, Phi, cfg, k), expected)
 
 
-def test_spsgd_matches_hand_rolled_update():
+def test_spsgd_matches_hand_rolled_update(reference):
     oracle = _oracle()
     cfg = _cfg()
     state = initial_state(oracle, cfg)
     w = state.weights[:, 0].copy()
     for k in range(3):
         state = step_spsgd(state, oracle, cfg)
-        G = np.stack(
-            [
-                oracle.stochastic_gradient(
-                    w, BatchDescriptor(cfg.batch_size, (cfg.seed, TAG_GRADIENT, k, l))
-                )
-                for l in range(cfg.n_learners)
-            ],
-            axis=1,
-        )
+        G = reference.gradient_matrix(oracle, np.tile(w[:, None], (1, cfg.n_learners)), cfg, k)
         w = w - cfg.lr * G.mean(axis=1)
         assert np.all(state.weights == state.weights[:, :1])
         assert np.allclose(state.weights[:, 0], w, rtol=0, atol=1e-15)
@@ -126,7 +108,7 @@ def test_spsgd_rejects_disagreeing_learners():
     cfg = _cfg()
     state = initial_state(oracle, cfg)
     state.weights[0, 1] += 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^SPSGD requires identical weights on all learners$"):
         step_spsgd(state, oracle, cfg)
 
 

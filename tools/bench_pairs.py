@@ -13,13 +13,15 @@ interleaved pair by pair, so a slow spell of a shared host falls on every
 workload alike.
 
 The output JSON holds, per workload, every run's end-to-end metrics and
-its correct/attempted/failed counts, and per metric each side's runs,
-their median and inclusive quartiles, the parent's IQR (q3 - q1), the
-change's median over the parent's, the pairs the change won ("better"
-as BENCHMARK.json declares it; ties count for neither side), and a
-verdict against the metric's BENCHMARK.json `bound` (see `verdict`).  It
-is rewritten after every run, so an interrupted sweep keeps what it
-measured.  Standard library only.
+its correct/attempted/failed counts, each side's share of failed
+operations (failed / attempted over its runs), and per metric each
+side's runs, their median and inclusive quartiles, the parent's IQR
+(q3 - q1), the change's median over the parent's, the pairs the change
+won ("better" as BENCHMARK.json declares it; ties count for neither
+side), and a verdict against the metric's BENCHMARK.json `bound` (see
+`verdict`, which withholds a gain when the change's failed share is
+the larger).  It is rewritten after every run, so an interrupted sweep
+keeps what it measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
 
     gain        the change wins at least 9 of 10 pairs, and its median beats
                 the parent's by more than the parent's IQR, and the change's
-                runs failed no more operations than the parent's
-                (`more_failed` is False);
+                runs failed no larger share of their operations than the
+                parent's (`more_failed` is False);
     worse       its median is worse than the parent's by more than `bound`,
                 a share of the parent's median;
     unresolved  the parent's IQR is wider than `bound` (as that share), and
@@ -112,6 +114,9 @@ def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
     for key in ("correct", "attempted", "failed"):
         values = {side: [r[side][key] for r in pairs] for side in SIDES}
         out[key] = {side: all(v) if key == "correct" else sum(v) for side, v in values.items()}
+    # A faster side attempts more operations: compare shares, not counts.
+    out["failed_share"] = {side: out["failed"][side] / max(1, out["attempted"][side])
+                           for side in SIDES}
     metrics = {}
     for name, (direction, bound) in spec.items():
         if not pairs:
@@ -130,7 +135,7 @@ def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
             "change_better_pairs": f"{won}/{len(pairs)}",
             "bound": bound,
             "verdict": verdict(values["parent"], values["change"], direction, bound,
-                               out["failed"]["change"] > out["failed"]["parent"]),
+                               out["failed_share"]["change"] > out["failed_share"]["parent"]),
         }
     out["metrics"] = metrics
     return out
