@@ -40,8 +40,11 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
 Unknown sections or keys are rejected by name, as are [oracle] keys that
 the chosen kind's factory in `objectives.ORACLES` does not take.  A
 tuple field is a comma-separated list of its item type, and its declared
-check holds for each item.  Type, range and cross-field checks run
-when an `ExperimentConfig` is constructed, so a parsed, overridden,
+check holds for each item.  Each value passes the rule that `RunConfig`,
+`CostModel` and the oracles share (`simulation._check_failure`): its kind
+(numpy scalars pass, a bool never; an int may stand for a float), then its
+range or choices, then a float's finiteness.  This and the cross-field
+checks run when an `ExperimentConfig` is constructed, so a parsed, overridden,
 `replace`d or hand-built config has passed the same checks as an INI
 file, and `parse_config(echo_config(cfg))` returns an equal config:
 floats are echoed via repr, which round-trips exactly.
@@ -56,7 +59,7 @@ import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
 
 from .objectives import LOGISTIC_RIDGE, ORACLES
-from .simulation import RunConfig, Strategy, _check_failure, _checked
+from .simulation import RunConfig, Strategy, _check_failure, _checked, _require
 
 
 class ConfigError(ValueError):
@@ -104,10 +107,10 @@ class ExperimentConfig:
     straggler_count: int = _key("cost_model", 0, check=">= 0")
 
     def __post_init__(self):
-        """The INI's checks, naming the field: each in-scope field's type and
-        declared check in declaration order, then the cross-field checks."""
+        """The INI's checks, naming the field: each in-scope field's type and declared
+        check in order (a numpy scalar is then held as Python's), then the cross-field ones."""
         for e in _entries(self.oracle_kind):
-            _check(e, getattr(self, e.field.name))
+            object.__setattr__(self, e.field.name, _check(e, getattr(self, e.field.name)))
         if not self.strategies:
             raise ConfigError("[experiment] strategies: expected at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):
@@ -176,28 +179,22 @@ def _convert(e: _Entry, raw: str):
         try:
             return e.type(item)
         except ValueError:
-            if e.type is Strategy:
-                valid = ", ".join(s.value for s in Strategy)
-                why = f"unknown strategy {item!r} (valid: {valid})"
-            else:
-                why = f"expected {e.type.__name__}, got {item!r}"
+            valid = ", ".join(s.value for s in Strategy)
+            why = (f"unknown strategy {item!r} (valid: {valid})" if e.type is Strategy
+                   else _check_failure(item, None, e.type))  # expected <type>, got <item>
             raise ConfigError(f"[{e.section}] {e.key}: {why}") from None
 
     return tuple(read(p.strip()) for p in raw.split(",") if p.strip()) if e.listed else read(raw)
 
 
-def _check(e: _Entry, value) -> None:
-    """Raise unless `value` has the field's type, as a parsed value does (an int
-    may stand for a float, a bool for neither), and each item passes the
-    field's declared check."""
+def _check(e: _Entry, value):
+    """`value` as `simulation._require` returns each item (of a tuple field) for
+    the field's type and declared check; raise ConfigError at the first that fails."""
     if e.listed and not isinstance(value, tuple):
         raise ConfigError(f"[{e.section}] {e.key}: expected tuple, got {value!r}")
-    for v in e.items(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float) if e.type is float else e.type):
-            raise ConfigError(f"[{e.section}] {e.key}: expected {e.type.__name__}, got {v!r}")
-        failure = _check_failure(v, e.field.metadata["check"], e.type is float)
-        if failure:
-            raise ConfigError(f"[{e.section}] {e.key}: {failure}")
+    items = tuple(_require(f"[{e.section}] {e.key}", v, e.field.metadata["check"], e.type,
+                           ConfigError) for v in e.items(value))
+    return items if e.listed else items[0]
 
 
 def _entries(oracle_kind: str) -> list[_Entry]:

@@ -36,6 +36,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from . import seeding
+from .simulation import _require
 
 LOGISTIC_RIDGE = 1e-4  # fixed l2 coefficient for the logistic objective
 
@@ -45,15 +46,6 @@ _CHUNK_BYTES = 32 * 1024
 
 # Learner l's data shard is shards[l]: (index, count), or None for all data.
 _Shards = Sequence[tuple[int, int] | None] | None
-
-
-def _at_least(name: str, value: float, low: float) -> float:
-    """`value` as a float; raise, naming it, unless it is finite and >= low
-    (written so that NaN fails too)."""
-    value = float(value)
-    if not low <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= {low}, got {value}")
-    return value
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -76,7 +68,7 @@ class QuadraticObjective:
     def __init__(self, eigenvalues: np.ndarray, optimum: np.ndarray, noise_scale: float):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.optimum = np.asarray(optimum, dtype=float)
-        self.noise_scale = _at_least("noise_scale", noise_scale, 0)
+        self.noise_scale = float(_require("noise_scale", noise_scale, ">= 0", float))
         if self.eigenvalues.ndim != 1 or self.optimum.shape != self.eigenvalues.shape:
             raise ValueError("eigenvalues and optimum must be 1-d with equal length")
         # Written as `not x > b` so that NaN fails too.
@@ -124,7 +116,7 @@ class LogisticObjective:
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = LOGISTIC_RIDGE):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
-        self.ridge = _at_least("ridge", ridge, 0)
+        self.ridge = float(_require("ridge", ridge, ">= 0", float))
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with labels (n,)")
         if not np.all(np.abs(self.labels) == 1.0):
@@ -217,10 +209,9 @@ def quadratic_oracle(
     When `optimum` is omitted it is drawn once from the seed's init
     stream, making the whole oracle a pure function of its arguments.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    condition_number = _at_least("condition_number", condition_number, 1)
-    eigenvalues = np.logspace(0.0, np.log10(condition_number), dimension)
+    _require("dimension", dimension, ">= 1", int)
+    _require("condition_number", condition_number, ">= 1", float)
+    eigenvalues = np.logspace(0.0, np.log10(float(condition_number)), dimension)
     if optimum is None:
         optimum = seeding.stream(seed, seeding.TAG_DATA).standard_normal(dimension)
     return QuadraticObjective(eigenvalues, np.asarray(optimum, dtype=float), noise_scale)
@@ -239,9 +230,9 @@ def logistic_oracle(
     features are unit-variance Gaussian around their class mean; labels
     are balanced (+1 for the first half, -1 for the rest).
     """
-    if dimension < 1 or n_samples < 2:
-        raise ValueError("need dimension >= 1 and n_samples >= 2")
-    separation = _at_least("separation", separation, 0)
+    _require("dimension", dimension, ">= 1", int)
+    _require("n_samples", n_samples, ">= 2", int)
+    separation = _require("separation", separation, ">= 0", float)
     rng = seeding.stream(seed, seeding.TAG_DATA)
     direction = rng.standard_normal(dimension)
     direction /= np.linalg.norm(direction)
@@ -263,8 +254,7 @@ def gradient_check(oracle, w: np.ndarray, step: float = 1e-5) -> float:
     (f(w + h e_i) - f(w - h e_i)) / 2h per coordinate.  Returns
     ||fd - grad|| / max(||grad||, 1e-12).
     """
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    _require("step", step, "> 0", float)
     w = np.asarray(w, dtype=float)
     grad = oracle.gradient(w)
     fd = np.empty_like(grad)

@@ -36,8 +36,6 @@ learner and pay the mean over learners, so a single straggler is
 amortized instead of serializing everyone.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
@@ -84,33 +82,49 @@ _PASSES = {">=": operator.ge, ">": operator.gt}  # op(value, bound) must hold; N
 
 
 def _checked(default=MISSING, check=None, **metadata):
-    """A dataclass field whose value must pass `check`: ">= bound", "> bound"
-    or a tuple of choices (None: unchecked).  Extra metadata rides along."""
+    """A dataclass field whose value must pass `check`: ">= bound", "> bound",
+    a tuple of choices or None (none).  Extra metadata rides along."""
     return field(default=default, metadata={"check": check, **metadata})
 
 
-def _check_failure(value, check, as_float: bool = False) -> str | None:
-    """Why `value` fails `check`, or None when it passes.  A float field's
-    value (`as_float`) may be an int, which must not overflow a float."""
-    if isinstance(check, tuple):
-        if value not in check:
-            return f"expected {'|'.join(check)}, got {value!r}"
-    elif check is not None:
+_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def _check_failure(value, check, kind: type) -> str | None:
+    """Why `value` fails as a `kind` with `check`, or None: its kind (the `_KINDS`
+    types, a bool never), then `check`, then a float's finiteness (a huge int too)."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS.get(kind, kind)):
+        return f"expected {kind.__name__}, got {value!r}"
+    if isinstance(check, tuple) and value not in check:
+        return f"expected {'|'.join(check)}, got {value!r}"
+    if isinstance(check, str):
         op, bound = check.split()
         if not _PASSES[op](value, float(bound)):
             return f"must be {check}"
-        if value == math.inf or as_float and abs(value) > sys.float_info.max:
-            return "must be finite"
+    # abs(int) <= max is exact; a numpy float32 compared with max would warn.
+    if kind is float and not (abs(value) <= sys.float_info.max if isinstance(value, int)
+                              else math.isfinite(value)):
+        return "must be finite"
     return None
 
 
+def _require(name: str, value, check, kind: type, error: type = ValueError):
+    """`value`, a numpy scalar as its Python equal (so no int8 reaches a run);
+    raise `error`, led by `name`, when it fails `_check_failure`."""
+    failure = _check_failure(value, check, kind)
+    if failure:
+        raise error(f"{name}: {failure}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _check_fields(obj) -> None:
-    """Raise ValueError, led by the field's name, at the first field of the
-    dataclass `obj` that fails its declared check."""
+    """Hold each `_checked` field of the dataclass `obj`, checked as its type, as
+    `_require` returns it.  Annotations here are types, not postponed strings
+    (`f.type`); np.random's are quoted so that importing does not load it."""
     for f in fields(obj):
-        failure = _check_failure(getattr(obj, f.name), f.metadata.get("check"), f.type == "float")
-        if failure:
-            raise ValueError(f"{f.name}: {failure}")
+        if "check" in f.metadata:
+            value = _require(f.name, getattr(obj, f.name), f.metadata["check"], f.type)
+            object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,29 +141,28 @@ class CostModel:
 
     message_size_bytes: float = _checked(165e6, "> 0")
     bandwidth_bytes_per_s: float = _checked(25e9, "> 0")
-    compute_mu: float = math.log(0.1)
+    compute_mu: float = _checked(math.log(0.1))
     compute_sigma: float = _checked(0.1, ">= 0")
     compute_scale: Sequence[float] | None = None
 
     def __post_init__(self):
         _check_fields(self)
-        if not abs(self.compute_mu) <= sys.float_info.max:
-            raise ValueError("compute_mu: must be finite")
         if not self.allreduce_time(1) < math.inf:  # each is finite; 2 m / b may overflow
             raise ValueError(
                 "message_size_bytes, bandwidth_bytes_per_s: exchange time must be finite"
             )
-        for i, factor in enumerate(() if self.compute_scale is None else self.compute_scale):
-            failure = _check_failure(factor, "> 0", as_float=True)
-            if failure:
-                raise ValueError(f"compute_scale[{i}]: {failure}")
+        scale = self.compute_scale
+        if scale is not None and np.ndim(scale) != 1:
+            raise ValueError(f"compute_scale: expected a sequence of factors, got {scale!r}")
+        for i, factor in enumerate(() if scale is None else scale):
+            _require(f"compute_scale[{i}]", factor, "> 0", float)
 
     def allreduce_time(self, n_learners: int) -> float:
         """One exchange over the (uniform) link bandwidth: a gossip learner's
         exchange, and the barrier's global allreduce."""
         return float(2.0 * self.message_size_bytes / self.bandwidth_bytes_per_s)
 
-    def sample_compute_times(self, n_learners: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_compute_times(self, n_learners: int, rng: "np.random.Generator") -> np.ndarray:
         times = rng.lognormal(self.compute_mu, self.compute_sigma, n_learners)
         if self.compute_scale is not None:
             scale = np.asarray(self.compute_scale, dtype=float)
@@ -442,7 +455,7 @@ def _clock(
 
 
 def advance_clock(
-    state: SimState, strategy: Strategy, cost_model: CostModel, rng: np.random.Generator
+    state: SimState, strategy: Strategy, cost_model: CostModel, rng: "np.random.Generator"
 ) -> tuple[SimState, float]:
     """Account one iteration of simulated wall-clock time (`_clock`)."""
     compute, sim, durations = _clock(strategy, cost_model, [rng], state.compute_time_s,

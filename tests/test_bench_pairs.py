@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -108,3 +109,18 @@ _WIDE_PARENT = [90.0, 91.0, 92.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.
 def test_verdict_when_the_parents_iqr_is_wider_than_the_bound(change, expected):
     assert bench_pairs.quartiles(_WIDE_PARENT) == [94.0, 100.0, 100.0]
     assert bench_pairs.verdict(_WIDE_PARENT, change, "higher", 0.05) == expected
+
+
+def test_an_unknown_workload_exits_before_the_first_run(tmp_path, capsys):
+    repo = _PATH.parents[1]
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(repo), "--change", str(repo), "--seeds", "1-2",
+            "--workloads", "train-ring-L32,consensus-mx", "--out", str(out)]
+    with mock.patch.object(bench_pairs, "run_once") as run_once:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert not run_once.called and not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown workload 'consensus-mx'" in err
+    assert "BENCHMARK.json lists train-ring-L32, consensus-mc, sweep-logistic" in err

@@ -4,6 +4,7 @@ import string
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,23 @@ def test_direct_construction_validates_via_parse_path(tmp_path):
     with pytest.raises(ConfigError, match="total-fixed size 10 not divisible by learners=4"):
         run_sweep(ExperimentConfig(**{**fields, "batch_mode": "total-fixed", "batch_size": 10}), out)
     assert not out.exists()
+
+
+def test_a_hand_built_config_holds_numpy_scalars_as_python_ones():
+    # Each value passes the check RunConfig does, which takes numpy scalars
+    # (a bool never) and holds them as their Python equals, so an int8 count
+    # cannot overflow in the cross-field checks or a cell.
+    cfg = parse_config(MINIMAL)
+    held = replace(cfg, learner_counts=(np.int8(8), np.uint16(16)), iterations=np.int64(50),
+                   lr=np.float32(0.5), condition_number=np.float16(10), dimension=np.uint8(16))
+    assert held == replace(cfg, learner_counts=(8, 16), iterations=50, lr=0.5,
+                           condition_number=10.0, dimension=16)
+    assert [type(v) for v in (*held.learner_counts, held.iterations, held.lr)] == [int] * 3 + [float]
+    assert echo_config(held) == echo_config(parse_config(echo_config(held)))
+    with pytest.raises(ConfigError, match=r"^\[experiment\] trials: expected int, got np.True_$"):
+        replace(cfg, trials=np.True_)
+    with pytest.raises(ConfigError, match=r"^\[experiment\] lr: must be finite$"):
+        replace(cfg, lr=np.float32("inf"))
 
 
 def _ini(sections: dict[str, dict[str, str]]) -> str:

@@ -1,7 +1,9 @@
 import math
+import pickle
 import re
+import typing
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -279,6 +281,12 @@ def test_cost_model_values_and_validation():
             CostModel(**{key: 10**400})
     largest = CostModel(message_size_bytes=8e307, bandwidth_bytes_per_s=1.0)
     assert largest.allreduce_time(4) < math.inf
+    # compute_scale is a sequence of factors, each a float that is not a bool.
+    with pytest.raises(ValueError, match=r"^compute_scale: expected a sequence of factors, "
+                                         r"got 2\.0$"):
+        CostModel(compute_scale=2.0)
+    with pytest.raises(ValueError, match=r"^compute_scale\[0\]: expected float, got True$"):
+        CostModel(compute_scale=(True, 1.0))
     cm2 = CostModel(compute_scale=(1.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         cm2.sample_compute_times(4, stream(0, TAG_CLOCK, 0))
@@ -611,6 +619,82 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match=f"^{key}: must be finite$"):
             _cfg(**{key: 10**400})
     assert _cfg(seed=10**400).seed == 10**400  # an int field takes any size
+
+
+# Every checked constructor argument: (name, kind, check, build), where
+# build(value) constructs with that one value and every other argument valid.
+# RunConfig's and CostModel's are read from their `_checked` fields; the
+# oracle factories' are the arguments they check.
+_ARGUMENTS = [
+    (f.name, typing.get_type_hints(cls)[f.name], f.metadata["check"],
+     lambda v, build=build, name=f.name: build(**{name: v}))
+    for cls, build in ((RunConfig, _cfg), (CostModel, CostModel))
+    for f in fields(cls) if "check" in f.metadata
+] + [
+    ("dimension", int, ">= 1", lambda v: quadratic_oracle(v)),
+    ("condition_number", float, ">= 1", lambda v: quadratic_oracle(3, condition_number=v)),
+    ("noise_scale", float, ">= 0", lambda v: quadratic_oracle(3, noise_scale=v)),
+    ("dimension", int, ">= 1", lambda v: logistic_oracle(v, 8, 1.0)),
+    ("n_samples", int, ">= 2", lambda v: logistic_oracle(3, v, 1.0)),
+    ("separation", float, ">= 0", lambda v: logistic_oracle(3, 8, v)),
+    ("ridge", float, ">= 0", lambda v: logistic_oracle(3, 8, 1.0, ridge=v)),
+]
+_WRONG_KIND = {int: [2.5, -2.5, 5.0, np.float64(3.0), True, np.True_, "5", None],
+               float: [True, False, np.True_, "1.0", None],
+               str: [5, 1.5, True, None]}
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def test_checked_arguments_cover_both_dataclasses_and_both_factories():
+    # RunConfig declares 10 checked fields and CostModel 4, compute_mu included.
+    names = {name for name, *_ in _ARGUMENTS}
+    assert {"n_learners", "batch_size", "log_every", "staleness_mode", "compute_mu",
+            "compute_sigma", "n_samples", "ridge"} <= names
+    assert len(_ARGUMENTS) == 10 + 4 + 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument=st.sampled_from(_ARGUMENTS), data=st.data())
+def test_every_checked_argument_checks_kind_then_range_then_finiteness(argument, data):
+    name, kind, check, build = argument
+    wrong = data.draw(st.sampled_from(_WRONG_KIND[kind]), label="wrong")
+    message = f"^{re.escape(name)}: expected {kind.__name__}, got {re.escape(repr(wrong))}$"
+    with pytest.raises(ValueError, match=message):
+        build(wrong)
+    if kind is str:
+        return
+    # A float's range comes before its finiteness: -inf fails the range if any.
+    if kind is float:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: must be "
+                                             f"{re.escape(check) if check else 'finite'}$"):
+            build(-math.inf)
+    # A numpy scalar of a value in range is accepted, and no numpy warning fires.
+    low = 0 if check is None else int(float(check.split()[1])) + 1
+    value = low + data.draw(st.integers(0, 5), label="offset")
+    scalar = data.draw(st.sampled_from(_NUMPY_INTS + [np.float16, np.float32, np.float64]
+                                       if kind is float else _NUMPY_INTS), label="type")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = build(scalar(value))
+        if kind is float:
+            for too_large in (10**400, np.float32("inf"), np.float64("inf")):
+                with pytest.raises(ValueError, match=f"^{re.escape(name)}: must be finite$"):
+                    build(too_large)
+    # Held as its Python equal; the oracles hold their float arguments as floats.
+    if hasattr(built, name):
+        held = getattr(built, name)
+        assert held == value
+        python_type = float if name in ("noise_scale", "ridge") else type(scalar(value).item())
+        assert type(held) is python_type
+
+
+@settings(max_examples=10, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), scalar=st.sampled_from(_NUMPY_INTS))
+def test_a_numpy_learner_count_runs_byte_identical(strategy, scalar):
+    oracle = _oracle(d=4)
+    plain, numpy = (run_training(strategy, oracle, _cfg(n_learners=L, iterations=6))
+                    for L in (32, scalar(32)))
+    assert pickle.dumps((plain.records, plain.state)) == pickle.dumps((numpy.records, numpy.state))
 
 
 def test_run_config_rejects_a_compute_scale_of_another_length():

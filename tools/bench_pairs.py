@@ -5,12 +5,13 @@
         --out PAIRS.json
 
 DIR is a checkout (or an exported tree) that holds `perfbench/` and
-`src/ringmix`.  For each seed, and for each workload in turn, it runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once from
-each directory, one run at a time; the parent runs first in the first
-pair and the two sides take turns after that.  The three workloads are
-interleaved pair by pair, so a slow spell of a shared host falls on every
-workload alike.
+`src/ringmix`.  Each workload must be one that the change's BENCHMARK.json
+lists; an unknown name exits 2 before the first run.  For each seed, and
+for each workload in turn, it runs `perfbench/run.py --workload W --seed S
+--seconds T --trace 0` once from each directory, one run at a time; the
+parent runs first in the first pair and the two sides take turns after
+that.  The three workloads are interleaved pair by pair, so a slow spell
+of a shared host falls on every workload alike.
 
 The output JSON holds, per workload, every run's end-to-end metrics and
 its correct/attempted/failed counts, each side's share of failed
@@ -155,6 +156,11 @@ def main(argv=None) -> int:
     metric_spec = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads.split(",")
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:  # else each would fail one perfbench run per seed and side
+        parser.error(f"unknown workload {', '.join(map(repr, unknown))}; "
+                     f"BENCHMARK.json lists {', '.join(known)}")
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
