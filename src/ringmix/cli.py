@@ -81,10 +81,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    if args.trials < 2:
-        raise ConfigError("--trials must be >= 2")
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
     report = verify_bounds(trials=args.trials, seed=args.seed)
     if args.quiet:
         print("PASS" if report.ok else "FAIL")

@@ -40,14 +40,14 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
 Unknown sections or keys are rejected by name, as are [oracle] keys that
 the chosen kind's factory in `objectives.ORACLES` does not take.  A
 tuple field is a comma-separated list of its item type, and its declared
-check holds for each item.  Each value passes the rule that `RunConfig`,
-`CostModel` and the oracles share (`simulation._check_failure`): its kind
-(numpy scalars pass, a bool never; an int may stand for a float), then its
-range or choices, then a float's finiteness.  This and the cross-field
-checks run when an `ExperimentConfig` is constructed, so a parsed, overridden,
-`replace`d or hand-built config has passed the same checks as an INI
-file, and `parse_config(echo_config(cfg))` returns an equal config:
-floats are echoed via repr, which round-trips exactly.
+check holds for each item.  Each value passes the rule that every checked
+argument of the library shares (`_checks._check_failure`): its kind (numpy
+scalars pass, a bool never; an int may stand for a float), then its range
+or choices, then a float's finiteness.  This and the cross-field checks run
+when an `ExperimentConfig` is constructed, so a parsed, overridden,
+`replace`d or hand-built config has passed the same checks as an INI file,
+and `parse_config(echo_config(cfg))` returns an equal config: floats are
+echoed via repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ import io
 import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
 
+from ._checks import _check_failure, _checked, _require
 from .objectives import LOGISTIC_RIDGE, ORACLES
-from .simulation import RunConfig, Strategy, _check_failure, _checked, _require
+from .simulation import RunConfig, Strategy
 
 
 class ConfigError(ValueError):
@@ -188,7 +189,7 @@ def _convert(e: _Entry, raw: str):
 
 
 def _check(e: _Entry, value):
-    """`value` as `simulation._require` returns each item (of a tuple field) for
+    """`value` as `_checks._require` returns each item (of a tuple field) for
     the field's type and declared check; raise ConfigError at the first that fails."""
     if e.listed and not isinstance(value, tuple):
         raise ConfigError(f"[{e.section}] {e.key}: expected tuple, got {value!r}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from ._checks import _require
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,9 @@ class StochasticityReport:
     ok: bool
 
 
-def _check_ring_size(n_learners: int) -> None:
-    if n_learners < 3:
-        raise ValueError(f"degenerate ring topology: need L >= 3, got {n_learners}")
+def _check_ring_size(n_learners: int) -> int:
+    """`n_learners` as a ring's size, checked by `_require`."""
+    return _require("n_learners", n_learners, ">= 3", int)
 
 
 def build_ring_matrix(n_learners: int) -> np.ndarray:
@@ -54,7 +55,7 @@ def build_ring_matrix(n_learners: int) -> np.ndarray:
     topology (at L = 2 "left" and "right" neighbour coincide) and is
     rejected.
     """
-    _check_ring_size(n_learners)
+    n_learners = _check_ring_size(n_learners)
     third = 1.0 / 3.0
     T = np.zeros((n_learners, n_learners))
     idx = np.arange(n_learners)
@@ -66,16 +67,13 @@ def build_ring_matrix(n_learners: int) -> np.ndarray:
 
 def build_uniform_matrix(n_learners: int) -> np.ndarray:
     """All-entries-1/L matrix: one application averages every column to the mean."""
-    if n_learners < 1:
-        raise ValueError(f"need at least 1 learner, got {n_learners}")
+    n_learners = _require("n_learners", n_learners, ">= 1", int)
     return np.full((n_learners, n_learners), 1.0 / n_learners)
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random permutation of range(n) drawn from `rng`."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return rng.permutation(n)
+    return rng.permutation(_require("n", n, ">= 1", int))
 
 
 def permutation_for_step(n: int, shared_seed: int, step: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .simulation import _require
+from ._checks import _require
 
 LOGISTIC_RIDGE = 1e-4  # fixed l2 coefficient for the logistic objective
 
@@ -56,8 +56,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _one_gradient(oracle, w: np.ndarray, rng, batch_size: int, shard) -> np.ndarray:
     """`oracle`'s stochastic gradient at w: one learner's `draw` from rng,
     then `gradients` on w as the one column."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = _require("batch_size", batch_size, ">= 1", int)
     draws = oracle.draw([rng], 1, batch_size, [shard])
     return oracle.gradients(np.asarray(w, dtype=float)[:, None], draws, batch_size)[:, 0]
 

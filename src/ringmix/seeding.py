@@ -24,6 +24,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ._checks import _require
+
 # Domain tags.  Fixed forever: changing one silently reseeds every
 # consumer, which breaks replay of recorded runs.
 TAG_GRADIENT = 0     # minibatch sampling / gradient noise, indexed (iteration, learner)
@@ -37,10 +39,7 @@ TAG_DATA = 6         # oracle-owned randomness (datasets, drawn optima), no inde
 
 def seed_sequence(*entropy: int) -> np.random.SeedSequence:
     """SeedSequence for an entropy tuple of non-negative integers."""
-    for part in entropy:
-        if part < 0:
-            raise ValueError(f"entropy components must be >= 0, got {part}")
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence(tuple(_require("entropy", n, ">= 0", int) for n in entropy))
 
 
 def stream(*entropy: int) -> np.random.Generator:
@@ -65,8 +64,7 @@ _MIX_MULT_R = 0x4973F715
 
 def _int_words(n: int) -> list[int]:
     """SeedSequence's uint32 words of one entropy int, least significant first."""
-    if n < 0:
-        raise ValueError(f"entropy components must be >= 0, got {n}")
+    n = _require("entropy", n, ">= 0", int)
     words = [n & _MASK32]
     n >>= 32
     while n:

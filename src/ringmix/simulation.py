@@ -38,17 +38,16 @@ amortized instead of serializing everyone.
 
 import functools
 import math
-import operator
-import sys
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import seeding
+from ._checks import _check_fields, _checked, _require
 # apply_mixing is unused here; perfbench's tracer wraps this attribute.
-from .mixing import apply_mixing, build_ring_matrix, sample_permutation
+from .mixing import apply_mixing, build_ring_matrix
 from .spectral import second_eigenvalue_ring
 
 
@@ -77,54 +76,6 @@ class Strategy(Enum):
 
 # A run diverges when its weights go non-finite or any magnitude exceeds this.
 DIVERGENCE_THRESHOLD = 1e12
-
-_PASSES = {">=": operator.ge, ">": operator.gt}  # op(value, bound) must hold; NaN never does
-
-
-def _checked(default=MISSING, check=None, **metadata):
-    """A dataclass field whose value must pass `check`: ">= bound", "> bound",
-    a tuple of choices or None (none).  Extra metadata rides along."""
-    return field(default=default, metadata={"check": check, **metadata})
-
-
-_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
-
-
-def _check_failure(value, check, kind: type) -> str | None:
-    """Why `value` fails as a `kind` with `check`, or None: its kind (the `_KINDS`
-    types, a bool never), then `check`, then a float's finiteness (a huge int too)."""
-    if isinstance(value, bool) or not isinstance(value, _KINDS.get(kind, kind)):
-        return f"expected {kind.__name__}, got {value!r}"
-    if isinstance(check, tuple) and value not in check:
-        return f"expected {'|'.join(check)}, got {value!r}"
-    if isinstance(check, str):
-        op, bound = check.split()
-        if not _PASSES[op](value, float(bound)):
-            return f"must be {check}"
-    # abs(int) <= max is exact; a numpy float32 compared with max would warn.
-    if kind is float and not (abs(value) <= sys.float_info.max if isinstance(value, int)
-                              else math.isfinite(value)):
-        return "must be finite"
-    return None
-
-
-def _require(name: str, value, check, kind: type, error: type = ValueError):
-    """`value`, a numpy scalar as its Python equal (so no int8 reaches a run);
-    raise `error`, led by `name`, when it fails `_check_failure`."""
-    failure = _check_failure(value, check, kind)
-    if failure:
-        raise error(f"{name}: {failure}")
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _check_fields(obj) -> None:
-    """Hold each `_checked` field of the dataclass `obj`, checked as its type, as
-    `_require` returns it.  Annotations here are types, not postponed strings
-    (`f.type`); np.random's are quoted so that importing does not load it."""
-    for f in fields(obj):
-        if "check" in f.metadata:
-            value = _require(f.name, getattr(obj, f.name), f.metadata["check"], f.type)
-            object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +259,8 @@ def _draws(oracle, cfg: RunConfig, k: int, n: int, permutations: bool = False):
         return zip(draws, [None] * n)
     start, rows = _block(cfg, seeding.TAG_PERMUTATION, k)
     rngs = seeding._reseated(rows[k - start : k - start + n, 0])
-    return zip(draws, [sample_permutation(L, rng) for rng in rngs])
+    # sample_permutation(L, rng) without its check: RunConfig has checked L.
+    return zip(draws, [rng.permutation(L) for rng in rngs])
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:

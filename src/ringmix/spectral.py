@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from ._checks import _require
 from .mixing import _check_ring_size, build_ring_matrix, build_uniform_matrix
 # Unused here; perfbench's tracer wraps these attributes by name.
 from .mixing import conjugate_by_permutation, sample_permutation
@@ -79,11 +80,10 @@ class ConsensusCurve:
     trials: int | None = None
 
 
-def _check_ring(n_learners: int, k: int = 0) -> None:
-    """Reject a negative step count k, then a ring of fewer than 3 learners."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    _check_ring_size(n_learners)
+def _check_ring(n_learners: int, k: int) -> tuple[int, int]:
+    """(L, k) checked by `_require`: the step count k >= 0, then the ring's size."""
+    k = _require("k", k, ">= 0", int)
+    return _check_ring_size(n_learners), k
 
 
 def second_eigenvalue_ring(n_learners: int) -> float:
@@ -93,8 +93,8 @@ def second_eigenvalue_ring(n_learners: int) -> float:
     never below -1/3 in magnitude while lambda_2 >= 1/3 for L >= 4
     (and everything is 0 at L = 3).
     """
-    _check_ring(n_learners)
-    return 1.0 / 3.0 + (2.0 / 3.0) * math.cos(2.0 * math.pi / n_learners)
+    L = _check_ring_size(n_learners)
+    return 1.0 / 3.0 + (2.0 / 3.0) * math.cos(2.0 * math.pi / L)
 
 
 def spectral_rho(T: np.ndarray) -> SpectralReport:
@@ -124,7 +124,7 @@ def spectral_rho(T: np.ndarray) -> SpectralReport:
 
 def fixed_mixing_consensus_bound(n_learners: int, k: int) -> float:
     """rho(L)^k: spectral-norm distance of the k-step fixed ring from uniform."""
-    _check_ring(n_learners, k)
+    n_learners, k = _check_ring(n_learners, k)
     return second_eigenvalue_ring(n_learners) ** k
 
 
@@ -137,8 +137,7 @@ def expected_gram(n_learners: int) -> np.ndarray:
     stochastic with eigenvalues {1, a, ..., a},
     a = 1/3 - 2/(3(L-1)).
     """
-    _check_ring(n_learners)
-    L = n_learners
+    L = _check_ring_size(n_learners)
     off = 2.0 / (3.0 * (L - 1))
     G = np.full((L, L), off)
     np.fill_diagonal(G, 1.0 / 3.0)
@@ -155,7 +154,7 @@ def randomized_frobenius_expectation(n_learners: int, k: int) -> float:
     Equal to -1 + tr(G^k) for the expected Gram matrix G; bounded above
     by (L-1)/3^k.
     """
-    _check_ring(n_learners, k)
+    n_learners, k = _check_ring(n_learners, k)
     return (n_learners - 1) * _gram_decay(n_learners) ** k
 
 
@@ -165,7 +164,7 @@ def randomized_consensus_bound(n_learners: int, k: int) -> float:
     Follows from the Frobenius expectation via Jensen and
     ||.||_2 <= ||.||_F.
     """
-    _check_ring(n_learners, k)
+    n_learners, k = _check_ring(n_learners, k)
     return math.sqrt(n_learners - 1) / 3.0 ** (k / 2.0)
 
 
@@ -191,8 +190,7 @@ def fixed_consensus_curve(n_learners: int, k_max: int) -> ConsensusCurve:
     so this is the Monte Carlo product loop run on one trial whose every
     step is T0 itself.
     """
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    k_max = _require("k_max", k_max, ">= 1", int)
     T0 = build_ring_matrix(n_learners)
     U = build_uniform_matrix(n_learners)
     distances = _product_distances([T0[None]] * k_max, U, ("spectral",))[0, 0]
@@ -279,15 +277,13 @@ def _monte_carlo_curves(
     n_learners: int, k_max: int, trials: int, seed: int, kinds: tuple[str, ...]
 ) -> tuple[ConsensusCurve, ...]:
     """`monte_carlo_consensus` for each norm of `kinds`, from one product pass."""
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    k_max = _require("k_max", k_max, ">= 1", int)
     for kind in kinds:
-        if kind not in ("spectral", "frobenius"):
-            raise ValueError(f"unknown norm_kind {kind!r}; use 'spectral' or 'frobenius'")
+        _require("norm_kind", kind, ("spectral", "frobenius"), str)
     T0 = build_ring_matrix(n_learners)
     U = build_uniform_matrix(n_learners)
-    if trials < 2:
-        raise ValueError(f"need trials >= 2 for error bars, got {trials}")
+    trials = _require("trials", trials, ">= 2", int)  # two for an error bar
+    seed = _require("seed", seed, ">= 0", int)  # before any trial is drawn
     curves = []
     for kind, values in zip(kinds, _trial_distances(T0, U, k_max, trials, seed, kinds)):
         distances, halfwidths = _mean_halfwidth(values)

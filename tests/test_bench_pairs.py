@@ -17,9 +17,22 @@ def _run(work, rss):
             "metrics": {"work_per_s": work, "peak_rss_mb": rss}}
 
 
-def test_parse_seeds_takes_ranges_and_lists():
+def test_parse_seeds_takes_ranges_and_lists(tmp_path, capsys):
     assert bench_pairs.parse_seeds("1501-1503,1507") == [1501, 1502, 1503, 1507]
     assert bench_pairs.parse_seeds("9") == [9]
+    # A reversed range, a repeated seed or no seed exits 2 before the first run.
+    out = tmp_path / "pairs.json"
+    for seeds, message in (("1510-1501", "reversed seed range '1510-1501'"),
+                           ("1501,1501-1502", "repeated seed 1501"),
+                           ("1501-1503,1502,1503", "repeated seed 1502, 1503"),
+                           ("", "invalid parse_seeds value: ''")):
+        argv = ["--parent", ".", "--change", ".", "--seeds", seeds, "--out", str(out)]
+        with mock.patch.object(bench_pairs, "run_once") as run_once:
+            with pytest.raises(SystemExit) as exit_info:
+                bench_pairs.main(argv)
+        assert exit_info.value.code == 2
+        assert not run_once.called and not out.exists()
+        assert f"argument --seeds: {message}" in capsys.readouterr().err
 
 
 def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():

@@ -150,12 +150,14 @@ def test_verify_bounds_quiet_passes(capsys):
     assert main(["verify-bounds", "--trials", "300", "--seed", "5", "--quiet"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "PASS"
     assert main(["verify-bounds", "--trials", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: --trials must be >= 2\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials: must be >= 2\n"
+    assert captured.out == ""
     assert EXIT_BOUNDS == 3
 
 
 def test_verify_bounds_rejects_negative_seed(capsys):
     assert main(["verify-bounds", "--seed", "-1", "--trials", "2"]) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err.strip() == "error: --seed must be >= 0"
+    assert captured.err.strip() == "error: seed: must be >= 0"
     assert captured.out == ""

@@ -16,6 +16,7 @@ from ringmix.mixing import (
     build_ring_matrix,
     build_uniform_matrix,
     permutation_for_step,
+    sample_permutation,
 )
 from ringmix.objectives import logistic_oracle, quadratic_oracle
 from ringmix.seeding import TAG_CLOCK, stream
@@ -38,7 +39,12 @@ from ringmix.simulation import (
     step_rand_psgd,
     step_spsgd,
 )
-from ringmix.spectral import second_eigenvalue_ring
+from ringmix.spectral import (
+    fixed_consensus_curve,
+    fixed_mixing_consensus_bound,
+    monte_carlo_consensus,
+    second_eigenvalue_ring,
+)
 
 
 def _oracle(d=6, noise=1.0, seed=2):
@@ -621,10 +627,10 @@ def test_run_config_validation():
     assert _cfg(seed=10**400).seed == 10**400  # an int field takes any size
 
 
-# Every checked constructor argument: (name, kind, check, build), where
-# build(value) constructs with that one value and every other argument valid.
-# RunConfig's and CostModel's are read from their `_checked` fields; the
-# oracle factories' are the arguments they check.
+# Every checked argument: (name, kind, check, build), where build(value)
+# calls with that one value and every other argument valid.  RunConfig's and
+# CostModel's are read from their `_checked` fields; the rest are the
+# arguments that the oracles, mixing, spectral and seeding check.
 _ARGUMENTS = [
     (f.name, typing.get_type_hints(cls)[f.name], f.metadata["check"],
      lambda v, build=build, name=f.name: build(**{name: v}))
@@ -638,6 +644,22 @@ _ARGUMENTS = [
     ("n_samples", int, ">= 2", lambda v: logistic_oracle(3, v, 1.0)),
     ("separation", float, ">= 0", lambda v: logistic_oracle(3, 8, v)),
     ("ridge", float, ">= 0", lambda v: logistic_oracle(3, 8, 1.0, ridge=v)),
+    ("batch_size", int, ">= 1",
+     lambda v: quadratic_oracle(3, noise_scale=1.0).stochastic_gradient(np.zeros(3), stream(0), v)),
+    ("batch_size", int, ">= 1",
+     lambda v: logistic_oracle(3, 8, 1.0).stochastic_gradient(np.zeros(3), stream(0), v)),
+    ("n_learners", int, ">= 3", lambda v: build_ring_matrix(v)),
+    ("n_learners", int, ">= 1", lambda v: build_uniform_matrix(v)),
+    ("n", int, ">= 1", lambda v: sample_permutation(v, stream(0))),
+    ("n_learners", int, ">= 3", lambda v: second_eigenvalue_ring(v)),
+    ("k", int, ">= 0", lambda v: fixed_mixing_consensus_bound(8, v)),
+    ("k_max", int, ">= 1", lambda v: fixed_consensus_curve(8, v)),
+    ("k_max", int, ">= 1", lambda v: monte_carlo_consensus(8, v, 2, 0)),
+    ("trials", int, ">= 2", lambda v: monte_carlo_consensus(8, 2, v, 0)),
+    ("seed", int, ">= 0", lambda v: monte_carlo_consensus(8, 2, 2, v)),
+    ("norm_kind", str, ("spectral", "frobenius"),
+     lambda v: monte_carlo_consensus(8, 2, 2, 0, v)),
+    ("entropy", int, ">= 0", lambda v: stream(v)),
 ]
 _WRONG_KIND = {int: [2.5, -2.5, 5.0, np.float64(3.0), True, np.True_, "5", None],
                float: [True, False, np.True_, "1.0", None],
@@ -646,11 +668,12 @@ _NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.ui
 
 
 def test_checked_arguments_cover_both_dataclasses_and_both_factories():
-    # RunConfig declares 10 checked fields and CostModel 4, compute_mu included.
+    # RunConfig declares 10 checked fields and CostModel 4, compute_mu included;
+    # the oracles check 9 arguments, mixing 3, spectral 7 and seeding 1.
     names = {name for name, *_ in _ARGUMENTS}
     assert {"n_learners", "batch_size", "log_every", "staleness_mode", "compute_mu",
-            "compute_sigma", "n_samples", "ridge"} <= names
-    assert len(_ARGUMENTS) == 10 + 4 + 7
+            "compute_sigma", "n_samples", "ridge", "k", "norm_kind", "entropy"} <= names
+    assert len(_ARGUMENTS) == 10 + 4 + 9 + 3 + 7 + 1
 
 
 @settings(max_examples=300, deadline=None)

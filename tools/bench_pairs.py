@@ -6,7 +6,8 @@
 
 DIR is a checkout (or an exported tree) that holds `perfbench/` and
 `src/ringmix`.  Each workload must be one that the change's BENCHMARK.json
-lists; an unknown name exits 2 before the first run.  For each seed, and
+lists, and each seed distinct; an unknown name, a reversed range or a
+repeated seed exits 2 before the first run.  For each seed, and
 for each workload in turn, it runs `perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once from each directory, one run at a time; the
 parent runs first in the first pair and the two sides take turns after
@@ -38,11 +39,19 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1501-1510' or '1501,1503' (or a mix) as a list of seeds."""
+    """'1501-1510' or '1501,1503' (or a mix) as a list of distinct seeds.
+    A reversed range (no seed) or a repeated seed (one seed counted as two
+    pairs) is an argparse type error, so `main` exits 2 before any run."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds += range(int(low), int(high or low) + 1)
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise argparse.ArgumentTypeError(f"reversed seed range {part!r}")
+        seeds += range(low, high + 1)
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated seed {', '.join(map(str, repeated))}")
     return seeds
 
 
