@@ -1,6 +1,8 @@
 """Ring-topology mixing matrices, randomized gossip consensus, and
 decentralized SGD simulation with a simulated wall clock."""
 
+import types
+
 from .config import ConfigError, ExperimentConfig, echo_config, parse_config
 from .harness import (
     BoundsReport,
@@ -52,49 +54,6 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsReport",
-    "CellResult",
-    "ConfigError",
-    "ConsensusCurve",
-    "CostModel",
-    "ExperimentConfig",
-    "LogisticObjective",
-    "QuadraticObjective",
-    "RunConfig",
-    "RunResult",
-    "SimState",
-    "SpectralReport",
-    "StochasticityReport",
-    "Strategy",
-    "SweepResult",
-    "TraceRecord",
-    "apply_mixing",
-    "build_ring_matrix",
-    "build_uniform_matrix",
-    "cell_seed",
-    "conjugate_by_permutation",
-    "consensus_distance",
-    "echo_config",
-    "fixed_consensus_curve",
-    "fixed_mixing_consensus_bound",
-    "gradient_check",
-    "initial_state",
-    "logistic_oracle",
-    "mixing_rho",
-    "monte_carlo_consensus",
-    "parse_config",
-    "permutation_for_step",
-    "quadratic_oracle",
-    "randomized_consensus_bound",
-    "randomized_frobenius_expectation",
-    "run_sweep",
-    "run_training",
-    "sample_permutation",
-    "second_eigenvalue_ring",
-    "spectral_rho",
-    "verify_bounds",
-    "verify_doubly_stochastic",
-    "__version__",
-]
+# Each public name is written once, in the imports above (which also bind the submodules).
+__all__ = sorted(n for n, v in vars().items()
+                 if not (n.startswith("_") or isinstance(v, types.ModuleType))) + ["__version__"]

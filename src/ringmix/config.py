@@ -37,17 +37,17 @@ keys lowercase, `key = value` pairs, `#`/`;` comments.
     straggler_factor = 1.0
     straggler_count = 0
 
-Unknown sections or keys are rejected by name, as are [oracle] keys that
-the chosen kind's factory in `objectives.ORACLES` does not take.  A
-tuple field is a comma-separated list of its item type, and its declared
-check holds for each item.  Each value passes the rule that every checked
-argument of the library shares (`_checks._check_failure`): its kind (numpy
-scalars pass, a bool never; an int may stand for a float), then its range
-or choices, then a float's finiteness.  This and the cross-field checks run
-when an `ExperimentConfig` is constructed, so a parsed, overridden,
-`replace`d or hand-built config has passed the same checks as an INI file,
-and `parse_config(echo_config(cfg))` returns an equal config: floats are
-echoed via repr, which round-trips exactly.
+Unknown sections or keys are rejected by name, as are [oracle] keys that the
+chosen kind's factory in `objectives.ORACLES` does not take, whose fields
+keep their defaults.  A tuple field is a comma-separated list of its item
+type, and its declared check holds for each item.  Each value passes the rule
+that every checked argument of the library shares (`_checks._check_failure`):
+its kind (numpy scalars pass, a bool never; an int may stand for a float),
+then its range or choices, then a float's finiteness.  This and the
+cross-field checks run when an `ExperimentConfig` is constructed, so a
+parsed, overridden, `replace`d or hand-built config has passed the same
+checks as an INI file, and `parse_config(echo_config(cfg))` returns an equal
+config: floats are echoed via repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -108,10 +108,14 @@ class ExperimentConfig:
     straggler_count: int = _key("cost_model", 0, check=">= 0")
 
     def __post_init__(self):
-        """The INI's checks, naming the field: each in-scope field's type and declared
-        check in order (a numpy scalar is then held as Python's), then the cross-field ones."""
-        for e in _entries(self.oracle_kind):
+        """The INI's checks, naming the field: each in-scope field's type and declared check in
+        order (a numpy scalar is then held as Python's), others' defaults, then cross-field ones."""
+        entries = _entries(self.oracle_kind)
+        for e in entries:
             object.__setattr__(self, e.field.name, _check(e, getattr(self, e.field.name)))
+        for e in _FIELDS:  # echo leaves an out-of-scope field out, so it must hold its default
+            if e not in entries and getattr(self, e.field.name) != e.field.default:
+                raise ConfigError(f"[oracle] {e.key}: does not apply to kind {self.oracle_kind!r}")
         if not self.strategies:
             raise ConfigError("[experiment] strategies: expected at least one strategy")
         if len(set(self.strategies)) != len(self.strategies):

@@ -178,6 +178,7 @@ class RunConfig:
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self):
+        _require("cost_model", self.cost_model, None, CostModel)
         _check_fields(self)
         scale = self.cost_model.compute_scale
         if scale is not None and len(scale) != self.n_learners:

@@ -48,39 +48,41 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
     assert out["errors"] == [{"seed": 4, "parent": "boom"}]
     assert out["attempted"] == {"parent": 30, "change": 30}
     work, rss = out["metrics"]["work_per_s"], out["metrics"]["peak_rss_mb"]
-    assert work["change_better_pairs"] == "2/3"  # the tie in pair 2 counts for neither
-    assert rss["change_better_pairs"] == "1/3"
+    # the tie in pair 2 and the errored pair 4 count for neither side
+    assert work["change_better_pairs"] == "2/4"
+    assert rss["change_better_pairs"] == "1/4"
     assert work["parent_q1_median_q3"] == [95.0, 100.0, 105.0]  # inclusive quartiles
     assert work["parent_iqr"] == 10.0
     assert work["change_over_parent_median"] == pytest.approx(110.0 / 100.0)
-    assert work["bound"] == 0.15 and work["verdict"] == "unchanged"  # won only 2/3
+    assert work["bound"] == 0.15 and work["verdict"] == "unchanged"  # won only 2/4
 
 
 # Median 100, inclusive quartiles 99.5 and 100.5: an IQR of 1.
 _PARENT = [100.0, 101.0, 99.5, 100.5, 98.0, 100.0, 102.0, 99.5, 100.5, 99.0]
 
 
-@pytest.mark.parametrize("change, better, bound, more_failed, expected", [
+@pytest.mark.parametrize("change, better, bound, won, more_failed, expected", [
     # 10/10 pairs, median +5 against the parent's IQR of 1
-    ([p + 5.0 for p in _PARENT], "higher", 0.15, False, "gain"),
+    ([p + 5.0 for p in _PARENT], "higher", 0.15, 10, False, "gain"),
     # the same, but the change's runs failed more operations than the parent's
-    ([p + 5.0 for p in _PARENT], "higher", 0.15, True, "unchanged"),
+    ([p + 5.0 for p in _PARENT], "higher", 0.15, 10, True, "unchanged"),
     # 9/10 pairs still gains; 8/10 does not
-    ([p + 5.0 for p in _PARENT[:9]] + [_PARENT[9] - 1.0], "higher", 0.15, False, "gain"),
-    ([p + 5.0 for p in _PARENT[:8]] + [p - 1.0 for p in _PARENT[8:]], "higher", 0.15, False,
+    ([p + 5.0 for p in _PARENT[:9]] + [_PARENT[9] - 1.0], "higher", 0.15, 9, False, "gain"),
+    ([p + 5.0 for p in _PARENT[:8]] + [p - 1.0 for p in _PARENT[8:]], "higher", 0.15, 8, False,
      "unchanged"),
     # 10/10 pairs but a median gain of 0.5, inside the parent's IQR
-    ([p + 0.5 for p in _PARENT], "higher", 0.15, False, "unchanged"),
+    ([p + 0.5 for p in _PARENT], "higher", 0.15, 10, False, "unchanged"),
     # lower is better: the same +5 is 5% worse, past a 2% bound but inside 10%
-    ([p + 5.0 for p in _PARENT], "lower", 0.02, False, "worse"),
-    ([p + 5.0 for p in _PARENT], "lower", 0.1, False, "unchanged"),
+    ([p + 5.0 for p in _PARENT], "lower", 0.02, 0, False, "worse"),
+    ([p + 5.0 for p in _PARENT], "lower", 0.1, 0, False, "unchanged"),
     # the parent's IQR of 1% is wider than a 0.5% bound
-    ([p + 0.2 for p in _PARENT], "higher", 0.005, False, "unresolved"),
+    ([p + 0.2 for p in _PARENT], "higher", 0.005, 10, False, "unresolved"),
 ])
-def test_verdict_against_the_parents_iqr_and_the_bound(change, better, bound, more_failed,
+def test_verdict_against_the_parents_iqr_and_the_bound(change, better, bound, won, more_failed,
                                                        expected):
     assert bench_pairs.quartiles(_PARENT) == [99.5, 100.0, 100.5]
-    assert bench_pairs.verdict(_PARENT, change, better, bound, more_failed) == expected
+    assert bench_pairs.verdict(_PARENT, change, better, bound, won, len(_PARENT),
+                               more_failed) == expected
 
 
 def _counted(work, attempted, failed):
@@ -108,20 +110,31 @@ def test_summary_compares_failed_shares_not_counts(attempted, failed, share, exp
     assert out["metrics"]["work_per_s"]["verdict"] == expected
 
 
+def test_a_pair_with_an_errored_run_counts_toward_the_gain_rule_for_neither_side():
+    # 7 pairs the change wins by far, and 3 whose change run crashed: 7 of 10
+    # pairs run is short of nine tenths, so there is no gain.
+    runs = [{"seed": i, "first": "parent", "parent": _counted(p, 10, 0),
+             "change": _counted(p + 5.0, 10, 0) if i < 7 else {"error": "exit 1"}}
+            for i, p in enumerate(_PARENT)]
+    work = bench_pairs.summarise(runs, {"work_per_s": ("higher", 0.15)})["metrics"]["work_per_s"]
+    assert work["change_better_pairs"] == "7/10"
+    assert work["verdict"] == "unchanged"
+
+
 # Median 100, inclusive quartiles 94 and 100 (an IQR of 6), highest run 100.2.
 _WIDE_PARENT = [90.0, 91.0, 92.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 100.2]
 
 
-@pytest.mark.parametrize("change, expected", [
+@pytest.mark.parametrize("change, won, expected", [
     # every change run beats every parent run: resolved, though the gain is
     # inside the parent's IQR
-    ([100.5] * 10, "unchanged"),
+    ([100.5] * 10, 10, "unchanged"),
     # one change run (100.1) is below the parent's best
-    ([100.5] * 9 + [100.1], "unresolved"),
+    ([100.5] * 9 + [100.1], 9, "unresolved"),
 ])
-def test_verdict_when_the_parents_iqr_is_wider_than_the_bound(change, expected):
+def test_verdict_when_the_parents_iqr_is_wider_than_the_bound(change, won, expected):
     assert bench_pairs.quartiles(_WIDE_PARENT) == [94.0, 100.0, 100.0]
-    assert bench_pairs.verdict(_WIDE_PARENT, change, "higher", 0.05) == expected
+    assert bench_pairs.verdict(_WIDE_PARENT, change, "higher", 0.05, won, 10) == expected
 
 
 def test_an_unknown_workload_exits_before_the_first_run(tmp_path, capsys):

@@ -100,6 +100,17 @@ def test_oracle_kind_scopes_keys():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "\n[oracle]\nkind = cubic\n")
 
+    # A built config's out-of-scope field holds its default, which echo leaves
+    # out, so parse_config(echo_config(cfg)) == cfg holds for every config.
+    quad = parse_config(MINIMAL)
+    for kind_cfg, change in ((quad, dict(n_samples=-5)), (quad, dict(separation=math.nan)),
+                             (cfg, dict(noise_scale=2.0))):
+        with pytest.raises(ConfigError) as err:
+            replace(kind_cfg, **change)
+        key, = change
+        assert str(err.value) == f"[oracle] {key}: does not apply to kind {kind_cfg.oracle_kind!r}"
+    assert parse_config(echo_config(replace(quad, n_samples=512))) == quad
+
 
 def test_oracle_key_scope_is_derived_from_factory_arguments():
     args = {kind: set(inspect.signature(factory).parameters) for kind, factory in ORACLES.items()}

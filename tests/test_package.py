@@ -27,7 +27,13 @@ def test_all_resolves_and_lists_every_imported_public_name():
         assert hasattr(ringmix, name), name
     imported = _imported_public_names()
     assert imported, "no imports found in ringmix/__init__.py"
-    assert imported <= set(ringmix.__all__), sorted(imported - set(ringmix.__all__))
+    assert set(ringmix.__all__) == imported | {"__version__"}
+    # The imports also bind the submodules; a star import binds none of them.
+    namespace = {"__builtins__": __builtins__}
+    exec("from ringmix import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(ringmix.__all__)
+    assert not [n for n, v in namespace.items() if inspect.ismodule(v)]
 
 
 def test_names_the_benchmark_tracer_wraps_stay_bound():

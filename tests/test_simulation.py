@@ -625,6 +625,8 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match=f"^{key}: must be finite$"):
             _cfg(**{key: 10**400})
     assert _cfg(seed=10**400).seed == 10**400  # an int field takes any size
+    with pytest.raises(ValueError, match="^cost_model: expected CostModel, got None$"):
+        _cfg(cost_model=None)
 
 
 # Every checked argument: (name, kind, check, build), where build(value)

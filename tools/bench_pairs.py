@@ -19,10 +19,10 @@ its correct/attempted/failed counts, each side's share of failed
 operations (failed / attempted over its runs), and per metric each
 side's runs, their median and inclusive quartiles, the parent's IQR
 (q3 - q1), the change's median over the parent's, the pairs the change
-won ("better" as BENCHMARK.json declares it; ties count for neither
-side), and a verdict against the metric's BENCHMARK.json `bound` (see
-`verdict`, which withholds a gain when the change's failed share is
-the larger).  It is rewritten after every run, so an interrupted sweep
+won out of every pair run ("better" as BENCHMARK.json declares it; a
+tie, or a pair with an errored run, counts for neither side), and a
+verdict against the metric's BENCHMARK.json `bound` (see `verdict`,
+which withholds a gain when the change's failed share is the larger).  It is rewritten after every run, so an interrupted sweep
 keeps what it measured.  Standard library only.
 """
 
@@ -83,13 +83,14 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float,
-            more_failed: bool = False) -> str:
-    """One metric's verdict over paired runs, the first that holds of:
+            won: int, pairs_run: int, more_failed: bool = False) -> str:
+    """One metric's verdict over the complete pairs' runs, of which the change
+    won `won`, out of `pairs_run` pairs run; the first that holds of:
 
-    gain        the change wins at least 9 of 10 pairs, and its median beats
-                the parent's by more than the parent's IQR, and the change's
-                runs failed no larger share of their operations than the
-                parent's (`more_failed` is False);
+    gain        the change wins at least 9 of 10 pairs run, and its median
+                beats the parent's by more than the parent's IQR, and the
+                change's runs failed no larger share of their operations
+                than the parent's (`more_failed` is False);
     worse       its median is worse than the parent's by more than `bound`,
                 a share of the parent's median;
     unresolved  the parent's IQR is wider than `bound` (as that share), and
@@ -98,9 +99,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     """
     sign = 1 if better == "higher" else -1
     (p1, p_median, p3), c_median = quartiles(parent), quartiles(change)[1]
-    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gained = sign * (c_median - p_median)
-    if 10 * won >= 9 * len(parent) and gained > p3 - p1 and not more_failed:
+    if 10 * won >= 9 * pairs_run and gained > p3 - p1 and not more_failed:
         return "gain"
     if gained < -bound * abs(p_median):
         return "worse"
@@ -111,8 +111,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
 
 
 def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
-    """Per-metric figures over the complete pairs of one workload; `spec`
-    maps each metric to its (better, bound) in BENCHMARK.json."""
+    """Per-metric figures over the complete pairs of one workload, with pairs
+    won out of every pair run; `spec` maps each metric to its (better, bound)
+    in BENCHMARK.json."""
     pairs = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
     out = {
         "pairs": len(pairs),
@@ -142,9 +143,10 @@ def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
             "change_q1_median_q3": q["change"],
             "parent_iqr": q["parent"][2] - q["parent"][0],
             "change_over_parent_median": q["change"][1] / q["parent"][1],
-            "change_better_pairs": f"{won}/{len(pairs)}",
+            "change_better_pairs": f"{won}/{len(runs)}",
             "bound": bound,
-            "verdict": verdict(values["parent"], values["change"], direction, bound,
+            "verdict": verdict(values["parent"], values["change"], direction, bound, won,
+                               len(runs),
                                out["failed_share"]["change"] > out["failed_share"]["parent"]),
         }
     out["metrics"] = metrics
