@@ -245,17 +245,33 @@ def _block(cfg: RunConfig, tag: int, k: int) -> tuple[int, np.ndarray]:
     return start, _stream_block(cfg.seed, cfg.n_learners, tag, start, stop)
 
 
+# `_draws`'s one cached block, or None: (oracle, key, read-only draws).
+_last_draws = None
+
+
 def _draws(oracle, cfg: RunConfig, k: int, n: int, permutations: bool = False):
     """The (gradient draws, permutation) pair of each iteration from k up to
     k + n, which lie in one stream block.  The oracle draws learner l's at
     iteration k from the stream (seed, TAG_GRADIENT, k, l), so strategies
-    sharing a seed share gradient noise.  With `permutations`, p_k is drawn
-    as `mixing.permutation_for_step(L, cfg.seed, k)`; else it is None."""
+    sharing a seed share gradient noise.  The last block drawn is kept,
+    read-only, and returned again for the same oracle (by identity) and
+    the same seed, L, batch_size, data_partition, k and n.  With
+    `permutations`, p_k is drawn as `mixing.permutation_for_step(L,
+    cfg.seed, k)`; else it is None."""
+    global _last_draws
     L = cfg.n_learners
-    start, rows = _block(cfg, seeding.TAG_GRADIENT, k)
-    rngs = seeding._reseated(rows[k - start : k - start + n].reshape(-1, 4))
-    shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
-    draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
+    key = (cfg.seed, L, cfg.batch_size, cfg.data_partition, k, n)
+    held = _last_draws
+    if held is not None and held[0] is oracle and held[1] == key:
+        draws = held[2]
+    else:
+        _last_draws = None  # hold at most one block, even while drawing the next
+        start, rows = _block(cfg, seeding.TAG_GRADIENT, k)
+        rngs = seeding._reseated(rows[k - start : k - start + n].reshape(-1, 4))
+        shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
+        draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
+        draws.setflags(write=False)
+        _last_draws = (oracle, key, draws)
     if not permutations:
         return zip(draws, [None] * n)
     start, rows = _block(cfg, seeding.TAG_PERMUTATION, k)
@@ -295,7 +311,7 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
     else:
         T = _ring(L)
         if mixing == "relabelled":
-            T = T[perm[:, None], perm]  # = mixing.conjugate_by_permutation(T, perm)
+            T = T.take(perm, 0).take(perm, 1)  # = mixing.conjugate_by_permutation(T, perm)
         W_next = W @ T - lr * G
     return W_next, G
 
@@ -461,6 +477,16 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     block's randomness at once: its clock (`_clock`), every learner's
     gradient draws and rand_psgd's permutations (`_draws`).  Each iteration
     is then array math on its slice of them (`_update`).
+
+    The last block of gradient draws stays cached, read-only, after the
+    run: one block of at most max(L, 4096) rows of the oracle's draws
+    (8 d bytes a row for the quadratic, 8 batch_size for the logistic;
+    1 MiB at L = d = 32) and a reference to the oracle.  It is keyed by
+    the oracle's identity, the seed, L, batch_size, data_partition and
+    the block's iterations, so runs of several strategies on one seed
+    and oracle draw a block that fits the run once.  An oracle's `draw`
+    must therefore depend only on its arguments, and its `gradients`
+    must not write into the draws.
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ringmix import seeding
+from ringmix import seeding, simulation
 
 _CRITERIA: dict[int, tuple[str, bool]] = {}
 _SLOW = {
@@ -66,8 +66,10 @@ def reference():
 @pytest.fixture
 def failed_guard(monkeypatch):
     """Force the reseat's guard to fail; returns the state rows that
-    `seeding._set_state` then reseats the shared Generator at."""
+    `seeding._set_state` then reseats the shared Generator at.  The cached
+    block of gradient draws is dropped, so a run reseats for all of them."""
     seeding._shared_rng.cache_clear()
+    simulation._last_draws = None
     monkeypatch.setattr(seeding, "_reseat_guard", lambda rng, state, half_word: False)
     reseats, set_state = [], seeding._set_state
 
@@ -78,3 +80,4 @@ def failed_guard(monkeypatch):
     monkeypatch.setattr(seeding, "_set_state", recorded_set_state)
     yield reseats
     seeding._shared_rng.cache_clear()
+    simulation._last_draws = None

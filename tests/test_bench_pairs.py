@@ -46,7 +46,10 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
                                        "peak_rss_mb": ("lower", 0.1)})
     assert out["pairs"] == 3 and out["seeds"] == [1, 2, 3]
     assert out["errors"] == [{"seed": 4, "parent": "boom"}]
-    assert out["attempted"] == {"parent": 30, "change": 30}
+    # each side's own runs: the change's run in the errored pair counts, and
+    # the parent's errored run makes it not correct
+    assert out["attempted"] == {"parent": 30, "change": 40}
+    assert out["correct"] == {"parent": False, "change": True}
     work, rss = out["metrics"]["work_per_s"], out["metrics"]["peak_rss_mb"]
     # the tie in pair 2 and the errored pair 4 count for neither side
     assert work["change_better_pairs"] == "2/4"
@@ -119,6 +122,23 @@ def test_a_pair_with_an_errored_run_counts_toward_the_gain_rule_for_neither_side
     work = bench_pairs.summarise(runs, {"work_per_s": ("higher", 0.15)})["metrics"]["work_per_s"]
     assert work["change_better_pairs"] == "7/10"
     assert work["verdict"] == "unchanged"
+
+
+def test_a_side_whose_runs_crashed_is_not_correct_and_counts_its_own_runs():
+    # The change crashed in 3 of 10 pairs, and failed 1 of 10 operations in
+    # one pair whose parent run crashed.
+    runs = [{"seed": i, "first": "parent",
+             "parent": {"error": "exit 1"} if i == 9 else _counted(p, 10, 0),
+             "change": _counted(p + 5.0, 10, int(i == 9)) if i < 7 or i == 9
+             else {"error": "exit 1"}}
+            for i, p in enumerate(_PARENT)]
+    out = bench_pairs.summarise(runs, {"work_per_s": ("higher", 0.15)})
+    assert out["pairs"] == 7
+    assert out["correct"] == {"parent": False, "change": False}
+    assert out["attempted"] == {"parent": 90, "change": 80}
+    assert out["failed"] == {"parent": 0, "change": 1}
+    assert out["failed_share"] == {"parent": 0.0, "change": 1 / 80}
+    assert out["metrics"]["work_per_s"]["verdict"] == "unchanged"
 
 
 # Median 100, inclusive quartiles 94 and 100 (an IQR of 6), highest run 100.2.

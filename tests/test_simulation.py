@@ -531,6 +531,73 @@ def test_run_training_equals_the_one_learner_at_a_time_reference(reference, run)
         assert _outcome(strategy, oracle, cfg) == expected, strategy
 
 
+class _CountingOracle:
+    """A quadratic oracle that logs each `draw` call in `calls` (shared by the
+    oracles given the same list) as whether the draw cache was empty then.
+    Every _CountingOracle is equal to every other, so none is hashable."""
+
+    def __init__(self, calls=None):
+        self._inner = _oracle()
+        self.dimension = self._inner.dimension
+        self.calls = [] if calls is None else calls
+
+    def __eq__(self, other):
+        return isinstance(other, _CountingOracle)
+
+    def draw(self, rngs, n, batch_size, shards=None):
+        self.calls.append(simulation._last_draws is None)
+        return self._inner.draw(rngs, n, batch_size, shards)
+
+    def gradients(self, Phi, draws, batch_size):
+        return self._inner.gradients(Phi, draws, batch_size)
+
+    def loss_columns(self, W):
+        return self._inner.loss_columns(W)
+
+    def loss(self, w):
+        return self._inner.loss(w)
+
+
+def test_strategies_paired_on_a_seed_draw_the_gradient_block_once():
+    # The run fits one stream block: the first strategy draws it, the other
+    # four reuse it and return what a run on a fresh oracle returns.
+    oracle, cfg = _CountingOracle(), _cfg(iterations=40, data_partition="sharded")
+    outcomes = [_outcome(strategy, oracle, cfg) for strategy in Strategy]
+    assert oracle.calls == [True]
+    for strategy, outcome in zip(Strategy, outcomes):
+        assert _outcome(strategy, _CountingOracle(), cfg) == outcome, strategy
+
+
+@pytest.mark.parametrize("change", ["seed", "n_learners", "batch_size", "data_partition", "oracle"])
+def test_a_run_that_changes_one_key_field_draws_its_block_again(change):
+    calls = []
+    oracle, cfg = _CountingOracle(calls), _cfg()
+    if change == "oracle":
+        other, other_cfg = _CountingOracle(calls), cfg  # equal, but another object
+        assert other == oracle
+    else:
+        values = {"seed": 6, "n_learners": 5, "batch_size": 3, "data_partition": "sharded"}
+        other, other_cfg = oracle, replace(cfg, **{change: values[change]})
+    for run in ((oracle, cfg), (oracle, cfg), (other, other_cfg), (other, other_cfg),
+                (oracle, cfg)):
+        run_training(Strategy.D1D, *run)
+    # Each miss draws with the cache already emptied: one block held at most.
+    assert calls == [True] * 3
+
+
+class _WritingOracle(_CountingOracle):
+    """An oracle whose `gradients` scales its draws in place."""
+
+    def gradients(self, Phi, draws, batch_size):
+        draws *= 1.0
+        return super().gradients(Phi, draws, batch_size)
+
+
+def test_the_cached_gradient_draws_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        run_training(Strategy.DPSGD_FIXED, _WritingOracle(), _cfg())
+
+
 def test_divergence_threshold_is_inclusive():
     # From zero weights at lr 1, d1d's first step leaves every weight at
     # exactly -value: the threshold itself is healthy, the next float is not.

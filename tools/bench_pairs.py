@@ -15,15 +15,17 @@ that.  The three workloads are interleaved pair by pair, so a slow spell
 of a shared host falls on every workload alike.
 
 The output JSON holds, per workload, every run's end-to-end metrics and
-its correct/attempted/failed counts, each side's share of failed
-operations (failed / attempted over its runs), and per metric each
+its correct/attempted/failed counts; each side's totals of those over all
+of its own runs, with `correct` false if any of them errored, and its
+share of failed operations (failed / attempted); and per metric each
 side's runs, their median and inclusive quartiles, the parent's IQR
 (q3 - q1), the change's median over the parent's, the pairs the change
 won out of every pair run ("better" as BENCHMARK.json declares it; a
 tie, or a pair with an errored run, counts for neither side), and a
 verdict against the metric's BENCHMARK.json `bound` (see `verdict`,
-which withholds a gain when the change's failed share is the larger).  It is rewritten after every run, so an interrupted sweep
-keeps what it measured.  Standard library only.
+which withholds a gain when the change's failed share is the larger).
+It is rewritten after every run, so an interrupted sweep keeps what it
+measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
 def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
     """Per-metric figures over the complete pairs of one workload, with pairs
     won out of every pair run; `spec` maps each metric to its (better, bound)
-    in BENCHMARK.json."""
+    in BENCHMARK.json.  Each side's correct, attempted, failed and failed
+    share are over all of its own runs, and an errored run makes it not
+    correct."""
     pairs = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
     out = {
         "pairs": len(pairs),
@@ -122,9 +126,11 @@ def summarise(runs: list[dict], spec: dict[str, tuple[str, float]]) -> dict:
         "errors": [{"seed": r["seed"], side: r[side]["error"]}
                    for r in runs for side in SIDES if "error" in r[side]],
     }
-    for key in ("correct", "attempted", "failed"):
-        values = {side: [r[side][key] for r in pairs] for side in SIDES}
-        out[key] = {side: all(v) if key == "correct" else sum(v) for side, v in values.items()}
+    done = {side: [r[side] for r in runs if "metrics" in r[side]] for side in SIDES}
+    out["correct"] = {side: len(done[side]) == len(runs) and all(r["correct"] for r in done[side])
+                      for side in SIDES}
+    for key in ("attempted", "failed"):
+        out[key] = {side: sum(r[key] for r in done[side]) for side in SIDES}
     # A faster side attempts more operations: compare shares, not counts.
     out["failed_share"] = {side: out["failed"][side] / max(1, out["attempted"][side])
                            for side in SIDES}
