@@ -112,8 +112,8 @@ def apply_mixing(W: np.ndarray, T: np.ndarray) -> np.ndarray:
     to exactly zero, and keeps the arithmetic identical for any matrix
     whose entries all equal 1/L, however it was built.
     """
-    if W.ndim != 2 or T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected W (d, L) and square T, got {W.shape} and {T.shape}")
+    if W.ndim != 2 or T.ndim != 2 or T.shape[0] != T.shape[1] or not T.size:
+        raise ValueError(f"expected W (d, L) and square nonempty T, got {W.shape} and {T.shape}")
     if W.shape[1] != T.shape[0]:
         raise ValueError(
             f"size mismatch: W has {W.shape[1]} columns, T is {T.shape[0]}x{T.shape[0]}"
@@ -132,7 +132,7 @@ def verify_doubly_stochastic(T: np.ndarray, tol: float = 1e-12) -> Stochasticity
     deliberately broken inputs.
     """
     T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+    if T.ndim != 2 or T.shape[0] != T.shape[1] or not T.size:
         return StochasticityReport(np.inf, np.inf, -np.inf, tol, False)
     row_err = float(np.max(np.abs(T.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(T.sum(axis=0) - 1.0)))

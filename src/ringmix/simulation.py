@@ -47,7 +47,7 @@ import numpy as np
 from . import seeding
 from ._checks import _check_fields, _checked, _require
 # apply_mixing is unused here; perfbench's tracer wraps this attribute.
-from .mixing import apply_mixing, build_ring_matrix
+from .mixing import apply_mixing, build_ring_matrix, permutation_for_step
 from .spectral import second_eigenvalue_ring
 
 
@@ -214,70 +214,48 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
     return cfg.lr
 
 
-# Gradient rows whose stream states are derived together; one block per tag is cached.
+# Gradient streams per stream block (`_block`).
 _ROW_BUDGET = 4096
 
-
-@functools.lru_cache(maxsize=3)
-def _stream_block(seed: int, n_learners: int, tag: int, start: int, stop: int) -> np.ndarray:
-    """PCG64 state rows (`seeding.stream_states`) of the `tag` streams of
-    iterations start up to stop, derived in one pass: (seed, TAG_GRADIENT,
-    k, l) for every learner l, shaped (stop - start, n_learners, 4), or
-    (seed, tag, k) for the clock and permutation tags, shaped (stop - start,
-    1, 4).  `_block` sizes the blocks to the run."""
-    k = np.arange(start, stop)
-    learners = [np.arange(n_learners)] if tag == seeding.TAG_GRADIENT else []
-    index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
-    rows = seeding.stream_states((seed, tag), index.reshape(-1, index.shape[-1]))
-    rows = rows.reshape(stop - start, -1, 4)
-    rows.setflags(write=False)
-    return rows
-
-
-def _block(cfg: RunConfig, tag: int, k: int) -> tuple[int, np.ndarray]:
-    """The first iteration and the `_stream_block` rows of the `tag` block
-    holding iteration k.  Blocks hold max(1, _ROW_BUDGET // L) iterations
-    from 0, the last one cut at the run's end; a k past the run gets a
-    whole block."""
-    size = max(1, _ROW_BUDGET // cfg.n_learners)
-    start = k - k % size
-    stop = start + size if k >= cfg.iterations else min(start + size, cfg.iterations)
-    return start, _stream_block(cfg.seed, cfg.n_learners, tag, start, stop)
-
-
-# `_draws`'s one cached block, or None: (oracle, key, read-only draws).
+# `_block`'s one cached block, or None: (oracle, key, block).
 _last_draws = None
 
 
-def _draws(oracle, cfg: RunConfig, k: int, n: int, permutations: bool = False):
-    """The (gradient draws, permutation) pair of each iteration from k up to
-    k + n, which lie in one stream block.  The oracle draws learner l's at
-    iteration k from the stream (seed, TAG_GRADIENT, k, l), so strategies
-    sharing a seed share gradient noise.  The last block drawn is kept,
-    read-only, and returned again for the same oracle (by identity) and
-    the same seed, L, batch_size, data_partition, k and n.  With
-    `permutations`, p_k is drawn as `mixing.permutation_for_step(L,
-    cfg.seed, k)`; else it is None."""
+def _rows(seed: int, tag: int, k: np.ndarray, *learners: np.ndarray) -> np.ndarray:
+    """PCG64 state rows (`seeding.stream_states`) of the streams (seed, tag,
+    k[i], l), for each iteration k[i] and, in turn, each l in `learners`; or
+    of (seed, tag, k[i]) without them."""
+    index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
+    return seeding.stream_states((seed, tag), index.reshape(-1, index.shape[-1]))
+
+
+def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The stream block holding iteration k: its first iteration, every
+    learner's gradient draws at its iterations, shaped (n, L, ...), and its
+    clock's state rows (`_rows`).  Blocks hold max(1, _ROW_BUDGET // L)
+    iterations from 0, the last one cut at the run's end; a k past the run
+    gets a whole block.  The oracle draws learner l's at iteration k from the
+    stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed share
+    gradient noise.  The last block is kept, its draws read-only, and
+    returned again for the same oracle (by identity), seed, L, batch_size,
+    data_partition and block bounds."""
     global _last_draws
     L = cfg.n_learners
-    key = (cfg.seed, L, cfg.batch_size, cfg.data_partition, k, n)
-    held = _last_draws
-    if held is not None and held[0] is oracle and held[1] == key:
-        draws = held[2]
-    else:
-        _last_draws = None  # hold at most one block, even while drawing the next
-        start, rows = _block(cfg, seeding.TAG_GRADIENT, k)
-        rngs = seeding._reseated(rows[k - start : k - start + n].reshape(-1, 4))
-        shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
-        draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
-        draws.setflags(write=False)
-        _last_draws = (oracle, key, draws)
-    if not permutations:
-        return zip(draws, [None] * n)
-    start, rows = _block(cfg, seeding.TAG_PERMUTATION, k)
-    rngs = seeding._reseated(rows[k - start : k - start + n, 0])
-    # sample_permutation(L, rng) without its check: RunConfig has checked L.
-    return zip(draws, [rng.permutation(L) for rng in rngs])
+    size = max(1, _ROW_BUDGET // L)
+    start = k - k % size
+    stop = start + size if k >= cfg.iterations else min(start + size, cfg.iterations)
+    key = (cfg.seed, L, cfg.batch_size, cfg.data_partition, start, stop)
+    if _last_draws is not None and _last_draws[0] is oracle and _last_draws[1] == key:
+        return _last_draws[2]
+    _last_draws = None  # hold at most one block, even while drawing the next
+    n, iterations = stop - start, np.arange(start, stop)
+    rngs = seeding._reseated(_rows(cfg.seed, seeding.TAG_GRADIENT, iterations, np.arange(L)))
+    shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
+    draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
+    draws.setflags(write=False)
+    block = start, draws, _rows(cfg.seed, seeding.TAG_CLOCK, iterations)
+    _last_draws = (oracle, key, block)
+    return block
 
 
 def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarray:
@@ -285,17 +263,18 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
 
     Learner l draws from the stream (seed, gradient-tag, k, l): pure in
     (seed, k, l) and independent of the strategy, so strategies sharing
-    a seed share gradient noise.
+    a seed share gradient noise.  The draws are row k of `_block`'s.
     """
-    [(draws, _)] = _draws(oracle, cfg, k, 1)
-    return oracle.gradients(Phi, draws, cfg.batch_size)
+    start, draws, _ = _block(oracle, cfg, k)
+    return oracle.gradients(Phi, draws[k - start], cfg.batch_size)
 
 
 def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int,
             draws: np.ndarray, perm: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Iteration k of `strategy`, as its mixing and gradient say, from the
-    weights W, the one-step-stale W_prev and the iteration's `_draws`:
-    (next weights, gradients)."""
+    weights W, the one-step-stale W_prev, the iteration's row of `_block`'s
+    gradient draws and, for rand_psgd, its permutation p_k: (next weights,
+    gradients)."""
     mixing, gradient = strategy.mixing, strategy.gradient
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
@@ -317,13 +296,17 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
-    """One iteration of `strategy` on `state`: `_update` on a one-iteration
-    block of draws.  SPSGD's one model must be the same in every column."""
+    """One iteration of `strategy` on `state`: `_update` on row k of `_block`'s
+    draws (the first step in a block draws it whole), with p_k from
+    `mixing.permutation_for_step`.  SPSGD's one model must be the same in
+    every column."""
     k, W = state.iteration, state.weights
     if strategy.mixing == "none" and np.any(W != W[:, :1]):
         raise ValueError("SPSGD requires identical weights on all learners")
-    [(draws, perm)] = _draws(oracle, cfg, k, 1, strategy.mixing == "relabelled")
-    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws, perm)
+    start, draws, _ = _block(oracle, cfg, k)
+    relabelled = strategy.mixing == "relabelled"
+    perm = permutation_for_step(cfg.n_learners, cfg.seed, k) if relabelled else None
+    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws[k - start], perm)
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
@@ -473,15 +456,17 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
 
     The loop keeps the weights, the stale model, the last gradients and
     the clock totals in arrays and builds a `SimState` only for the result.
-    At the start of each stream block (`_block`) it draws all of the
-    block's randomness at once: its clock (`_clock`), every learner's
-    gradient draws and rand_psgd's permutations (`_draws`).  Each iteration
-    is then array math on its slice of them (`_update`).
+    At the start of each stream block it draws all of the block's
+    randomness at once: every learner's gradient draws and the clock's
+    state rows (`_block`), the clock (`_clock`) and, for rand_psgd only,
+    the permutations.  Each iteration is then array math on its row of
+    them (`_update`).
 
-    The last block of gradient draws stays cached, read-only, after the
-    run: one block of at most max(L, 4096) rows of the oracle's draws
-    (8 d bytes a row for the quadratic, 8 batch_size for the logistic;
-    1 MiB at L = d = 32) and a reference to the oracle.  It is keyed by
+    The last block stays cached after the run, and `gradient_matrix` and
+    the `step_*` functions read the same cache: one block of at most
+    max(L, 4096) rows of the oracle's draws, read-only (8 d bytes a row
+    for the quadratic, 8 batch_size for the logistic; 1 MiB at L = d =
+    32), its clock rows and a reference to the oracle.  It is keyed by
     the oracle's identity, the seed, L, batch_size, data_partition and
     the block's iterations, so runs of several strategies on one seed
     and oracle draw a block that fits the run once.  An oracle's `draw`
@@ -495,14 +480,17 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     done, diverged = 0, False  # done: healthy iterations
     while done < cfg.iterations and not diverged:
-        start, rows = _block(cfg, seeding.TAG_CLOCK, done)
+        start, block, clock = _block(oracle, cfg, done)  # start == done
         # A clock overflow is raised at its iteration as an error, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(rows[:, 0]),
+            compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(clock),
                                      compute[-1], sim[-1])
             overflowed = _overflowed_clock(compute, sim)
-        block = _draws(oracle, cfg, start, len(rows), strategy.mixing == "relabelled")
-        for k, (draws, perm) in enumerate(block, start):
+        perms = [None] * len(block)
+        if strategy.mixing == "relabelled":  # permutation_for_step, less its check of L
+            rows = _rows(cfg.seed, seeding.TAG_PERMUTATION, np.arange(start, start + len(block)))
+            perms = [rng.permutation(cfg.n_learners) for rng in seeding._reseated(rows)]
+        for k, (draws, perm) in enumerate(zip(block, perms), start):
             with np.errstate(over="ignore", invalid="ignore"):
                 W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm)
             # One reduction: NaN and +-inf fail the comparison too.

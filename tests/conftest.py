@@ -67,7 +67,8 @@ def reference():
 def failed_guard(monkeypatch):
     """Force the reseat's guard to fail; returns the state rows that
     `seeding._set_state` then reseats the shared Generator at.  The cached
-    block of gradient draws is dropped, so a run reseats for all of them."""
+    stream block (`simulation._last_draws`) is dropped, so a run reseats for
+    all of its streams."""
     seeding._shared_rng.cache_clear()
     simulation._last_draws = None
     monkeypatch.setattr(seeding, "_reseat_guard", lambda rng, state, half_word: False)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: seed lists and the per-metric pair summary."""
 
 import importlib.util
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -170,3 +171,23 @@ def test_an_unknown_workload_exits_before_the_first_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown workload 'consensus-mx'" in err
     assert "BENCHMARK.json lists train-ring-L32, consensus-mc, sweep-logistic" in err
+
+
+@pytest.mark.parametrize("line", ["perfbench: interrupted", '{"correct": true}'],
+                         ids=["not-json", "no-attempted"])
+def test_a_malformed_run_is_an_errored_run_and_the_pairs_go_on(tmp_path, line):
+    # perfbench's `malformed` case: exit 0, but the last line is no result.
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    (tree / "perfbench" / "run.py").write_text(f"print({line!r})\n")
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tree), "--change", str(tree), "--seeds", "1-2",
+            "--workloads", "consensus-mc", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    summary = json.loads(out.read_text())["summary"]["consensus-mc"]
+    assert summary["pairs"] == 0
+    errors = [(e["seed"], side, e[side]) for e in summary["errors"] for side in e if side != "seed"]
+    assert [e[:2] for e in errors] == [(1, "parent"), (1, "change"), (2, "parent"), (2, "change")]
+    assert all(e[2].startswith(f"malformed result {line!r}") for e in errors)
+    assert summary["correct"] == {"parent": False, "change": False}

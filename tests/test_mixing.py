@@ -61,6 +61,14 @@ def test_verify_reports_failure_without_raising():
     assert report.max_row_error > 1e-12
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3)], ids=["empty", "non-square"])
+def test_verify_reports_an_empty_or_non_square_matrix_without_raising(shape):
+    report = verify_doubly_stochastic(np.zeros(shape))
+    assert (report.max_row_error, report.max_col_error, report.min_entry) == (
+        np.inf, np.inf, -np.inf)
+    assert not report.ok
+
+
 def test_sample_permutation_is_valid_and_replays():
     rng = stream(5, 1, 0)
     p = sample_permutation(10, rng)
@@ -111,6 +119,11 @@ def test_apply_mixing_uniform_collapses_exactly():
     # Exact column-mean broadcast: all columns bitwise identical.
     assert np.all(mixed == mixed[:, :1])
     assert np.allclose(mixed, W @ U, atol=1e-15)
+
+
+def test_apply_mixing_rejects_an_empty_matrix_naming_the_shapes():
+    with pytest.raises(ValueError, match=r"square nonempty T, got \(3, 0\) and \(0, 0\)$"):
+        apply_mixing(np.zeros((3, 0)), np.zeros((0, 0)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringmix import simulation
@@ -174,8 +174,10 @@ def test_rand_psgd_matches_manual_conjugation():
 
 
 def test_rand_psgd_permutations_equal_permutation_for_step_across_blocks():
-    # step_rand_psgd takes its permutation stream from the cached block of
-    # stream states; mixing.permutation_for_step is the reference.
+    # step_rand_psgd takes p_k from mixing.permutation_for_step, the reference,
+    # and its gradient draws from the cached block that holds k.  The loop's
+    # own block of permutations is checked against the steps below
+    # (test_stepping_equals_run_training_under_any_row_budget).
     oracle = _oracle()
     for L, seed in ((5, 11), (8, 2**40 + 9)):
         cfg = _cfg(n_learners=L, seed=seed, staleness_mode="sync")
@@ -531,9 +533,36 @@ def test_run_training_equals_the_one_learner_at_a_time_reference(reference, run)
         assert _outcome(strategy, oracle, cfg) == expected, strategy
 
 
+_STEPS = {Strategy.SPSGD: step_spsgd, Strategy.DPSGD_FIXED: step_dpsgd_fixed,
+          Strategy.ADPSGD_FIXED: step_adpsgd_fixed, Strategy.RAND_PSGD: step_rand_psgd,
+          Strategy.D1D: step_d1d}
+
+
+@settings(max_examples=30, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), run=_runs(max_iterations=30))
+def test_stepping_equals_run_training_under_any_row_budget(strategy, run):
+    # The step_* functions index the block that run_training loops over; for
+    # a run that does not diverge, stepping from the start model gives its
+    # state byte for byte, whatever the block size.
+    oracle, cfg = run
+    cfg = replace(cfg, lr=min(cfg.lr, 0.5), cost_model=CostModel())
+    expected = run_training(strategy, oracle, cfg)
+    assume(not expected.diverged)
+    L = cfg.n_learners
+    for budget in (1, L, 2 * L + 1, simulation._ROW_BUDGET):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_ROW_BUDGET", budget)
+            state = initial_state(oracle, cfg)
+            for _ in range(cfg.iterations):
+                state = _STEPS[strategy](state, oracle, cfg)
+        for name in ("weights", "prev_weights", "last_gradients"):
+            assert getattr(state, name).tobytes() == getattr(expected.state, name).tobytes(), (
+                budget, name)
+
+
 class _CountingOracle:
     """A quadratic oracle that logs each `draw` call in `calls` (shared by the
-    oracles given the same list) as whether the draw cache was empty then.
+    oracles given the same list) as whether the block cache was empty then.
     Every _CountingOracle is equal to every other, so none is hashable."""
 
     def __init__(self, calls=None):
@@ -566,6 +595,20 @@ def test_strategies_paired_on_a_seed_draw_the_gradient_block_once():
     assert oracle.calls == [True]
     for strategy, outcome in zip(Strategy, outcomes):
         assert _outcome(strategy, _CountingOracle(), cfg) == outcome, strategy
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_steps_draw_once_per_block_and_gradient_matrix_reads_the_held_block(strategy, monkeypatch):
+    # Blocks of 8 iterations at L = 4: 16 steps cross into a second block.
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 4 * 8)
+    oracle, cfg = _CountingOracle(), _cfg(iterations=16)
+    state = initial_state(oracle, cfg)
+    for _ in range(cfg.iterations):
+        state = _STEPS[strategy](state, oracle, cfg)
+    assert oracle.calls == [True, True]
+    for k in range(8, 16):
+        gradient_matrix(oracle, state.weights, cfg, k)
+    assert oracle.calls == [True, True]
 
 
 @pytest.mark.parametrize("change", ["seed", "n_learners", "batch_size", "data_partition", "oracle"])

@@ -58,7 +58,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from `tree`: its final JSON line, or the error."""
+    """One perfbench run from `tree`: its final JSON line, or the error, for a
+    nonzero exit, no output or a last line that is not a result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -67,13 +68,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": proc.stderr.strip()[-2000:] or f"exit {proc.returncode}"}
-    result = json.loads(lines[-1])
-    return {
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+    try:
+        result = json.loads(lines[-1])
+        return {
+            "correct": result["correct"],
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        }
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        return {"error": f"malformed result {lines[-1][-200:]!r}: {exc!r}"}
 
 
 def quartiles(values: list[float]) -> list[float]:
