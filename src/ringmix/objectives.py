@@ -16,22 +16,24 @@ Two oracle families:
   learner-by-learner loop.
 
 Both oracles take a stochastic gradient in two steps, since their
-randomness does not depend on the model.  `draw(rngs, n, batch_size,
-shards)` makes n learners' draws (standard normals for the quadratic,
-minibatch sample indices for the logistic), each in full from its own
-rng before the next is taken, so the rngs may be one reseated Generator;
-`gradients(Phi, draws, batch_size)` does the math on them.  The training
-loop draws a whole stream block's draws first.  `stochastic_gradient(w,
-rng, batch_size, shard)` is the two on one column: the same rng state
-always yields the same samples and the same gradient, bit for bit.
-`gradient_check` closes the loop between the loss and gradient code
-paths with central finite differences.
+randomness does not depend on the model.  `draw(rows, batch_size,
+shards)` makes one learner's draws (standard normals for the quadratic,
+minibatch sample indices for the logistic) from the stream of each PCG64
+state row (`seeding.stream_states`), the logistic's in one vectorized
+pass (`seeding.bounded_integers`); `gradients(Phi, draws, batch_size)`
+does the math on them.  The training loop draws a whole stream block's
+draws first.  `stochastic_gradient(w, rng, batch_size, shard)` is the two
+on one column, drawn from a caller's Generator: the same rng state always
+yields the same samples and the same gradient, bit for bit, and those of
+a stream's Generator are those of its state row.  `gradient_check`
+closes the loop between the loss and gradient code paths with central
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -53,11 +55,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _one_gradient(oracle, w: np.ndarray, rng, batch_size: int, shard) -> np.ndarray:
-    """`oracle`'s stochastic gradient at w: one learner's `draw` from rng,
-    then `gradients` on w as the one column."""
+def _one_gradient(oracle, w: np.ndarray, batch_size: int,
+                  sample: Callable[[int], np.ndarray]) -> np.ndarray:
+    """`oracle`'s stochastic gradient at w: `gradients` on w as the one
+    column, its one row of draws `sample(batch_size)`, taken once
+    batch_size has passed its check."""
     batch_size = _require("batch_size", batch_size, ">= 1", int)
-    draws = oracle.draw([rng], 1, batch_size, [shard])
+    draws = sample(batch_size)[None]
     return oracle.gradients(np.asarray(w, dtype=float)[:, None], draws, batch_size)[:, 0]
 
 
@@ -87,17 +91,17 @@ class QuadraticObjective:
         return self.eigenvalues * (np.asarray(w, dtype=float) - self.optimum)
 
     def stochastic_gradient(self, w: np.ndarray, rng, batch_size: int, shard=None) -> np.ndarray:
-        return _one_gradient(self, w, rng, batch_size, shard)
+        return _one_gradient(self, w, batch_size, lambda _: rng.standard_normal(self.dimension))
 
-    def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
-             shards: _Shards = None) -> np.ndarray:
-        """(n, d) standard normals, row l drawn from the l-th of the n rngs.
+    def draw(self, rows: np.ndarray, batch_size: int, shards: _Shards = None) -> np.ndarray:
+        """(n, d) standard normals for the n state rows, row l drawn from
+        the stream of the l-th.
 
         Pure noise model: the sampled batch only sets the noise
         magnitude, so neither it nor a shard assignment is drawn here.
         """
-        noise = np.empty((n, self.dimension))
-        for row, rng in zip(noise, rngs, strict=True):
+        noise = np.empty((len(rows), self.dimension))
+        for row, rng in zip(noise, seeding._reseated(rows)):
             rng.standard_normal(out=row)
         return noise
 
@@ -138,13 +142,11 @@ class LogisticObjective:
         coeff = -self.labels * _sigmoid(-margins)
         return (self.features.T @ coeff) / self.n_samples + self.ridge * w
 
-    def _sample_indices(
-        self, rng: np.random.Generator, batch_size: int, shard: tuple[int, int] | None
-    ) -> np.ndarray:
-        """batch_size sample indices drawn uniformly, with replacement, from
-        the shard: samples index, index + count, ... (all data when None)."""
+    def _shard(self, shard: tuple[int, int] | None) -> tuple[int, int, int]:
+        """(index, count, size) of a shard: it holds the samples index +
+        count j for j in range(size) (all data when None)."""
         if shard is None:
-            return rng.integers(0, self.n_samples, batch_size)
+            return 0, 1, self.n_samples
         index, count = shard
         if not 0 <= index < count:
             raise ValueError(f"shard index {index} outside 0..{count - 1}")
@@ -152,19 +154,34 @@ class LogisticObjective:
         if not size:
             raise ValueError(f"shard {index} of {count} holds no sample "
                              f"(n_samples = {self.n_samples})")
+        return index, count, size
+
+    def _sample_indices(
+        self, rng: np.random.Generator, batch_size: int, shard: tuple[int, int] | None
+    ) -> np.ndarray:
+        """batch_size sample indices drawn uniformly, with replacement, from
+        the shard by one `integers` call on rng."""
+        index, count, size = self._shard(shard)
         return index + count * rng.integers(0, size, batch_size)
 
     def stochastic_gradient(self, w: np.ndarray, rng, batch_size: int, shard=None) -> np.ndarray:
-        return _one_gradient(self, w, rng, batch_size, shard)
+        return _one_gradient(self, w, batch_size,
+                             lambda b: self._sample_indices(rng, b, shard))
 
-    def draw(self, rngs: Iterable[np.random.Generator], n: int, batch_size: int,
-             shards: _Shards = None) -> np.ndarray:
-        """(n, batch_size) sample indices: row l is a minibatch drawn with the
-        l-th of the n rngs from the l-th shard (all data when None)."""
-        picks = np.empty((n, batch_size), dtype=np.int64)
-        for row, rng, shard in zip(picks, rngs, shards or [None] * n, strict=True):
-            row[:] = self._sample_indices(rng, batch_size, shard)
-        return picks
+    def draw(self, rows: np.ndarray, batch_size: int, shards: _Shards = None) -> np.ndarray:
+        """(n, batch_size) sample indices for the n state rows: row l is the
+        minibatch `_sample_indices` draws from the l-th shard (all data when
+        None) with the Generator of the l-th row's stream.  Each distinct
+        shard is checked once, before any draw."""
+        n = len(rows)
+        if shards is None:
+            shards = [None] * n
+        elif len(shards) != n:
+            raise ValueError(f"shards: has {len(shards)} entries, expected one for each "
+                             f"of the {n} rows")
+        layout = {shard: self._shard(shard) for shard in dict.fromkeys(shards)}
+        index, count, size = np.array([layout[s] for s in shards], dtype=np.int64).reshape(n, 3).T
+        return index[:, None] + count[:, None] * seeding.bounded_integers(rows, size, batch_size)
 
     def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
         """Minibatch gradients of the columns of Phi, column l on the samples

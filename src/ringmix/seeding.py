@@ -15,6 +15,8 @@ and draw each from one module-held Generator reseated at that state
 shared object, so a consumer must finish with each stream before it takes
 the next.  The reseat writes numpy's state struct in place; if that write
 fails its check, it goes through the public `bit_generator.state` setter.
+`bounded_integers` draws bounded integers from many state rows at once,
+bit-identical to each stream's `integers`.
 """
 
 from __future__ import annotations
@@ -252,3 +254,33 @@ def _reseated(rows: np.ndarray) -> Iterator[np.random.Generator]:
         state[:] = row
         half_word[0] = 0
         yield rng
+
+
+def bounded_integers(rows: np.ndarray, bounds, count: int) -> np.ndarray:
+    """`integers(0, bounds[i], count)` of the stream of each state row i
+    (`stream_states`), as one (len(rows), count) int64 array.
+
+    A Generator draws below a bound n <= 2**32 by Lemire's method: each
+    32-bit word w (the low half of a 64-bit output, then its high half)
+    gives (w n) >> 32, unless the product's low word is below 2**32 % n,
+    when it takes another word.  Here each row's ceil(count / 2) outputs
+    are read by one `random_raw` call right after its reseat, which holds
+    no cached half-word, and the multiply runs over the whole block at
+    once.  A row with a rejected word, or with a bound over 2**32, is
+    reseated again and drawn by `integers` itself.  A bound of 1 gives 0.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.shape != (len(rows),) or (bounds.size and bounds.min() < 1):
+        raise ValueError(f"bounds must hold one integer >= 1 for each of the {len(rows)} rows")
+    outputs = -(-count // 2)
+    bit_generator = _shared_rng()[0].bit_generator
+    raw = np.array([bit_generator.random_raw(outputs) for _ in _reseated(rows)],
+                   dtype=np.uint64).reshape(len(rows), outputs)
+    words = np.stack((raw & _MASK32, raw >> 32), axis=-1).reshape(len(rows), 2 * outputs)[:, :count]
+    n = np.minimum(bounds, 2**32).astype(np.uint64)[:, None]
+    products = words * n  # below 2**64: both factors are at most 2**32
+    picks = (products >> 32).astype(np.int64)
+    redraw = np.flatnonzero((bounds > 2**32) | np.any((products & _MASK32) < 2**32 % n, axis=1))
+    for i, rng in zip(redraw, _reseated(rows[redraw])):
+        picks[i] = rng.integers(0, bounds[i], count)
+    return picks

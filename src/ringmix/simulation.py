@@ -249,9 +249,9 @@ def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray]
         return _last_draws[2]
     _last_draws = None  # hold at most one block, even while drawing the next
     n, iterations = stop - start, np.arange(start, stop)
-    rngs = seeding._reseated(_rows(cfg.seed, seeding.TAG_GRADIENT, iterations, np.arange(L)))
+    rows = _rows(cfg.seed, seeding.TAG_GRADIENT, iterations, np.arange(L))
     shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
-    draws = oracle.draw(rngs, n * L, cfg.batch_size, shards).reshape(n, L, -1)
+    draws = oracle.draw(rows, cfg.batch_size, shards).reshape(n, L, -1)
     draws.setflags(write=False)
     block = start, draws, _rows(cfg.seed, seeding.TAG_CLOCK, iterations)
     _last_draws = (oracle, key, block)

@@ -263,7 +263,8 @@ def _trial_distances(
         # One shared Generator: each trial's draw is done before the next reseat.
         for i, rng in enumerate(seeding._reseated(rows[start : start + chunk])):
             rng.permuted(labels, axis=1, out=perms[i])
-        rings = (T0[p[:, :, None], p[:, None, :]] for p in perms.swapaxes(0, 1))
+        # One flat gather per step: ring i is T0[p_i[:, None], p_i[None, :]].
+        rings = (T0.ravel().take(p[:, :, None] * L + p[:, None, :]) for p in perms.swapaxes(0, 1))
         values[:, start : start + chunk] = _product_distances(rings, U, kinds)
     return values
 

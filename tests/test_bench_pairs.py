@@ -191,3 +191,36 @@ def test_a_malformed_run_is_an_errored_run_and_the_pairs_go_on(tmp_path, line):
     assert [e[:2] for e in errors] == [(1, "parent"), (1, "change"), (2, "parent"), (2, "change")]
     assert all(e[2].startswith(f"malformed result {line!r}") for e in errors)
     assert summary["correct"] == {"parent": False, "change": False}
+
+
+def _fake_tree(path, mismatch, commit=None):
+    """A tree whose perfbench run prints a report line with `mismatch`, then a
+    result; with a `.git` at `commit` when one is given."""
+    (path / "perfbench").mkdir(parents=True)
+    spec = (_PATH.parents[1] / "BENCHMARK.json").read_text()
+    (path / "BENCHMARK.json").write_text(spec)
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in json.loads(spec)["end_to_end"]}
+    report = json.dumps({"report": {"fingerprint_mismatch": mismatch}})
+    result = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+    (path / "perfbench" / "run.py").write_text(f"print({report!r})\nprint({result!r})\n")
+    if commit is not None:
+        (path / ".git" / "refs" / "heads").mkdir(parents=True)
+        (path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (path / ".git" / "refs" / "heads" / "main").write_text(commit + "\n")
+    return path
+
+
+def test_the_output_keeps_each_trees_commit_and_each_runs_fingerprint_mismatch(tmp_path):
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    parent = _fake_tree(tmp_path / "parent", [], commit)
+    change = _fake_tree(tmp_path / "change", ["git_sha", "numpy"])  # an exported tree
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seeds", "1-2",
+            "--workloads", "consensus-mc", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["trees"] == {"parent": commit, "change": "unknown"}
+    runs = report["runs"]["consensus-mc"]
+    assert [r["parent"]["fingerprint_mismatch"] for r in runs] == [[], []]
+    assert [r["change"]["fingerprint_mismatch"] for r in runs] == [["git_sha", "numpy"]] * 2
+    assert report["summary"]["consensus-mc"]["pairs"] == 2

@@ -1,3 +1,4 @@
+import copy
 import math
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringmix import objectives
+from ringmix import objectives, seeding
 from ringmix.objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -14,7 +15,7 @@ from ringmix.objectives import (
     logistic_oracle,
     quadratic_oracle,
 )
-from ringmix.seeding import stream
+from ringmix.seeding import stream, stream_states
 from ringmix.simulation import RunConfig, Strategy, run_training
 
 
@@ -202,11 +203,61 @@ def test_logistic_stacked_gradients_match_per_learner_loop(reference, case):
     expected = reference.logistic_gradients(
         oracle, Phi, batch_size, [stream(seed, 2, l) for l in range(L)], shards
     )
-    draws = oracle.draw((stream(seed, 2, l) for l in range(L)), L, batch_size, shards)
+    draws = oracle.draw(stream_states((seed, 2), np.arange(L)[:, None]), batch_size, shards)
     with mock.patch.object(objectives, "_CHUNK_BYTES", budget):
         G = oracle.gradients(Phi, draws, batch_size)
     assert G.shape == expected.shape
     assert G.tobytes() == expected.tobytes()
+
+
+def _cached_half_word_pcg64():
+    rng = np.random.Generator(np.random.PCG64(21))
+    rng.integers(0, 2**32, 1)  # leaves the high half of a 64-bit output cached
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("shard", [None, (2, 3)])
+@pytest.mark.parametrize("make_rng", [_cached_half_word_pcg64,
+                                      lambda: np.random.Generator(np.random.MT19937(21))],
+                         ids=["pcg64-cached-half-word", "mt19937"])
+def test_stochastic_gradient_samples_a_callers_generator_as_sample_indices(make_rng, shard):
+    # The block draw reads raw PCG64 outputs; a caller's Generator, whatever
+    # its bit generator and cached state, is drawn by `integers` instead.
+    oracle = logistic_oracle(dimension=3, n_samples=40, separation=1.0, seed=2)
+    rng = make_rng()
+    twin = copy.deepcopy(rng)
+    with mock.patch.object(oracle, "gradients", wraps=oracle.gradients) as gradients:
+        oracle.stochastic_gradient(np.ones(3), rng, 7, shard)
+    draws = gradients.call_args.args[1]
+    assert np.array_equal(draws, oracle._sample_indices(twin, 7, shard)[None])
+    # The same state after: the same next words, a cached half-word first.
+    assert np.array_equal(rng.integers(0, 2**32, 9), twin.integers(0, 2**32, 9))
+
+
+def test_logistic_draw_needs_one_shard_per_row():
+    oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
+    rows = stream_states((0, 2), np.arange(3)[:, None])
+    for shards in ([], [(0, 2), (1, 2)]):
+        with pytest.raises(ValueError, match=rf"^shards: has {len(shards)} entries, expected "
+                                             r"one for each of the 3 rows$"):
+            oracle.draw(rows, 4, shards)
+    assert oracle.draw(rows[:0], 4, []).shape == (0, 4)
+
+
+def test_logistic_draw_checks_each_distinct_shard_once_before_drawing():
+    oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
+    rows = stream_states((0, 2), np.arange(6)[:, None])
+    with mock.patch.object(oracle, "_shard", wraps=oracle._shard) as shard:
+        picks = oracle.draw(rows, 4, [(0, 2), (1, 2), None] * 2)
+    assert [call.args[0] for call in shard.call_args_list] == [(0, 2), (1, 2), None]
+    assert np.array_equal(picks[[0, 1, 3, 4]] % 2, [[0] * 4, [1] * 4] * 2)
+    for shards, message in (([(0, 2), (5, 4)] * 3, r"^shard index 5 outside 0\.\.3$"),
+                            ([(8, 9)] * 6, r"^shard 8 of 9 holds no sample \(n_samples = 8\)$")):
+        with mock.patch.object(seeding, "bounded_integers") as bounded_integers:
+            with pytest.raises(ValueError, match=message):
+                oracle.draw(rows, 4, shards)
+        assert not bounded_integers.called
 
 
 def test_logistic_validation():

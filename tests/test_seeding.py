@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ringmix.seeding import (
     TAG_GRADIENT,
     TAG_INIT,
     TAG_PERMUTATION,
+    bounded_integers,
     seed_sequence,
     seed_words,
     stream,
@@ -166,3 +169,60 @@ def test_seed_words_rejects_wide_or_negative_indices():
         seed_words((-1, TAG_GRADIENT), np.array([[0, 0]]))
     with pytest.raises(ValueError):
         seed_words((1,), np.array([0.5, 1.0]))
+
+
+# Bounds on each side of Lemire's special cases: 1 (no word read), powers of
+# two and not, 2**31 + 1 (a word is rejected with probability near 1/2),
+# 2**32 - 1 and 2**32 (the widest 32-bit bounds) and 2**32 + 1 (64-bit words).
+_BOUNDS = [1, 2, 3, 7, 128, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+def _integers_by_stream(prefix, index, bounds, count):
+    return np.array([stream(*prefix, *row).integers(0, n, count)
+                     for row, n in zip(index.tolist(), bounds)]).reshape(len(index), count)
+
+
+def _redrawn_rows(prefix, index, bounds, count):
+    """bounded_integers's result and the number of rows it redrew, checked
+    against `integers` on a fresh `stream` for each row."""
+    with mock.patch.object(seeding, "_reseated", wraps=seeding._reseated) as reseated:
+        picks = bounded_integers(stream_states(prefix, index), bounds, count)
+    assert picks.dtype == np.int64
+    assert np.array_equal(picks, _integers_by_stream(prefix, index, bounds, count))
+    first, redraw = (len(call.args[0]) for call in reseated.call_args_list)
+    assert first == len(index)
+    return redraw
+
+
+@pytest.mark.parametrize("count", [1, 7, 8])
+@pytest.mark.parametrize("bound", _BOUNDS)
+def test_bounded_integers_draw_as_integers_on_each_stream(bound, count):
+    index = np.arange(64)[:, None]
+    redraw = _redrawn_rows((3, TAG_GRADIENT), index, [bound] * len(index), count)
+    if bound == 2**31 + 1:
+        # Each word is rejected with probability (2**31 - 1) / 2**32.
+        assert redraw >= {1: 16, 7: 56, 8: 56}[count]
+    elif bound > 2**32:
+        assert redraw == len(index)
+    else:  # a word is rejected with probability 2**32 % bound / 2**32 < 2**-22
+        assert redraw == 0
+
+
+def test_bounded_integers_take_a_bound_per_row():
+    index = np.array([[k, l] for k in range(4) for l in range(len(_BOUNDS))])
+    bounds = _BOUNDS * 4
+    assert _redrawn_rows((5, TAG_GRADIENT), index, bounds, 5) >= 4  # at least the 2**32 + 1 rows
+
+
+def test_bounded_integers_are_unchanged_when_the_reseat_falls_back(failed_guard):
+    index = np.arange(12)[:, None]
+    bounds = [2**31 + 1, 128, 2**32 + 1] * 4
+    redraw = _redrawn_rows((7, TAG_GRADIENT), index, bounds, 8)
+    assert len(failed_guard) == len(index) + redraw
+
+
+def test_bounded_integers_reject_a_bound_below_one_or_a_bound_count_off_the_rows():
+    rows = stream_states((1, TAG_GRADIENT), np.arange(3)[:, None])
+    for bounds in ([4, 0, 4], [4, 4], [[4, 4, 4]]):
+        with pytest.raises(ValueError, match="one integer >= 1 for each of the 3 rows"):
+            bounded_integers(rows, bounds, 2)

@@ -427,8 +427,8 @@ class _PoisonedOracle:
         self.dimension = self._inner.dimension
         self.value, self.at, self.calls = value, at, 0
 
-    def draw(self, rngs, n, batch_size, shards=None):
-        return self._inner.draw(rngs, n, batch_size, shards)
+    def draw(self, rows, batch_size, shards=None):
+        return self._inner.draw(rows, batch_size, shards)
 
     def gradients(self, Phi, draws, batch_size):
         G = self._inner.gradients(Phi, draws, batch_size)
@@ -573,9 +573,9 @@ class _CountingOracle:
     def __eq__(self, other):
         return isinstance(other, _CountingOracle)
 
-    def draw(self, rngs, n, batch_size, shards=None):
+    def draw(self, rows, batch_size, shards=None):
         self.calls.append(simulation._last_draws is None)
-        return self._inner.draw(rngs, n, batch_size, shards)
+        return self._inner.draw(rows, batch_size, shards)
 
     def gradients(self, Phi, draws, batch_size):
         return self._inner.gradients(Phi, draws, batch_size)

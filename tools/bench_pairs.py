@@ -14,8 +14,12 @@ parent runs first in the first pair and the two sides take turns after
 that.  The three workloads are interleaved pair by pair, so a slow spell
 of a shared host falls on every workload alike.
 
-The output JSON holds, per workload, every run's end-to-end metrics and
-its correct/attempted/failed counts; each side's totals of those over all
+The output JSON holds each tree's commit (`trees`, read from its `.git`
+as perfbench's fingerprint reads it, or "unknown" for an exported tree);
+per workload, every run's end-to-end metrics, its correct/attempted/failed
+counts and the fingerprint fields perfbench found to differ from its
+reference's (`fingerprint_mismatch`, from the report line before the
+result; null when there is none); each side's totals of those over all
 of its own runs, with `correct` false if any of them errored, and its
 share of failed operations (failed / attempted); and per metric each
 side's runs, their median and inclusive quartiles, the parent's IQR
@@ -31,6 +35,7 @@ measured.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -38,6 +43,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+
+
+def tree_commit(tree: Path) -> str:
+    """The commit of a checkout, read by perfbench's `git_sha`; "unknown"
+    for a tree without a `.git` directory."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", _REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference.git_sha(tree)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -57,9 +73,18 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _mismatch(line: str) -> list[str] | None:
+    """The `fingerprint_mismatch` of a perfbench report line, or None."""
+    try:
+        return json.loads(line)["report"]["fingerprint_mismatch"]
+    except (ValueError, LookupError, TypeError):
+        return None
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from `tree`: its final JSON line, or the error, for a
-    nonzero exit, no output or a last line that is not a result."""
+    """One perfbench run from `tree`: its final JSON line with the report
+    line's fingerprint mismatch, or the error, for a nonzero exit, no output
+    or a last line that is not a result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -75,6 +100,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "fingerprint_mismatch": _mismatch(lines[-2]) if len(lines) > 1 else None,
         }
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         return {"error": f"malformed result {lines[-1][-200:]!r}: {exc!r}"}
@@ -182,6 +208,7 @@ def main(argv=None) -> int:
     if unknown:  # else each would fail one perfbench run per seed and side
         parser.error(f"unknown workload {', '.join(map(repr, unknown))}; "
                      f"BENCHMARK.json lists {', '.join(known)}")
+    commits = {side: tree_commit(tree) for side, tree in trees.items()}
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -195,6 +222,7 @@ def main(argv=None) -> int:
             report = {
                 "method": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, alternating "
                           "which side runs first, workloads interleaved pair by pair",
+                "trees": commits,
                 "summary": {w: summarise(r, metric_spec) for w, r in runs.items()},
                 "runs": runs,
             }
