@@ -287,13 +287,8 @@ def verify_bounds(
         eig_gap = abs(spectral_rho(build_ring_matrix(L)).rho - rho)
 
         curve = fixed_consensus_curve(L, k_max)
-        excess = max(
-            0.0,
-            max(
-                curve.distances[k] - fixed_mixing_consensus_bound(L, k + 1)
-                for k in range(k_max)
-            ),
-        )
+        excess = max(0.0, *(curve.distances[k] - fixed_mixing_consensus_bound(L, k + 1)
+                            for k in range(k_max)))
 
         mc_fro, mc_spec = _monte_carlo_curves(
             L, k_max, trials, seed + i, ("frobenius", "spectral")

@@ -74,6 +74,8 @@ class QuadraticObjective:
         self.noise_scale = float(_require("noise_scale", noise_scale, ">= 0", float))
         if self.eigenvalues.ndim != 1 or self.optimum.shape != self.eigenvalues.shape:
             raise ValueError("eigenvalues and optimum must be 1-d with equal length")
+        if not np.isfinite(self.optimum).all():
+            raise ValueError("optimum must be finite")
         # Written as `not x > b` so that NaN fails too.
         if not np.all((self.eigenvalues > 0) & (self.eigenvalues < np.inf)):
             raise ValueError("eigenvalues must be strictly positive and finite")
@@ -122,6 +124,8 @@ class LogisticObjective:
         self.ridge = float(_require("ridge", ridge, ">= 0", float))
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with labels (n,)")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be +-1")
         self.n_samples, self.dimension = self.features.shape

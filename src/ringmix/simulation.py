@@ -47,7 +47,7 @@ import numpy as np
 from . import seeding
 from ._checks import _check_fields, _checked, _require
 # apply_mixing is unused here; perfbench's tracer wraps this attribute.
-from .mixing import apply_mixing, build_ring_matrix, permutation_for_step
+from .mixing import apply_mixing, build_ring_matrix
 from .spectral import second_eigenvalue_ring
 
 
@@ -221,24 +221,26 @@ _ROW_BUDGET = 4096
 _last_draws = None
 
 
-def _rows(seed: int, tag: int, k: np.ndarray, *learners: np.ndarray) -> np.ndarray:
-    """PCG64 state rows (`seeding.stream_states`) of the streams (seed, tag,
-    k[i], l), for each iteration k[i] and, in turn, each l in `learners`; or
-    of (seed, tag, k[i]) without them."""
-    index = np.stack(np.meshgrid(k, *learners, indexing="ij"), axis=-1)
-    return seeding.stream_states((seed, tag), index.reshape(-1, index.shape[-1]))
+def _rows(prefix: tuple[int, ...], *columns) -> np.ndarray:
+    """PCG64 state rows (`seeding.stream_states`) of the streams (*prefix,
+    c_1, ..., c_m), one for each choice of an index c_i from each column in
+    turn, the last column varying fastest.  A tag in the prefix rather than
+    in a column of one value gives the same streams, hashed faster."""
+    index = np.stack(np.meshgrid(*columns, indexing="ij"), axis=-1)
+    return seeding.stream_states(prefix, index.reshape(-1, len(columns)))
 
 
-def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The stream block holding iteration k: its first iteration, every
-    learner's gradient draws at its iterations, shaped (n, L, ...), and its
-    clock's state rows (`_rows`).  Blocks hold max(1, _ROW_BUDGET // L)
+    learner's gradient draws at its iterations, shaped (n, L, ...), and the
+    state rows (`_rows`) of its clock's and of rand_psgd's permutation
+    streams, one per iteration.  Blocks hold max(1, _ROW_BUDGET // L)
     iterations from 0, the last one cut at the run's end; a k past the run
     gets a whole block.  The oracle draws learner l's at iteration k from the
     stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed share
-    gradient noise.  The last block is kept, its draws read-only, and
-    returned again for the same oracle (by identity), seed, L, batch_size,
-    data_partition and block bounds."""
+    gradient noise.  The last block is kept, read-only, and returned again
+    for the same oracle (by identity), seed, L, batch_size, data_partition
+    and block bounds."""
     global _last_draws
     L = cfg.n_learners
     size = max(1, _ROW_BUDGET // L)
@@ -249,11 +251,13 @@ def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray]
         return _last_draws[2]
     _last_draws = None  # hold at most one block, even while drawing the next
     n, iterations = stop - start, np.arange(start, stop)
-    rows = _rows(cfg.seed, seeding.TAG_GRADIENT, iterations, np.arange(L))
+    rows = _rows((cfg.seed, seeding.TAG_GRADIENT), iterations, np.arange(L))
     shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
     draws = oracle.draw(rows, cfg.batch_size, shards).reshape(n, L, -1)
-    draws.setflags(write=False)
-    block = start, draws, _rows(cfg.seed, seeding.TAG_CLOCK, iterations)
+    streams = _rows((cfg.seed,), [seeding.TAG_CLOCK, seeding.TAG_PERMUTATION], iterations)
+    for array in (draws, streams):
+        array.setflags(write=False)
+    block = start, draws, *streams.reshape(2, n, 4)
     _last_draws = (oracle, key, block)
     return block
 
@@ -265,16 +269,17 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     (seed, k, l) and independent of the strategy, so strategies sharing
     a seed share gradient noise.  The draws are row k of `_block`'s.
     """
-    start, draws, _ = _block(oracle, cfg, k)
+    start, draws, *_ = _block(oracle, cfg, k)
     return oracle.gradients(Phi, draws[k - start], cfg.batch_size)
 
 
 def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int,
-            draws: np.ndarray, perm: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+            draws: np.ndarray, perm_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Iteration k of `strategy`, as its mixing and gradient say, from the
-    weights W, the one-step-stale W_prev, the iteration's row of `_block`'s
-    gradient draws and, for rand_psgd, its permutation p_k: (next weights,
-    gradients)."""
+    weights W, the one-step-stale W_prev and the iteration's rows of
+    `_block`'s gradient draws and permutation state rows, from which
+    rand_psgd draws p_k as `mixing.permutation_for_step` does: (next
+    weights, gradients)."""
     mixing, gradient = strategy.mixing, strategy.gradient
     if gradient == "staleness_mode":
         gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
@@ -290,6 +295,7 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
     else:
         T = _ring(L)
         if mixing == "relabelled":
+            perm = next(seeding._reseated(perm_row[None])).permutation(L)
             T = T.take(perm, 0).take(perm, 1)  # = mixing.conjugate_by_permutation(T, perm)
         W_next = W @ T - lr * G
     return W_next, G
@@ -297,16 +303,14 @@ def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
     """One iteration of `strategy` on `state`: `_update` on row k of `_block`'s
-    draws (the first step in a block draws it whole), with p_k from
-    `mixing.permutation_for_step`.  SPSGD's one model must be the same in
-    every column."""
+    draws and permutation rows (the first step in a block draws it whole).
+    SPSGD's one model must be the same in every column."""
     k, W = state.iteration, state.weights
     if strategy.mixing == "none" and np.any(W != W[:, :1]):
         raise ValueError("SPSGD requires identical weights on all learners")
-    start, draws, _ = _block(oracle, cfg, k)
-    relabelled = strategy.mixing == "relabelled"
-    perm = permutation_for_step(cfg.n_learners, cfg.seed, k) if relabelled else None
-    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws[k - start], perm)
+    start, draws, _, perm_rows = _block(oracle, cfg, k)
+    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws[k - start],
+                        perm_rows[k - start])
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
@@ -415,19 +419,20 @@ def advance_clock(
     return replace(state, compute_time_s=compute[1], sim_time_s=float(sim[1])), float(durations[0])
 
 
-def _overflowed_clock(compute: np.ndarray, sim: np.ndarray) -> tuple[int, str] | None:
-    """The first row of `_clock` totals with a total that is not finite, and
-    that total as "name = value"; None if all are finite.  Gossip records
-    the mean over learners as sim_time_s, so one learner's compute total can
-    overflow while sim_time_s stays finite."""
+def _check_clock(compute: np.ndarray, sim: np.ndarray, start: int) -> None:
+    """Raise ValueError, naming the iteration and the total, at the first row
+    of `_clock` totals with a total that is not finite; row j holds the
+    totals after iteration start + j.  Gossip records the mean over learners
+    as sim_time_s, so one learner's compute total can overflow while
+    sim_time_s stays finite."""
     finite = (sim < math.inf) & (compute.max(axis=1) < math.inf)
     if finite.all():
-        return None
+        return
     j = int(finite.argmin())
-    if not sim[j] < math.inf:
-        return j, f"sim_time_s = {sim[j]}"
     learner = int(np.argmax(compute[j]))
-    return j, f"compute_time_s[{learner}] = {compute[j, learner]}"
+    total = (f"sim_time_s = {sim[j]}" if not sim[j] < math.inf
+             else f"compute_time_s[{learner}] = {compute[j, learner]}")
+    raise ValueError(f"simulated clock overflowed at iteration {start + j}: {total}")
 
 
 def _record(W: np.ndarray, iteration: int, sim_time_s: float, oracle, rho: float) -> TraceRecord:
@@ -457,21 +462,22 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     The loop keeps the weights, the stale model, the last gradients and
     the clock totals in arrays and builds a `SimState` only for the result.
     At the start of each stream block it draws all of the block's
-    randomness at once: every learner's gradient draws and the clock's
-    state rows (`_block`), the clock (`_clock`) and, for rand_psgd only,
-    the permutations.  Each iteration is then array math on its row of
-    them (`_update`).
+    randomness at once: every learner's gradient draws and the state rows
+    of the clock's and the permutations' streams (`_block`), then the
+    clock (`_clock`).  Each iteration is then array math on its row of
+    them (`_update`), and the block's clock totals are checked once its
+    iterations are done.
 
     The last block stays cached after the run, and `gradient_matrix` and
     the `step_*` functions read the same cache: one block of at most
     max(L, 4096) rows of the oracle's draws, read-only (8 d bytes a row
     for the quadratic, 8 batch_size for the logistic; 1 MiB at L = d =
-    32), its clock rows and a reference to the oracle.  It is keyed by
-    the oracle's identity, the seed, L, batch_size, data_partition and
-    the block's iterations, so runs of several strategies on one seed
-    and oracle draw a block that fits the run once.  An oracle's `draw`
-    must therefore depend only on its arguments, and its `gradients`
-    must not write into the draws.
+    32), its clock and permutation rows and a reference to the oracle.
+    It is keyed by the oracle's identity, the seed, L, batch_size,
+    data_partition and the block's iterations, so runs of several
+    strategies on one seed and oracle draw a block that fits the run
+    once.  An oracle's `draw` must therefore depend only on its
+    arguments, and its `gradients` must not write into the draws.
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
@@ -480,28 +486,23 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     done, diverged = 0, False  # done: healthy iterations
     while done < cfg.iterations and not diverged:
-        start, block, clock = _block(oracle, cfg, done)  # start == done
-        # A clock overflow is raised at its iteration as an error, not warned about.
+        start, block, clock, perm_rows = _block(oracle, cfg, done)  # start == done
+        # A clock overflow is raised as an error below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(clock),
                                      compute[-1], sim[-1])
-            overflowed = _overflowed_clock(compute, sim)
-        perms = [None] * len(block)
-        if strategy.mixing == "relabelled":  # permutation_for_step, less its check of L
-            rows = _rows(cfg.seed, seeding.TAG_PERMUTATION, np.arange(start, start + len(block)))
-            perms = [rng.permutation(cfg.n_learners) for rng in seeding._reseated(rows)]
-        for k, (draws, perm) in enumerate(zip(block, perms), start):
+        for k, (draws, perm_row) in enumerate(zip(block, perm_rows), start):
             with np.errstate(over="ignore", invalid="ignore"):
-                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm)
+                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm_row)
             # One reduction: NaN and +-inf fail the comparison too.
             if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
                 diverged = True
                 break
-            if overflowed and k + 1 - start == overflowed[0]:
-                raise ValueError(f"simulated clock overflowed at iteration {k + 1}: {overflowed[1]}")
             W_prev, W, G, done = W, W_next, G_next, k + 1
             if done % cfg.log_every == 0:
                 records.append(_record(W, done, float(sim[done - start]), oracle, rho))
+        # The clock overflows at an iteration only if its update was healthy.
+        _check_clock(compute[:done + 1 - start], sim[:done + 1 - start], start)
     state = SimState(W, W_prev, done, compute[done - start].copy(), float(sim[done - start]), G)
     if state.iteration != (records[-1].iteration if records else 0):
         records.append(_record(W, done, state.sim_time_s, oracle, rho))

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 from unittest import mock
 
@@ -224,3 +226,35 @@ def test_the_output_keeps_each_trees_commit_and_each_runs_fingerprint_mismatch(t
     assert [r["parent"]["fingerprint_mismatch"] for r in runs] == [[], []]
     assert [r["change"]["fingerprint_mismatch"] for r in runs] == [["git_sha", "numpy"]] * 2
     assert report["summary"]["consensus-mc"]["pairs"] == 2
+
+
+def _git(tree, *args):
+    return subprocess.run(["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_checkout_with_changes_git_does_not_ignore_names_its_commit_dirty(tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    _git(tree, "init", "-q")
+    (tree / ".gitignore").write_text("out/\n")
+    (tree / "a.txt").write_text("a\n")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "start")
+    head = _git(tree, "rev-parse", "HEAD")
+    assert bench_pairs.tree_commit(tree) == head
+    (tree / "out").mkdir()
+    (tree / "out" / "run.log").write_text("ignored\n")
+    assert bench_pairs.tree_commit(tree) == head
+    # A tree inside a checkout, with no `.git` of its own, is not that checkout.
+    assert bench_pairs.tree_commit(tree / "out") == "unknown"
+    (tree / "a.txt").write_text("b\n")
+    assert bench_pairs.tree_commit(tree) == head + "+dirty"
+    _git(tree, "checkout", "-q", "a.txt")
+    (tree / "new.txt").write_text("untracked\n")
+    assert bench_pairs.tree_commit(tree) == head + "+dirty"
+    # A tree without git on the path keeps the commit it read.
+    with mock.patch.object(bench_pairs.subprocess, "run", side_effect=FileNotFoundError):
+        assert bench_pairs.tree_commit(tree) == head

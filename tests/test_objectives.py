@@ -70,6 +70,24 @@ def test_oracle_constructors_reject_nan_and_out_of_range(build, name):
         build()
 
 
+_FEATURES = np.ones((4, 2))
+_LABELS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: quadratic_oracle(3, optimum=[bad, 0.0, 0.0]), "optimum"),
+    (lambda bad: QuadraticObjective(np.ones(2), np.array([0.0, bad]), 0.0), "optimum"),
+    (lambda bad: LogisticObjective(np.where(np.eye(4, 2) > 0, bad, _FEATURES), _LABELS),
+     "features"),
+], ids=["quadratic_oracle", "QuadraticObjective", "LogisticObjective"])
+def test_oracles_reject_a_non_finite_optimum_or_feature(build, name, bad):
+    # Built, such an oracle's every run would diverge at iteration 0 with a
+    # NaN loss, or its loss would be NaN.
+    with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+        build(bad)
+
+
 def test_quadratic_gradient_against_finite_differences():
     oracle = quadratic_oracle(dimension=8, condition_number=20.0, seed=2)
     w = stream(3, 0).standard_normal(8)

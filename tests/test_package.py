@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import ringmix
-from ringmix import harness, mixing, simulation, spectral
+from ringmix import cli, config, harness, mixing, objectives, seeding, simulation, spectral
 
 
 def _imported_public_names() -> set[str]:
@@ -37,12 +37,19 @@ def test_all_resolves_and_lists_every_imported_public_name():
 
 
 def test_names_the_benchmark_tracer_wraps_stay_bound():
-    # perfbench's tracer wraps these module attributes by name; an import
-    # kept only for it must not be dropped as unused.
+    # perfbench's tracer wraps these module attributes by name, and its
+    # selftest asserts each of them is wrapped; an import kept only for it
+    # must not be dropped as unused.
     assert simulation.apply_mixing is mixing.apply_mixing
     assert spectral.conjugate_by_permutation is mixing.conjugate_by_permutation
     assert spectral.sample_permutation is mixing.sample_permutation
+    assert harness.run_training is ringmix.run_training is simulation.run_training
     assert harness.monte_carlo_consensus is spectral.monte_carlo_consensus
+    assert cli.parse_config is config.parse_config
+    assert harness.seed_sequence is seeding.seed_sequence
+    for module, name in ((seeding, "stream"), (simulation, "gradient_matrix")):
+        assert inspect.isfunction(vars(module).get(name)), name
+    assert inspect.isfunction(vars(objectives.QuadraticObjective).get("stochastic_gradient"))
     for s in simulation.Strategy:
         assert simulation._STEP_FUNCTIONS[s] is getattr(simulation, f"step_{s.value}")
 

@@ -4,13 +4,14 @@ import re
 import typing
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringmix import simulation
+from ringmix import seeding, simulation
 from ringmix.mixing import (
     apply_mixing,
     build_ring_matrix,
@@ -174,10 +175,10 @@ def test_rand_psgd_matches_manual_conjugation():
 
 
 def test_rand_psgd_permutations_equal_permutation_for_step_across_blocks():
-    # step_rand_psgd takes p_k from mixing.permutation_for_step, the reference,
-    # and its gradient draws from the cached block that holds k.  The loop's
-    # own block of permutations is checked against the steps below
-    # (test_stepping_equals_run_training_under_any_row_budget).
+    # step_rand_psgd takes p_k and its gradient draws from the cached block
+    # that holds k, whose permutation rows must draw what
+    # mixing.permutation_for_step, the reference, draws.  run_training reads
+    # the same rows (test_stepping_equals_run_training_under_any_row_budget).
     oracle = _oracle()
     for L, seed in ((5, 11), (8, 2**40 + 9)):
         cfg = _cfg(n_learners=L, seed=seed, staleness_mode="sync")
@@ -611,6 +612,33 @@ def test_steps_draw_once_per_block_and_gradient_matrix_reads_the_held_block(stra
     assert oracle.calls == [True, True]
 
 
+def test_rand_psgd_after_another_strategy_on_its_block_derives_no_stream_rows(monkeypatch):
+    # The held block carries the permutation rows with the gradient draws and
+    # the clock rows, so a paired rand_psgd run derives none of its own.
+    oracle, cfg = _oracle(), _cfg(iterations=40)
+    run_training(Strategy.D1D, oracle, cfg)
+    stream_states = mock.Mock(wraps=seeding.stream_states)
+    monkeypatch.setattr(seeding, "stream_states", stream_states)
+    expected = _outcome(Strategy.RAND_PSGD, oracle, cfg)
+    assert stream_states.call_count == 0
+    monkeypatch.undo()
+    assert _outcome(Strategy.RAND_PSGD, _oracle(), cfg) == expected
+
+
+def test_step_rand_psgd_over_a_held_block_builds_no_stream(monkeypatch):
+    oracle, cfg = _oracle(), _cfg(n_learners=5, iterations=12)
+    state = initial_state(oracle, cfg)
+    gradient_matrix(oracle, state.weights, cfg, 0)  # holds the run's one block
+    stream = mock.Mock(wraps=seeding.stream)
+    monkeypatch.setattr(seeding, "stream", stream)
+    for _ in range(cfg.iterations):
+        state = step_rand_psgd(state, oracle, cfg)
+    assert stream.call_count == 0
+    monkeypatch.undo()
+    assert state.weights.tobytes() == run_training(
+        Strategy.RAND_PSGD, oracle, cfg).state.weights.tobytes()
+
+
 @pytest.mark.parametrize("change", ["seed", "n_learners", "batch_size", "data_partition", "oracle"])
 def test_a_run_that_changes_one_key_field_draws_its_block_again(change):
     calls = []
@@ -675,6 +703,25 @@ def test_run_training_rejects_an_overflowed_clock(cost_model, strategy, iteratio
             # One iteration fewer, every clock total is still finite and the run completes.
             state = run_training(strategy, _oracle(), replace(cfg, iterations=iteration - 1)).state
             assert state.sim_time_s < math.inf and state.compute_time_s.max() < math.inf
+
+
+@pytest.mark.parametrize("strategy, total", [
+    (Strategy.D1D, "sim_time_s"), (Strategy.DPSGD_FIXED, "compute_time_s[0]"),
+    (Strategy.RAND_PSGD, "compute_time_s[0]")])
+@pytest.mark.parametrize("budget", [None, 4 * 8, 4 * 11, 4])
+def test_divergence_wins_over_a_clock_overflow_only_at_an_earlier_iteration(
+        strategy, total, budget, monkeypatch):
+    # _STRAGGLER's clock overflows at iteration 11.  The update of iteration
+    # 11 is poisoned at call 10 (the run diverges first) and healthy at call
+    # 11 (the overflow is raised), whichever stream block iteration 11 is in.
+    if budget is not None:
+        monkeypatch.setattr(simulation, "_ROW_BUDGET", budget)
+    cfg = _cfg(iterations=12, cost_model=_STRAGGLER)
+    result = run_training(strategy, _PoisonedOracle(math.nan, at=10), cfg)
+    assert result.diverged and result.state.iteration == 10
+    message = rf"^simulated clock overflowed at iteration 11: {re.escape(total)} = inf$"
+    with pytest.raises(ValueError, match=message):
+        run_training(strategy, _PoisonedOracle(math.nan, at=11), cfg)
 
 
 def test_sharded_logistic_run_completes():

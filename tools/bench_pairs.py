@@ -15,7 +15,8 @@ that.  The three workloads are interleaved pair by pair, so a slow spell
 of a shared host falls on every workload alike.
 
 The output JSON holds each tree's commit (`trees`, read from its `.git`
-as perfbench's fingerprint reads it, or "unknown" for an exported tree);
+as perfbench's fingerprint reads it, with "+dirty" when the checkout has
+changes, or "unknown" for an exported tree);
 per workload, every run's end-to-end metrics, its correct/attempted/failed
 counts and the fingerprint fields perfbench found to differ from its
 reference's (`fingerprint_mismatch`, from the report line before the
@@ -48,12 +49,25 @@ _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 
 def tree_commit(tree: Path) -> str:
-    """The commit of a checkout, read by perfbench's `git_sha`; "unknown"
-    for a tree without a `.git` directory."""
+    """The commit of a checkout, read by perfbench's `git_sha`, and "+dirty"
+    after it when `git status` in that tree reports a change that its
+    `.gitignore` does not hide; "unknown" for a tree without a `.git`
+    directory.  Git is told the tree's own `.git` and work tree, so it never
+    looks in a repository above it; when git is missing or fails, the commit
+    is given as read."""
     spec = importlib.util.spec_from_file_location("perfbench_reference", _REFERENCE)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
-    return reference.git_sha(tree)
+    commit = reference.git_sha(tree)
+    if not (tree / ".git").exists():
+        return commit
+    try:
+        status = subprocess.run(
+            ["git", f"--git-dir={tree / '.git'}", f"--work-tree={tree}", "status", "--porcelain"],
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return commit
+    return commit + "+dirty" if status.stdout.strip() else commit
 
 
 def parse_seeds(text: str) -> list[int]:
