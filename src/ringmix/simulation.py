@@ -84,8 +84,8 @@ class CostModel:
 
     compute: per-learner gradient time ~ lognormal(compute_mu,
     compute_sigma) seconds, optionally scaled per learner by
-    compute_scale, a sequence with one positive factor per learner
-    (a 10x straggler is compute_scale[i] = 10; None scales nobody).
+    compute_scale, one positive factor per learner, held as a tuple of
+    floats (a 10x straggler is compute_scale[i] = 10; None scales nobody).
     communication: sending one model costs message_size_bytes /
     bandwidth; an exchange (send + receive) costs twice that.
     """
@@ -105,8 +105,9 @@ class CostModel:
         scale = self.compute_scale
         if scale is not None and np.ndim(scale) != 1:
             raise ValueError(f"compute_scale: expected a sequence of factors, got {scale!r}")
-        for i, factor in enumerate(() if scale is None else scale):
-            _require(f"compute_scale[{i}]", factor, "> 0", float)
+        if scale is not None:  # held as checked, out of reach of the caller's later writes
+            object.__setattr__(self, "compute_scale", tuple(float(_require(
+                f"compute_scale[{i}]", factor, "> 0", float)) for i, factor in enumerate(scale)))
 
     def allreduce_time(self, n_learners: int) -> float:
         """One exchange over the (uniform) link bandwidth: a gossip learner's
@@ -114,15 +115,11 @@ class CostModel:
         return float(2.0 * self.message_size_bytes / self.bandwidth_bytes_per_s)
 
     def sample_compute_times(self, n_learners: int, rng: "np.random.Generator") -> np.ndarray:
+        scale = self.compute_scale
+        if scale is not None and len(scale) != n_learners:
+            raise ValueError(f"compute_scale has length {len(scale)}, expected {n_learners}")
         times = rng.lognormal(self.compute_mu, self.compute_sigma, n_learners)
-        if self.compute_scale is not None:
-            scale = np.asarray(self.compute_scale, dtype=float)
-            if scale.shape != (n_learners,):
-                raise ValueError(
-                    f"compute_scale has length {len(scale)}, expected {n_learners}"
-                )
-            times = times * scale
-        return times
+        return times if scale is None else times * np.array(scale)
 
 
 @dataclass(frozen=True)
@@ -419,20 +416,20 @@ def advance_clock(
     return replace(state, compute_time_s=compute[1], sim_time_s=float(sim[1])), float(durations[0])
 
 
-def _check_clock(compute: np.ndarray, sim: np.ndarray, start: int) -> None:
-    """Raise ValueError, naming the iteration and the total, at the first row
-    of `_clock` totals with a total that is not finite; row j holds the
+def _check_clock(compute: np.ndarray, sim: np.ndarray, start: int) -> tuple[int, str | None]:
+    """(j, message) for the first row j of `_clock` totals with a total that
+    is not finite, the ValueError message naming iteration start + j and that
+    total; (n, None) if n iterations' totals are all finite.  Row j holds the
     totals after iteration start + j.  Gossip records the mean over learners
-    as sim_time_s, so one learner's compute total can overflow while
-    sim_time_s stays finite."""
+    as sim_time_s, so one learner's compute total can overflow alone."""
     finite = (sim < math.inf) & (compute.max(axis=1) < math.inf)
     if finite.all():
-        return
+        return len(sim) - 1, None
     j = int(finite.argmin())
     learner = int(np.argmax(compute[j]))
     total = (f"sim_time_s = {sim[j]}" if not sim[j] < math.inf
              else f"compute_time_s[{learner}] = {compute[j, learner]}")
-    raise ValueError(f"simulated clock overflowed at iteration {start + j}: {total}")
+    return j, f"simulated clock overflowed at iteration {start + j}: {total}"
 
 
 def _record(W: np.ndarray, iteration: int, sim_time_s: float, oracle, rho: float) -> TraceRecord:
@@ -464,9 +461,11 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     At the start of each stream block it draws all of the block's
     randomness at once: every learner's gradient draws and the state rows
     of the clock's and the permutations' streams (`_block`), then the
-    clock (`_clock`).  Each iteration is then array math on its row of
-    them (`_update`), and the block's clock totals are checked once its
-    iterations are done.
+    clock (`_clock`) and its first non-finite total.  The loop runs only
+    the iterations up to that total, each array math on its row of the
+    draws (`_update`), and raises the overflow if the last update is healthy.
+    Updates and records run under one errstate per block that ignores
+    overflow and invalid, judged by value; a record's loss overflow is silent.
 
     The last block stays cached after the run, and `gradient_matrix` and
     the `step_*` functions read the same cache: one block of at most
@@ -487,22 +486,23 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     done, diverged = 0, False  # done: healthy iterations
     while done < cfg.iterations and not diverged:
         start, block, clock, perm_rows = _block(oracle, cfg, done)  # start == done
-        # A clock overflow is raised as an error below, not warned about.
+        # Overflow and invalid are judged by value: divergence, the clock's first non-finite row.
         with np.errstate(over="ignore", invalid="ignore"):
             compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(clock),
                                      compute[-1], sim[-1])
-        for k, (draws, perm_row) in enumerate(zip(block, perm_rows), start):
-            with np.errstate(over="ignore", invalid="ignore"):
+            n, overflow = _check_clock(compute, sim, start)
+            for k, (draws, perm_row) in enumerate(zip(block[:n], perm_rows[:n]), start):
                 W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm_row)
-            # One reduction: NaN and +-inf fail the comparison too.
-            if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
-                diverged = True
-                break
-            W_prev, W, G, done = W, W_next, G_next, k + 1
-            if done % cfg.log_every == 0:
-                records.append(_record(W, done, float(sim[done - start]), oracle, rho))
+                # One reduction: NaN and +-inf fail the comparison too.
+                if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
+                    diverged = True
+                    break
+                W_prev, W, G, done = W, W_next, G_next, k + 1
+                if done % cfg.log_every == 0:
+                    records.append(_record(W, done, float(sim[done - start]), oracle, rho))
         # The clock overflows at an iteration only if its update was healthy.
-        _check_clock(compute[:done + 1 - start], sim[:done + 1 - start], start)
+        if overflow and not diverged:
+            raise ValueError(overflow)
     state = SimState(W, W_prev, done, compute[done - start].copy(), float(sim[done - start]), G)
     if state.iteration != (records[-1].iteration if records else 0):
         records.append(_record(W, done, state.sim_time_s, oracle, rho))

@@ -301,6 +301,21 @@ def test_cost_model_values_and_validation():
         cm2.sample_compute_times(4, stream(0, TAG_CLOCK, 0))
 
 
+def test_cost_model_holds_the_compute_scale_it_checked():
+    # A tuple of Python floats: a later write to the caller's array reaches
+    # neither the checks nor the clock.
+    assert CostModel(compute_scale=(np.float32(2.0), 1)).compute_scale == (2.0, 1.0)
+    scale = np.ones(4)
+    cm = CostModel(compute_scale=scale)
+    assert type(cm.compute_scale) is tuple
+    assert [type(factor) for factor in cm.compute_scale] == [float] * 4
+    cfg = _cfg(cost_model=cm)
+    expected = _outcome(Strategy.D1D, _oracle(), cfg)
+    for value in (-5.0, math.nan):
+        scale[0] = value
+        assert _outcome(Strategy.D1D, _oracle(), cfg) == expected, value
+
+
 def test_advance_clock_formulas():
     oracle = _oracle()
     cfg = _cfg(n_learners=4)
@@ -534,11 +549,6 @@ def test_run_training_equals_the_one_learner_at_a_time_reference(reference, run)
         assert _outcome(strategy, oracle, cfg) == expected, strategy
 
 
-_STEPS = {Strategy.SPSGD: step_spsgd, Strategy.DPSGD_FIXED: step_dpsgd_fixed,
-          Strategy.ADPSGD_FIXED: step_adpsgd_fixed, Strategy.RAND_PSGD: step_rand_psgd,
-          Strategy.D1D: step_d1d}
-
-
 @settings(max_examples=30, deadline=None)
 @given(strategy=st.sampled_from(list(Strategy)), run=_runs(max_iterations=30))
 def test_stepping_equals_run_training_under_any_row_budget(strategy, run):
@@ -722,6 +732,19 @@ def test_divergence_wins_over_a_clock_overflow_only_at_an_earlier_iteration(
     message = rf"^simulated clock overflowed at iteration 11: {re.escape(total)} = inf$"
     with pytest.raises(ValueError, match=message):
         run_training(strategy, _PoisonedOracle(math.nan, at=11), cfg)
+
+
+def test_an_overflowing_run_does_no_update_after_its_overflow_iteration(monkeypatch):
+    # The clock is judged before a block's iterations run: the 1000-iteration
+    # run, healthy but for its clock, stops at the iteration that overflows.
+    oracle = _oracle(d=32)
+    gradients = mock.Mock(wraps=oracle.gradients)
+    monkeypatch.setattr(oracle, "gradients", gradients)
+    cfg = _cfg(iterations=1000, lr=0.01, seed=3, cost_model=_STRAGGLER)
+    message = r"^simulated clock overflowed at iteration 11: compute_time_s\[0\] = inf$"
+    with pytest.raises(ValueError, match=message):
+        run_training(Strategy.DPSGD_FIXED, oracle, cfg)
+    assert gradients.call_count == 11
 
 
 def test_sharded_logistic_run_completes():
