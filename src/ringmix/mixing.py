@@ -95,9 +95,9 @@ def conjugate_by_permutation(T: np.ndarray, perm: np.ndarray) -> np.ndarray:
     learners mapped next to it.
     """
     perm = np.asarray(perm)
-    n = T.shape[0]
-    if T.shape != (n, n):
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"mixing matrix must be square, got {T.shape}")
+    n = len(T)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("perm is not a permutation of range(n)")
     return T[np.ix_(perm, perm)]

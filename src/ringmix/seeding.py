@@ -9,12 +9,13 @@ simulated trajectories replayable and lets a sweep add cells without
 perturbing the streams of existing ones.
 
 Many-stream consumers (the training loop, the Monte Carlo trials) derive
-the PCG64 states of many streams in one vectorized pass (`stream_states`)
-and draw each from one module-held Generator reseated at that state
-(`_reseated`) rather than from a freshly built one.  Those rngs are one
-shared object, so a consumer must finish with each stream before it takes
-the next.  The reseat writes numpy's state struct in place; if that write
-fails its check, it goes through the public `bit_generator.state` setter.
+the PCG64 states of many streams, one for each index their columns of
+indices broadcast to, in one vectorized pass (`stream_states`) and draw
+each from one module-held Generator reseated at that state (`_reseated`)
+rather than from a freshly built one.  Those rngs are one shared object,
+so a consumer must finish with each stream before it takes the next.  The
+reseat writes numpy's state struct in place; if that write fails its
+check, it goes through the public `bit_generator.state` setter.
 `bounded_integers` draws bounded integers from many state rows at once,
 bit-identical to each stream's `integers`.
 """
@@ -100,21 +101,22 @@ def _mix(x, y):
     return _xorshift((_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32)
 
 
-def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
-    """PCG64 seed words of `stream(*prefix, *row)` for every row, in one pass.
-
-    `rows` is an (n, m) array of indices, each a single 32-bit word;
-    prefix ints may span several words.  Row j of the (n, 4) uint64
-    result equals `seed_sequence(*prefix, *rows[j]).generate_state(4,
-    np.uint64)`; `stream_states` turns the rows into PCG64 states.
+def seed_words(prefix: tuple[int, ...], *columns) -> np.ndarray:
+    """PCG64 seed words of `stream(*prefix, *index)` for every index of the
+    broadcast integer columns c_1, ..., c_m (each index a single 32-bit
+    word; prefix ints may span several words), in one pass: entry i of the
+    uint64 result, shaped as the broadcast plus a last axis of 4, is
+    `seed_sequence(*prefix, c_1[i], ..., c_m[i]).generate_state(4,
+    np.uint64)`.  A tag in the prefix rather than in a column of one value
+    gives the same streams, hashed faster.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
-        raise ValueError(f"rows must be a 2-d integer array, got shape {rows.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() > _MASK32):
-        raise ValueError("index columns must be single 32-bit words in 0..2**32-1")
+    columns = [np.asarray(column) for column in columns]
+    if any(c.size and (c.dtype.kind not in "iu" or c.min() < 0 or c.max() > _MASK32)
+           for c in columns):
+        raise ValueError("index columns must hold integers, single 32-bit words in 0..2**32-1")
     entropy = [w for part in prefix for w in _int_words(part)]
-    entropy += list(rows.T.astype(np.uint64))
+    # A trailing axis keeps a 0-d column an array: numpy scalars warn when they wrap.
+    entropy += [column.astype(np.uint64)[..., None] for column in columns]
     # SeedSequence.mix_entropy: fill the pool, mix every word into every
     # other, then fold in the entropy beyond the pool.
     hashmix = _HashMix()
@@ -134,9 +136,9 @@ def seed_words(prefix: tuple[int, ...], rows) -> np.ndarray:
         value = pool[i % _POOL_SIZE] ^ const
         const = const * _MULT_B & _MASK32
         halves.append(_xorshift(value * const & _MASK32))
-    words = np.empty((len(rows), 4), dtype=np.uint64)
+    words = np.empty((*np.broadcast_shapes(*(c.shape for c in columns)), 4), dtype=np.uint64)
     for j in range(4):
-        words[:, j] = halves[2 * j] | (halves[2 * j + 1] << 32)
+        words[..., j:j + 1] = halves[2 * j] | (halves[2 * j + 1] << 32)
     return words
 
 
@@ -169,7 +171,8 @@ def _seed_in_place(words: np.ndarray) -> np.ndarray:
     (state_lo, state_hi, inc_lo, inc_hi): the words of that seeded
     {state, inc} in a little-endian host's memory.
     """
-    s_hi, s_lo, i_hi, i_lo = (words[..., j] for j in range(4))
+    # Slices, not columns: one stream's words would be numpy scalars, which warn when they wrap.
+    s_hi, s_lo, i_hi, i_lo = (words[..., j:j + 1] for j in range(4))
     inc_lo, inc_hi = i_lo << 1 | 1, i_hi << 1 | i_lo >> 63
     t_lo = inc_lo + s_lo
     t_hi = inc_hi + s_hi + (t_lo < inc_lo)
@@ -178,14 +181,14 @@ def _seed_in_place(words: np.ndarray) -> np.ndarray:
     state_hi = (_mulhi(t_lo, _PCG64_MULT_LO) + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
                 + inc_hi + (state_lo < lo))
     for j, column in enumerate((state_lo, state_hi, inc_lo, inc_hi)):
-        words[..., j] = column
+        words[..., j:j + 1] = column
     return words
 
 
-def stream_states(prefix: tuple[int, ...], rows) -> np.ndarray:
-    """PCG64 state rows of `stream(*prefix, *row)` for every row of
-    `seed_words(prefix, rows)`, shaped (n, 4); `_reseated` draws from them."""
-    return _seed_in_place(seed_words(prefix, rows))
+def stream_states(prefix: tuple[int, ...], *columns) -> np.ndarray:
+    """PCG64 states of the streams of `seed_words(prefix, *columns)`, in its
+    shape; `_reseated` draws from them as (n, 4) rows."""
+    return _seed_in_place(seed_words(prefix, *columns))
 
 
 def _set_state(rng: np.random.Generator, row: np.ndarray) -> None:

@@ -78,7 +78,7 @@ class Strategy(Enum):
 DIVERGENCE_THRESHOLD = 1e12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CostModel:
     """Per-iteration timing model.
 
@@ -214,47 +214,40 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
 # Gradient streams per stream block (`_block`).
 _ROW_BUDGET = 4096
 
-# `_block`'s one cached block, or None: (oracle, key, block).
+# `_block`'s one cached block, or None: (oracle, (cfg, start, stop), block).
 _last_draws = None
-
-
-def _rows(prefix: tuple[int, ...], *columns) -> np.ndarray:
-    """PCG64 state rows (`seeding.stream_states`) of the streams (*prefix,
-    c_1, ..., c_m), one for each choice of an index c_i from each column in
-    turn, the last column varying fastest.  A tag in the prefix rather than
-    in a column of one value gives the same streams, hashed faster."""
-    index = np.stack(np.meshgrid(*columns, indexing="ij"), axis=-1)
-    return seeding.stream_states(prefix, index.reshape(-1, len(columns)))
 
 
 def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The stream block holding iteration k: its first iteration, every
     learner's gradient draws at its iterations, shaped (n, L, ...), and the
-    state rows (`_rows`) of its clock's and of rand_psgd's permutation
-    streams, one per iteration.  Blocks hold max(1, _ROW_BUDGET // L)
-    iterations from 0, the last one cut at the run's end; a k past the run
-    gets a whole block.  The oracle draws learner l's at iteration k from the
-    stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed share
-    gradient noise.  The last block is kept, read-only, and returned again
-    for the same oracle (by identity), seed, L, batch_size, data_partition
-    and block bounds."""
+    state rows (`seeding.stream_states`) of its clock's and of rand_psgd's
+    permutation streams, one per iteration.  Blocks hold max(1, _ROW_BUDGET
+    // L) iterations from 0, the last one cut at the run's end; a k past the
+    run gets a whole block.  The oracle draws learner l's at iteration k
+    from the stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed
+    share gradient noise.  The last block is kept, read-only, and returned
+    again for the same oracle (by identity), an equal config and the same
+    block bounds."""
     global _last_draws
     L = cfg.n_learners
     size = max(1, _ROW_BUDGET // L)
     start = k - k % size
     stop = start + size if k >= cfg.iterations else min(start + size, cfg.iterations)
-    key = (cfg.seed, L, cfg.batch_size, cfg.data_partition, start, stop)
-    if _last_draws is not None and _last_draws[0] is oracle and _last_draws[1] == key:
-        return _last_draws[2]
-    _last_draws = None  # hold at most one block, even while drawing the next
+    key = (cfg, start, stop)
+    last = _last_draws  # read once, so another thread's write cannot swap the block returned
+    if last is not None and last[0] is oracle and last[1] == key:
+        return last[2]
+    _last_draws = last = None  # hold at most one block, even while drawing the next
     n, iterations = stop - start, np.arange(start, stop)
-    rows = _rows((cfg.seed, seeding.TAG_GRADIENT), iterations, np.arange(L))
+    rows = seeding.stream_states((cfg.seed, seeding.TAG_GRADIENT), iterations[:, None], range(L))
     shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
-    draws = oracle.draw(rows, cfg.batch_size, shards).reshape(n, L, -1)
-    streams = _rows((cfg.seed,), [seeding.TAG_CLOCK, seeding.TAG_PERMUTATION], iterations)
+    draws = oracle.draw(rows.reshape(n * L, 4), cfg.batch_size, shards).reshape(n, L, -1)
+    streams = seeding.stream_states((cfg.seed,), [[seeding.TAG_CLOCK], [seeding.TAG_PERMUTATION]],
+                                    iterations)
     for array in (draws, streams):
         array.setflags(write=False)
-    block = start, draws, *streams.reshape(2, n, 4)
+    block = start, draws, *streams
     _last_draws = (oracle, key, block)
     return block
 
@@ -266,6 +259,7 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     (seed, k, l) and independent of the strategy, so strategies sharing
     a seed share gradient noise.  The draws are row k of `_block`'s.
     """
+    k = _require("k", k, ">= 0", int)
     start, draws, *_ = _block(oracle, cfg, k)
     return oracle.gradients(Phi, draws[k - start], cfg.batch_size)
 
@@ -472,11 +466,12 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     max(L, 4096) rows of the oracle's draws, read-only (8 d bytes a row
     for the quadratic, 8 batch_size for the logistic; 1 MiB at L = d =
     32), its clock and permutation rows and a reference to the oracle.
-    It is keyed by the oracle's identity, the seed, L, batch_size,
-    data_partition and the block's iterations, so runs of several
-    strategies on one seed and oracle draw a block that fits the run
-    once.  An oracle's `draw` must therefore depend only on its
-    arguments, and its `gradients` must not write into the draws.
+    It is keyed by the oracle's identity, the config (equal configs
+    match) and the block's iterations, so runs of several strategies on
+    one oracle and config draw a block that fits the run once, and a run
+    that changes any config field draws its blocks again.  An oracle's
+    `draw` must therefore depend only on its arguments, and its
+    `gradients` must not write into the draws.
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)

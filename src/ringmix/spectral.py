@@ -256,7 +256,7 @@ def _trial_distances(
     L = T0.shape[0]
     values = np.empty((len(kinds), trials, k_max))
     chunk = max(1, _CHUNK_BYTES // (T0.itemsize * L * L))
-    rows = seeding.stream_states((seed, seeding.TAG_TRIAL), np.arange(trials)[:, None])
+    rows = seeding.stream_states((seed, seeding.TAG_TRIAL), np.arange(trials))
     labels = np.broadcast_to(np.arange(L), (k_max, L))
     for start in range(0, trials, chunk):
         perms = np.empty((min(chunk, trials - start), k_max, L), dtype=np.intp)

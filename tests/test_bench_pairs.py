@@ -175,6 +175,19 @@ def test_an_unknown_workload_exits_before_the_first_run(tmp_path, capsys):
     assert "BENCHMARK.json lists train-ring-L32, consensus-mc, sweep-logistic" in err
 
 
+def test_a_repeated_workload_exits_before_the_first_run(tmp_path, capsys):
+    repo = _PATH.parents[1]
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(repo), "--change", str(repo), "--seeds", "1-2",
+            "--workloads", "consensus-mc,consensus-mc", "--out", str(out)]
+    with mock.patch.object(bench_pairs, "run_once") as run_once:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert not run_once.called and not out.exists()
+    assert "repeated workload 'consensus-mc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["perfbench: interrupted", '{"correct": true}'],
                          ids=["not-json", "no-attempted"])
 def test_a_malformed_run_is_an_errored_run_and_the_pairs_go_on(tmp_path, line):

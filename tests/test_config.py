@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import string
 from dataclasses import replace
 from pathlib import Path
@@ -83,6 +84,16 @@ def test_rejections_name_the_field(mutation, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL.replace(old, new))
     assert fragment in str(err.value)
+
+
+def test_a_config_without_an_experiment_section_or_with_a_non_tuple_list_is_rejected():
+    with pytest.raises(ConfigError, match=r"^missing required section \[experiment\]$"):
+        parse_config("[oracle]\nkind = quadratic\n")
+    cfg = parse_config(MINIMAL)
+    for change, message in ((dict(learner_counts=[8, 16]), "learners: expected tuple, got [8, 16]"),
+                            (dict(strategies="d1d"), "strategies: expected tuple, got 'd1d'")):
+        with pytest.raises(ConfigError, match=f"^{re.escape('[experiment] ' + message)}$"):
+            replace(cfg, **change)
 
 
 def test_oracle_kind_scopes_keys():

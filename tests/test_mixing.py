@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,14 @@ def test_conjugation_rejects_non_permutation():
         conjugate_by_permutation(T, np.array([0, 1, 1, 2]))
 
 
+@pytest.mark.parametrize("T", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
+                         ids=["0-d", "1-d", "2x3"])
+def test_conjugation_rejects_a_matrix_that_is_not_square(T):
+    message = f"mixing matrix must be square, got {T.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        conjugate_by_permutation(T, [0])
+
+
 def test_apply_mixing_matches_matmul_on_ring():
     L = 8
     T = build_ring_matrix(L)
@@ -124,6 +134,11 @@ def test_apply_mixing_uniform_collapses_exactly():
 def test_apply_mixing_rejects_an_empty_matrix_naming_the_shapes():
     with pytest.raises(ValueError, match=r"square nonempty T, got \(3, 0\) and \(0, 0\)$"):
         apply_mixing(np.zeros((3, 0)), np.zeros((0, 0)))
+
+
+def test_apply_mixing_rejects_a_column_count_off_the_matrix():
+    with pytest.raises(ValueError, match=r"^size mismatch: W has 3 columns, T is 4x4$"):
+        apply_mixing(np.zeros((2, 3)), build_ring_matrix(4))
 
 
 @settings(max_examples=150, deadline=None)

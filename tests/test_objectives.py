@@ -88,6 +88,13 @@ def test_oracles_reject_a_non_finite_optimum_or_feature(build, name, bad):
         build(bad)
 
 
+def test_oracles_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="^eigenvalues and optimum must be 1-d with equal length$"):
+        QuadraticObjective(np.ones(2), np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match=r"^features must be \(n, d\) with labels \(n,\)$"):
+        LogisticObjective(_FEATURES, _LABELS[:3])
+
+
 def test_quadratic_gradient_against_finite_differences():
     oracle = quadratic_oracle(dimension=8, condition_number=20.0, seed=2)
     w = stream(3, 0).standard_normal(8)
@@ -221,7 +228,7 @@ def test_logistic_stacked_gradients_match_per_learner_loop(reference, case):
     expected = reference.logistic_gradients(
         oracle, Phi, batch_size, [stream(seed, 2, l) for l in range(L)], shards
     )
-    draws = oracle.draw(stream_states((seed, 2), np.arange(L)[:, None]), batch_size, shards)
+    draws = oracle.draw(stream_states((seed, 2), np.arange(L)), batch_size, shards)
     with mock.patch.object(objectives, "_CHUNK_BYTES", budget):
         G = oracle.gradients(Phi, draws, batch_size)
     assert G.shape == expected.shape
@@ -255,7 +262,7 @@ def test_stochastic_gradient_samples_a_callers_generator_as_sample_indices(make_
 
 def test_logistic_draw_needs_one_shard_per_row():
     oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
-    rows = stream_states((0, 2), np.arange(3)[:, None])
+    rows = stream_states((0, 2), np.arange(3))
     for shards in ([], [(0, 2), (1, 2)]):
         with pytest.raises(ValueError, match=rf"^shards: has {len(shards)} entries, expected "
                                              r"one for each of the 3 rows$"):
@@ -265,7 +272,7 @@ def test_logistic_draw_needs_one_shard_per_row():
 
 def test_logistic_draw_checks_each_distinct_shard_once_before_drawing():
     oracle = logistic_oracle(dimension=3, n_samples=8, separation=1.0)
-    rows = stream_states((0, 2), np.arange(6)[:, None])
+    rows = stream_states((0, 2), np.arange(6))
     with mock.patch.object(oracle, "_shard", wraps=oracle._shard) as shard:
         picks = oracle.draw(rows, 4, [(0, 2), (1, 2), None] * 2)
     assert [call.args[0] for call in shard.call_args_list] == [(0, 2), (1, 2), None]

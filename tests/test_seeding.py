@@ -72,6 +72,12 @@ def _index_rows(draw):
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
+def _per_row(derive, prefix, rows):
+    """`derive(prefix, *rows.T)`, one entry per row of `rows`: with no
+    column, its one entry broadcast to every row."""
+    return np.broadcast_to(derive(prefix, *rows.T), (len(rows), 4))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     prefix=st.lists(_ENTROPY_INT, max_size=5).map(tuple),
@@ -81,8 +87,8 @@ def _index_rows(draw):
     b=st.integers(1, 7),
 )
 def test_batched_states_draw_bit_identical_to_stream(prefix, rows, d, n, b):
-    words = seed_words(prefix, rows)
-    reseated = seeding._reseated(stream_states(prefix, rows))
+    words = _per_row(seed_words, prefix, rows)
+    reseated = seeding._reseated(_per_row(stream_states, prefix, rows))
     for j, (row, rng) in enumerate(zip(rows.tolist(), reseated, strict=True)):
         expected_words = seed_sequence(*prefix, *row).generate_state(4, np.uint64)
         assert np.array_equal(words[j], expected_words)
@@ -118,7 +124,7 @@ def test_reseat_passes_its_guard_here():
 )
 def test_reseated_streams_draw_bit_identical_to_stream(prefix, rows, d, n, b, leftover):
     taken = []
-    reseated = seeding._reseated(stream_states(prefix, rows))
+    reseated = seeding._reseated(_per_row(stream_states, prefix, rows))
     for row, rng in zip(rows.tolist(), reseated, strict=True):
         ref = stream(*prefix, *row)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -131,7 +137,7 @@ def test_reseated_streams_draw_bit_identical_to_stream(prefix, rows, d, n, b, le
 
 def test_reseat_falls_back_to_the_state_setter_when_its_guard_fails(failed_guard):
     rows = np.array([[k, l] for k in (0, 1, 70) for l in range(3)])
-    reseated = seeding._reseated(stream_states((9, TAG_GRADIENT), rows))
+    reseated = seeding._reseated(stream_states((9, TAG_GRADIENT), *rows.T))
     for row, rng in zip(rows.tolist(), reseated, strict=True):
         ref = stream(9, TAG_GRADIENT, *row)
         assert rng is seeding._shared_rng()[0]
@@ -162,13 +168,30 @@ def test_reseat_guard_rejects_a_write_that_misses_the_state():
 
 def test_seed_words_rejects_wide_or_negative_indices():
     with pytest.raises(ValueError, match="32-bit"):
-        seed_words((1, TAG_GRADIENT), np.array([[0, 2**32]]))
+        seed_words((1, TAG_GRADIENT), 0, np.array([0, 2**32]))
     with pytest.raises(ValueError, match="32-bit"):
-        seed_words((1, TAG_GRADIENT), np.array([[-1, 0]]))
+        seed_words((1, TAG_GRADIENT), np.array([-1, 0]), 0)
     with pytest.raises(ValueError):
-        seed_words((-1, TAG_GRADIENT), np.array([[0, 0]]))
+        seed_words((-1, TAG_GRADIENT), 0, 0)
+    for column in (np.array([0.5, 1.0]), np.array([True]), [1, 2.0]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            seed_words((1,), column)
+
+
+def test_index_columns_broadcast_to_one_stream_per_index():
+    iterations, learners = np.array([[0], [7], [2**32 - 1]]), np.arange(4)
+    words = seed_words((2**40 + 3, TAG_GRADIENT), iterations, learners)
+    states = stream_states((2**40 + 3, TAG_GRADIENT), iterations, learners)
+    assert words.shape == states.shape == (3, 4, 4)
+    for (i, l), k in np.ndenumerate(np.broadcast_to(iterations, (3, 4))):
+        expected = seed_sequence(2**40 + 3, TAG_GRADIENT, k, l).generate_state(4, np.uint64)
+        assert np.array_equal(words[i, l], expected)
+        rng = next(seeding._reseated(states[i, l][None]))
+        assert rng.bit_generator.state == stream(2**40 + 3, TAG_GRADIENT, k, l).bit_generator.state
+    assert seed_words((5,)).shape == stream_states((5,), 3).shape == (4,)
+    assert seed_words((5,), np.zeros((0, 2), int), [1, 2]).shape == (0, 2, 4)
     with pytest.raises(ValueError):
-        seed_words((1,), np.array([0.5, 1.0]))
+        seed_words((5,), np.arange(3), np.arange(4))
 
 
 # Bounds on each side of Lemire's special cases: 1 (no word read), powers of
@@ -186,7 +209,7 @@ def _redrawn_rows(prefix, index, bounds, count):
     """bounded_integers's result and the number of rows it redrew, checked
     against `integers` on a fresh `stream` for each row."""
     with mock.patch.object(seeding, "_reseated", wraps=seeding._reseated) as reseated:
-        picks = bounded_integers(stream_states(prefix, index), bounds, count)
+        picks = bounded_integers(stream_states(prefix, *index.T), bounds, count)
     assert picks.dtype == np.int64
     assert np.array_equal(picks, _integers_by_stream(prefix, index, bounds, count))
     first, redraw = (len(call.args[0]) for call in reseated.call_args_list)
@@ -222,7 +245,7 @@ def test_bounded_integers_are_unchanged_when_the_reseat_falls_back(failed_guard)
 
 
 def test_bounded_integers_reject_a_bound_below_one_or_a_bound_count_off_the_rows():
-    rows = stream_states((1, TAG_GRADIENT), np.arange(3)[:, None])
+    rows = stream_states((1, TAG_GRADIENT), np.arange(3))
     for bounds in ([4, 0, 4], [4, 4], [[4, 4, 4]]):
         with pytest.raises(ValueError, match="one integer >= 1 for each of the 3 rows"):
             bounded_integers(rows, bounds, 2)

@@ -3,6 +3,7 @@ import pickle
 import re
 import typing
 import warnings
+import weakref
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -85,6 +86,14 @@ def test_gradient_matrix_is_strategy_free_and_replays():
     assert np.array_equal(a, b)
     c = gradient_matrix(oracle, Phi, cfg, 4)
     assert not np.array_equal(a, c)
+
+
+def test_gradient_matrix_checks_its_iteration():
+    Phi = np.zeros((6, 4))
+    for k, message in ((-1, "k: must be >= 0"), (1.5, "k: expected int, got 1.5"),
+                       (True, "k: expected int, got True")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gradient_matrix(_oracle(), Phi, _cfg(), k)
 
 
 @pytest.mark.parametrize("partition", ["shared", "sharded"])
@@ -649,21 +658,67 @@ def test_step_rand_psgd_over_a_held_block_builds_no_stream(monkeypatch):
         Strategy.RAND_PSGD, oracle, cfg).state.weights.tobytes()
 
 
-@pytest.mark.parametrize("change", ["seed", "n_learners", "batch_size", "data_partition", "oracle"])
+# A changed value for every RunConfig field.
+_CHANGED = {"n_learners": 5, "iterations": 6, "lr": 0.2, "batch_size": 3, "seed": 6,
+            "warmup_iters": 2, "staleness_mode": "sync", "init_scale": 0.5,
+            "data_partition": "sharded", "log_every": 2, "cost_model": CostModel(compute_sigma=0.2)}
+
+
+@pytest.mark.parametrize("change", [*_CHANGED, "oracle"])
 def test_a_run_that_changes_one_key_field_draws_its_block_again(change):
+    assert set(_CHANGED) == {f.name for f in fields(RunConfig)}
     calls = []
     oracle, cfg = _CountingOracle(calls), _cfg()
     if change == "oracle":
         other, other_cfg = _CountingOracle(calls), cfg  # equal, but another object
         assert other == oracle
     else:
-        values = {"seed": 6, "n_learners": 5, "batch_size": 3, "data_partition": "sharded"}
-        other, other_cfg = oracle, replace(cfg, **{change: values[change]})
+        other, other_cfg = oracle, replace(cfg, **{change: _CHANGED[change]})
     for run in ((oracle, cfg), (oracle, cfg), (other, other_cfg), (other, other_cfg),
                 (oracle, cfg)):
         run_training(Strategy.D1D, *run)
     # Each miss draws with the cache already emptied: one block held at most.
     assert calls == [True] * 3
+
+
+def test_equal_configs_built_apart_share_one_draw_per_block():
+    a, b = (RunConfig(n_learners=4, iterations=1, lr=0.1, batch_size=1, seed=0) for _ in "ab")
+    assert a is not b and a == b and hash(a) == hash(b)
+    calls = []
+    oracle = _CountingOracle(calls)
+    scales = [(2, 1, 1, 1), (2.0, np.float32(1), 1.0, 1)]
+    a, b = (_cfg(iterations=40, cost_model=CostModel(compute_scale=scale)) for scale in scales)
+    assert a.cost_model is not b.cost_model and a == b and hash(a) == hash(b)
+    run_training(Strategy.D1D, oracle, a)
+    run_training(Strategy.RAND_PSGD, oracle, b)
+    gradient_matrix(oracle, np.zeros((oracle.dimension, 4)), replace(a), 39)
+    assert calls == [True]
+
+
+class _ReleaseCheckingOracle(_CountingOracle):
+    """A counting oracle that logs in `alive`, at each `draw`, whether the
+    draws that `previous` (a weak reference, once set) points to are alive."""
+
+    def __init__(self):
+        super().__init__()
+        self.previous, self.alive = None, []
+
+    def draw(self, rows, batch_size, shards=None):
+        self.alive.append(self.previous is not None and self.previous() is not None)
+        return super().draw(rows, batch_size, shards)
+
+
+def test_the_held_block_is_released_before_the_next_block_is_drawn(monkeypatch):
+    # Holding the old block while the next is drawn would double the cache's
+    # peak memory.  Blocks of 8 iterations at L = 4.
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 4 * 8)
+    oracle, cfg = _ReleaseCheckingOracle(), _cfg(iterations=16)
+    Phi = np.zeros((oracle.dimension, 4))
+    gradient_matrix(oracle, Phi, cfg, 0)
+    oracle.previous = weakref.ref(simulation._last_draws[2][1])
+    gradient_matrix(oracle, Phi, cfg, 8)
+    assert oracle.previous() is None
+    assert (oracle.alive, oracle.calls) == ([False, False], [True, True])
 
 
 class _WritingOracle(_CountingOracle):

@@ -53,6 +53,14 @@ def test_spectral_rho_warns_on_asymmetry():
         spectral_rho(T)
 
 
+def test_spectral_rho_rejects_a_non_square_matrix_and_gives_a_1x1_matrix_rho_0():
+    for T in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ValueError, match=r"^mixing matrix must be square, got \("):
+            spectral_rho(T)
+    report = spectral_rho(np.ones((1, 1)))
+    assert (report.rho, report.spectral_gap, report.eigenvalues.tolist()) == (0.0, 1.0, [1.0])
+
+
 def test_negative_branch_never_dominates():
     # rho comes from the second-largest eigenvalue for every ring size:
     # the most negative eigenvalue stays at or above -1/3 in magnitude.

@@ -6,12 +6,12 @@
 
 DIR is a checkout (or an exported tree) that holds `perfbench/` and
 `src/ringmix`.  Each workload must be one that the change's BENCHMARK.json
-lists, and each seed distinct; an unknown name, a reversed range or a
-repeated seed exits 2 before the first run.  For each seed, and
-for each workload in turn, it runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0` once from each directory, one run at a time; the
-parent runs first in the first pair and the two sides take turns after
-that.  The three workloads are interleaved pair by pair, so a slow spell
+lists, each named once, and each seed distinct; an unknown or repeated
+name, a reversed range or a repeated seed exits 2 before the first run.
+For each seed, and for each workload in turn, it runs `perfbench/run.py
+--workload W --seed S --seconds T --trace 0` once from each directory, one
+run at a time; the parent runs first in the first pair and the two sides
+take turns after that.  The three workloads are interleaved pair by pair, so a slow spell
 of a shared host falls on every workload alike.
 
 The output JSON holds each tree's commit (`trees`, read from its `.git`
@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     if unknown:  # else each would fail one perfbench run per seed and side
         parser.error(f"unknown workload {', '.join(map(repr, unknown))}; "
                      f"BENCHMARK.json lists {', '.join(known)}")
+    repeated = sorted({w for w in workloads if workloads.count(w) > 1})
+    if repeated:  # else each pair would run twice and be counted twice under one name
+        parser.error(f"repeated workload {', '.join(map(repr, repeated))}")
     commits = {side: tree_commit(tree) for side, tree in trees.items()}
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for i, seed in enumerate(args.seeds):
