@@ -94,7 +94,7 @@ def conjugate_by_permutation(T: np.ndarray, perm: np.ndarray) -> np.ndarray:
     result is the ring re-wired so that learner i's neighbours are the
     learners mapped next to it.
     """
-    perm = np.asarray(perm)
+    T, perm = np.asarray(T), np.asarray(perm)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"mixing matrix must be square, got {T.shape}")
     n = len(T)
@@ -112,6 +112,7 @@ def apply_mixing(W: np.ndarray, T: np.ndarray) -> np.ndarray:
     to exactly zero, and keeps the arithmetic identical for any matrix
     whose entries all equal 1/L, however it was built.
     """
+    W, T = np.asarray(W), np.asarray(T)
     if W.ndim != 2 or T.ndim != 2 or T.shape[0] != T.shape[1] or not T.size:
         raise ValueError(f"expected W (d, L) and square nonempty T, got {W.shape} and {T.shape}")
     if W.shape[1] != T.shape[0]:

@@ -17,17 +17,17 @@ Two oracle families:
 
 Both oracles take a stochastic gradient in two steps, since their
 randomness does not depend on the model.  `draw(rows, batch_size,
-shards)` makes one learner's draws (standard normals for the quadratic,
-minibatch sample indices for the logistic) from the stream of each PCG64
-state row (`seeding.stream_states`), the logistic's in one vectorized
-pass (`seeding.bounded_integers`); `gradients(Phi, draws, batch_size)`
-does the math on them.  The training loop draws a whole stream block's
-draws first.  `stochastic_gradient(w, rng, batch_size, shard)` is the two
-on one column, drawn from a caller's Generator: the same rng state always
-yields the same samples and the same gradient, bit for bit, and those of
-a stream's Generator are those of its state row.  `gradient_check`
-closes the loop between the loss and gradient code paths with central
-finite differences.
+shards)` makes one learner's draws (the quadratic's noise, already times
+noise_scale / sqrt(batch_size); the logistic's minibatch sample indices)
+from the stream of each PCG64 state row (`seeding.stream_states`), the
+logistic's in one vectorized pass (`seeding.bounded_integers`);
+`gradients(Phi, draws, batch_size)` does the math on them.  The training
+loop draws a whole stream block's draws first.  `stochastic_gradient(w,
+rng, batch_size, shard)` is the two on one column, drawn from a caller's
+Generator: the same rng state always yields the same samples and the
+same gradient, bit for bit, and those of a stream's Generator are those
+of its state row.  `gradient_check` closes the loop between the loss and
+gradient code paths with central finite differences.
 """
 
 from __future__ import annotations
@@ -93,11 +93,12 @@ class QuadraticObjective:
         return self.eigenvalues * (np.asarray(w, dtype=float) - self.optimum)
 
     def stochastic_gradient(self, w: np.ndarray, rng, batch_size: int, shard=None) -> np.ndarray:
-        return _one_gradient(self, w, batch_size, lambda _: rng.standard_normal(self.dimension))
+        return _one_gradient(self, w, batch_size, lambda b: rng.standard_normal(self.dimension)
+                             * (self.noise_scale / math.sqrt(b)))  # as `draw` scales its rows
 
     def draw(self, rows: np.ndarray, batch_size: int, shards: _Shards = None) -> np.ndarray:
-        """(n, d) standard normals for the n state rows, row l drawn from
-        the stream of the l-th.
+        """(n, d) scaled noise for the n state rows: row l is the standard
+        normals of the l-th row's stream times noise_scale / sqrt(batch_size).
 
         Pure noise model: the sampled batch only sets the noise
         magnitude, so neither it nor a shard assignment is drawn here.
@@ -105,14 +106,14 @@ class QuadraticObjective:
         noise = np.empty((len(rows), self.dimension))
         for row, rng in zip(noise, seeding._reseated(rows)):
             rng.standard_normal(out=row)
+        noise *= self.noise_scale / math.sqrt(batch_size)  # a float: numpy scalars are slower
         return noise
 
     def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
-        """Gradients of the columns of Phi plus noise_scale / sqrt(batch_size)
-        times row l of the `draw`n normals in column l."""
+        """Gradients of the columns of Phi plus row l of the `draw`n scaled
+        noise in column l."""
         Phi = np.asarray(Phi, dtype=float)
-        noise_sd = self.noise_scale / math.sqrt(batch_size)  # a float: numpy scalars are slower
-        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + noise_sd * draws.T
+        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + draws.T
 
 
 class LogisticObjective:

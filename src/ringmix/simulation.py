@@ -218,17 +218,18 @@ _ROW_BUDGET = 4096
 _last_draws = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The stream block holding iteration k: its first iteration, every
-    learner's gradient draws at its iterations, shaped (n, L, ...), and the
-    state rows (`seeding.stream_states`) of its clock's and of rand_psgd's
-    permutation streams, one per iteration.  Blocks hold max(1, _ROW_BUDGET
-    // L) iterations from 0, the last one cut at the run's end; a k past the
-    run gets a whole block.  The oracle draws learner l's at iteration k
-    from the stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed
-    share gradient noise.  The last block is kept, read-only, and returned
-    again for the same oracle (by identity), an equal config and the same
-    block bounds."""
+    learner's gradient draws at its iterations, (n, L, ...), the compute
+    times `cfg.cost_model` draws from its clock streams, (n, L), and the
+    state rows of rand_psgd's permutation streams, (n, 4), all drawn with
+    overflow judged by value, not warned.  Blocks hold max(1, _ROW_BUDGET //
+    L) iterations from 0, the last one cut at the run's end; a k past the
+    run gets a whole block.  Learner l's draws at iteration k come from the
+    stream (seed, TAG_GRADIENT, k, l), so strategies sharing a seed share
+    gradient noise.  The last block is kept, read-only, and returned again
+    for the same oracle (by identity), an equal config and the same bounds."""
     global _last_draws
     L = cfg.n_learners
     size = max(1, _ROW_BUDGET // L)
@@ -242,12 +243,13 @@ def _block(oracle, cfg: RunConfig, k: int) -> tuple[int, np.ndarray, np.ndarray,
     n, iterations = stop - start, np.arange(start, stop)
     rows = seeding.stream_states((cfg.seed, seeding.TAG_GRADIENT), iterations[:, None], range(L))
     shards = [(l, L) for l in range(L)] * n if cfg.data_partition == "sharded" else None
+    clock, perm_rows = seeding.stream_states(
+        (cfg.seed,), [[seeding.TAG_CLOCK], [seeding.TAG_PERMUTATION]], iterations)
     draws = oracle.draw(rows.reshape(n * L, 4), cfg.batch_size, shards).reshape(n, L, -1)
-    streams = seeding.stream_states((cfg.seed,), [[seeding.TAG_CLOCK], [seeding.TAG_PERMUTATION]],
-                                    iterations)
-    for array in (draws, streams):
+    times = np.array([cfg.cost_model.sample_compute_times(L, r) for r in seeding._reseated(clock)])
+    for array in (draws, times, perm_rows):
         array.setflags(write=False)
-    block = start, draws, *streams
+    block = start, draws, times, perm_rows
     _last_draws = (oracle, key, block)
     return block
 
@@ -378,12 +380,12 @@ def consensus_distance(W: np.ndarray) -> float:
 
 
 def _clock(
-    strategy: Strategy, cost_model: CostModel, rngs, compute_time_s: np.ndarray, sim_time_s: float
+    strategy: Strategy, cost_model: CostModel, times, compute_time_s: np.ndarray, sim_time_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulated wall-clock time of n iterations, each drawing its compute
-    times from one of `rngs`: running totals of the per-learner compute and
-    of the simulated seconds, from the totals given as row 0, shaped (n + 1,
-    L) and (n + 1,); and the iterations' durations.
+    """Simulated wall-clock time of n iterations whose per-learner compute
+    times are the rows of `times`, shaped (n, L): running totals of the
+    per-learner compute and of the simulated seconds, from the totals given
+    as row 0, shaped (n + 1, L) and (n + 1,); and the iterations' durations.
 
     Barrier strategies (not `strategy.uses_ring`) wait for the slowest
     learner's compute, then pay a slowest-link allreduce.  Ring (gossip)
@@ -391,9 +393,8 @@ def _clock(
     iteration costs max(compute, own exchange), and the recorded duration
     is the mean over learners.
     """
-    L = len(compute_time_s)
-    compute = np.array([compute_time_s, *(cost_model.sample_compute_times(L, r) for r in rngs)])
-    exchange = cost_model.allreduce_time(L)
+    compute = np.vstack((compute_time_s, times))
+    exchange = cost_model.allreduce_time(len(compute_time_s))
     if strategy.uses_ring:
         durations = np.maximum(compute[1:], exchange).mean(axis=1)
     else:
@@ -405,7 +406,8 @@ def advance_clock(
     state: SimState, strategy: Strategy, cost_model: CostModel, rng: "np.random.Generator"
 ) -> tuple[SimState, float]:
     """Account one iteration of simulated wall-clock time (`_clock`)."""
-    compute, sim, durations = _clock(strategy, cost_model, [rng], state.compute_time_s,
+    times = cost_model.sample_compute_times(len(state.compute_time_s), rng)[None]
+    compute, sim, durations = _clock(strategy, cost_model, times, state.compute_time_s,
                                      state.sim_time_s)
     return replace(state, compute_time_s=compute[1], sim_time_s=float(sim[1])), float(durations[0])
 
@@ -453,25 +455,25 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     The loop keeps the weights, the stale model, the last gradients and
     the clock totals in arrays and builds a `SimState` only for the result.
     At the start of each stream block it draws all of the block's
-    randomness at once: every learner's gradient draws and the state rows
-    of the clock's and the permutations' streams (`_block`), then the
-    clock (`_clock`) and its first non-finite total.  The loop runs only
-    the iterations up to that total, each array math on its row of the
+    randomness at once: every learner's gradient draws, the clock's compute
+    times and the state rows of the permutations' streams (`_block`), then
+    the clock's totals (`_clock`) and its first non-finite one.  The loop
+    runs only the iterations up to it, each array math on its row of the
     draws (`_update`), and raises the overflow if the last update is healthy.
     Updates and records run under one errstate per block that ignores
     overflow and invalid, judged by value; a record's loss overflow is silent.
 
     The last block stays cached after the run, and `gradient_matrix` and
     the `step_*` functions read the same cache: one block of at most
-    max(L, 4096) rows of the oracle's draws, read-only (8 d bytes a row
-    for the quadratic, 8 batch_size for the logistic; 1 MiB at L = d =
-    32), its clock and permutation rows and a reference to the oracle.
-    It is keyed by the oracle's identity, the config (equal configs
-    match) and the block's iterations, so runs of several strategies on
-    one oracle and config draw a block that fits the run once, and a run
-    that changes any config field draws its blocks again.  An oracle's
-    `draw` must therefore depend only on its arguments, and its
-    `gradients` must not write into the draws.
+    max(L, 4096) rows of the oracle's draws (8 d bytes a row for the
+    quadratic, 8 batch_size for the logistic), 8 L bytes of compute times
+    and 32 of permutation state per iteration, read-only (1 MiB + 36 KiB at
+    L = d = 32), and the oracle; the loop lets go of a block before drawing
+    the next.  It is keyed by the oracle's identity, the config (equal
+    configs match) and the block's iterations, so strategies run on one
+    oracle and config draw a block that fits the run once, and a run that
+    changes any config field draws again.  An oracle's `draw` must thus
+    depend only on its arguments, and its `gradients` not write into them.
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
@@ -480,11 +482,10 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     records: list[TraceRecord] = []
     done, diverged = 0, False  # done: healthy iterations
     while done < cfg.iterations and not diverged:
-        start, block, clock, perm_rows = _block(oracle, cfg, done)  # start == done
+        start, block, times, perm_rows = _block(oracle, cfg, done)  # start == done
         # Overflow and invalid are judged by value: divergence, the clock's first non-finite row.
         with np.errstate(over="ignore", invalid="ignore"):
-            compute, sim, _ = _clock(strategy, cfg.cost_model, seeding._reseated(clock),
-                                     compute[-1], sim[-1])
+            compute, sim, _ = _clock(strategy, cfg.cost_model, times, compute[-1], sim[-1])
             n, overflow = _check_clock(compute, sim, start)
             for k, (draws, perm_row) in enumerate(zip(block[:n], perm_rows[:n]), start):
                 W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm_row)
@@ -495,6 +496,7 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
                 W_prev, W, G, done = W, W_next, G_next, k + 1
                 if done % cfg.log_every == 0:
                     records.append(_record(W, done, float(sim[done - start]), oracle, rho))
+        block = times = perm_rows = draws = perm_row = None  # the next block's draw may free it
         # The clock overflows at an iteration only if its update was healthy.
         if overflow and not diverged:
             raise ValueError(overflow)

@@ -188,6 +188,29 @@ def test_a_repeated_workload_exits_before_the_first_run(tmp_path, capsys):
     assert "repeated workload 'consensus-mc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds, message", [
+    ("0", "expected a positive finite number of seconds, got '0'"),
+    ("-1", "expected a positive finite number of seconds, got '-1'"),
+    ("nan", "expected a positive finite number of seconds, got 'nan'"),
+    ("inf", "expected a positive finite number of seconds, got 'inf'"),
+    ("ten", "invalid parse_seconds value: 'ten'"),
+])
+def test_seconds_that_are_not_a_positive_finite_number_exit_before_the_first_run(
+        seconds, message, tmp_path, capsys):
+    # perfbench given 0 or nan seconds fails every run, so the sweep would be lost.
+    repo = _PATH.parents[1]
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(repo), "--change", str(repo), "--seeds", "1-2",
+            "--seconds", seconds, "--out", str(out)]
+    with mock.patch.object(bench_pairs, "run_once") as run_once:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert not run_once.called and not out.exists()
+    assert f"argument --seconds: {message}" in capsys.readouterr().err
+    assert bench_pairs.parse_seconds("0.5") == 0.5
+
+
 @pytest.mark.parametrize("line", ["perfbench: interrupted", '{"correct": true}'],
                          ids=["not-json", "no-attempted"])
 def test_a_malformed_run_is_an_errored_run_and_the_pairs_go_on(tmp_path, line):

@@ -114,6 +114,25 @@ def test_conjugation_rejects_a_matrix_that_is_not_square(T):
         conjugate_by_permutation(T, [0])
 
 
+def test_conjugation_and_apply_mixing_take_nested_lists():
+    T, perm = build_ring_matrix(4), [1, 0, 3, 2]
+    W = stream(2, 6, 1).standard_normal((3, 4))
+    assert np.array_equal(conjugate_by_permutation(T.tolist(), perm),
+                          conjugate_by_permutation(T, np.array(perm)))
+    assert apply_mixing(W.tolist(), T.tolist()).tobytes() == apply_mixing(W, T).tobytes()
+    uniform = [[0.5, 0.5], [0.5, 0.5]]
+    assert apply_mixing([[1.0, 3.0]], uniform).tolist() == [[2.0, 2.0]]
+    # A badly shaped nested list raises the ValueError an array raises.
+    with pytest.raises(ValueError, match=r"^mixing matrix must be square, got \(3,\)$"):
+        conjugate_by_permutation([1.0, 2.0, 3.0], [0])
+    with pytest.raises(ValueError, match=r"^perm is not a permutation of range\(n\)$"):
+        conjugate_by_permutation(uniform, [0, 0])
+    with pytest.raises(ValueError, match=r"square nonempty T, got \(2,\) and \(2, 2\)$"):
+        apply_mixing([1.0, 2.0], uniform)
+    with pytest.raises(ValueError, match=r"^size mismatch: W has 3 columns, T is 2x2$"):
+        apply_mixing([[1.0, 2.0, 3.0]], uniform)
+
+
 def test_apply_mixing_matches_matmul_on_ring():
     L = 8
     T = build_ring_matrix(L)

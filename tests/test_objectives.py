@@ -115,6 +115,23 @@ def test_quadratic_stochastic_gradient_noise_free_limit():
     assert np.array_equal(oracle.stochastic_gradient(w, stream(1, 0, 0, 0), 8), oracle.gradient(w))
 
 
+@pytest.mark.parametrize("noise_scale", [0.0, 0.3, 2.5])
+@pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
+def test_quadratic_draw_is_the_scaled_noise_of_stochastic_gradient(noise_scale, batch_size):
+    # The block path (draw, then gradients) and stochastic_gradient scale the
+    # same normals by the same float: equal column by column, byte for byte.
+    oracle = quadratic_oracle(dimension=9, condition_number=30.0, noise_scale=noise_scale, seed=4)
+    L = 5
+    Phi = stream(4, 1).standard_normal((9, L))
+    draws = oracle.draw(stream_states((4, 2), np.arange(L)), batch_size)
+    G = oracle.gradients(Phi, draws, batch_size)
+    for l in range(L):
+        normals = stream(4, 2, l).standard_normal(9)
+        assert draws[l].tobytes() == (normals * (noise_scale / math.sqrt(batch_size))).tobytes()
+        expected = oracle.stochastic_gradient(Phi[:, l], stream(4, 2, l), batch_size)
+        assert G[:, l].tobytes() == expected.tobytes(), l
+
+
 def test_quadratic_stochastic_gradient_replays_and_averages_out():
     oracle = quadratic_oracle(dimension=8, condition_number=10.0, seed=2, noise_scale=1.0)
     w = stream(3, 3).standard_normal(8)

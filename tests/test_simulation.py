@@ -20,7 +20,7 @@ from ringmix.mixing import (
     permutation_for_step,
     sample_permutation,
 )
-from ringmix.objectives import logistic_oracle, quadratic_oracle
+from ringmix.objectives import QuadraticObjective, logistic_oracle, quadratic_oracle
 from ringmix.seeding import TAG_CLOCK, stream
 from ringmix.simulation import (
     DIVERGENCE_THRESHOLD,
@@ -350,10 +350,10 @@ def test_block_clock_equals_advance_clock_row_by_row():
         cm = CostModel(compute_sigma=0.5, compute_scale=tuple(stream(L, 9).uniform(0.5, 20, L)))
         start = SimState(np.zeros((1, L)), np.zeros((1, L)), 7, stream(L, 8).uniform(0, 50, L),
                          sim_time_s=float(stream(L, 7).uniform(0, 50)))
+        times = np.array([cm.sample_compute_times(L, stream(L, TAG_CLOCK, k)) for k in range(3)])
         for strategy in (Strategy.D1D, Strategy.RAND_PSGD):
             compute, sim, durations = simulation._clock(
-                strategy, cm, (stream(L, TAG_CLOCK, k) for k in range(3)),
-                start.compute_time_s, start.sim_time_s,
+                strategy, cm, times, start.compute_time_s, start.sim_time_s,
             )
             state = start
             for k in range(3):
@@ -633,7 +633,7 @@ def test_steps_draw_once_per_block_and_gradient_matrix_reads_the_held_block(stra
 
 def test_rand_psgd_after_another_strategy_on_its_block_derives_no_stream_rows(monkeypatch):
     # The held block carries the permutation rows with the gradient draws and
-    # the clock rows, so a paired rand_psgd run derives none of its own.
+    # the compute times, so a paired rand_psgd run derives none of its own.
     oracle, cfg = _oracle(), _cfg(iterations=40)
     run_training(Strategy.D1D, oracle, cfg)
     stream_states = mock.Mock(wraps=seeding.stream_states)
@@ -642,6 +642,28 @@ def test_rand_psgd_after_another_strategy_on_its_block_derives_no_stream_rows(mo
     assert stream_states.call_count == 0
     monkeypatch.undo()
     assert _outcome(Strategy.RAND_PSGD, _oracle(), cfg) == expected
+
+
+def test_a_paired_run_on_a_held_block_draws_no_compute_time_and_scales_no_noise():
+    # The held block holds its clock's compute times and the quadratic's
+    # scaled noise as values: a paired run draws and scales nothing, and
+    # returns what a run on a fresh oracle returns.
+    oracle = _oracle()
+    cfg = _cfg(iterations=40, cost_model=CostModel(compute_scale=(3.0, 1.0, 1.0, 1.0)))
+    run_training(Strategy.D1D, oracle, cfg)
+    sample = mock.patch.object(CostModel, "sample_compute_times", autospec=True,
+                               side_effect=CostModel.sample_compute_times)
+    # The quadratic's gradients add the drawn noise as it is: only `draw` scales.
+    draw = mock.patch.object(QuadraticObjective, "draw", autospec=True,
+                             side_effect=QuadraticObjective.draw)
+    with sample as sample_calls, draw as draw_calls:
+        outcomes = {strategy: _outcome(strategy, oracle, cfg) for strategy in Strategy}
+    assert (sample_calls.call_count, draw_calls.call_count) == (0, 0)
+    for strategy, outcome in outcomes.items():
+        with sample as sample_calls, draw as draw_calls:
+            assert _outcome(strategy, _oracle(), cfg) == outcome, strategy
+        # A miss draws each iteration's compute times and its block's noise once.
+        assert (sample_calls.call_count, draw_calls.call_count) == (cfg.iterations, 1)
 
 
 def test_step_rand_psgd_over_a_held_block_builds_no_stream(monkeypatch):
@@ -721,6 +743,27 @@ def test_the_held_block_is_released_before_the_next_block_is_drawn(monkeypatch):
     assert (oracle.alive, oracle.calls) == ([False, False], [True, True])
 
 
+class _EachBlockReleaseCheckingOracle(_ReleaseCheckingOracle):
+    """A release-checking oracle whose `previous` points at each array its
+    `draw` returns, so that any view of a block's draws keeps it alive."""
+
+    def draw(self, rows, batch_size, shards=None):
+        draws = super().draw(rows, batch_size, shards)
+        self.previous = weakref.ref(draws)
+        return draws
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_run_training_lets_go_of_each_block_before_it_draws_the_next(strategy, monkeypatch):
+    # The loop's references to a block (its rows included) are dropped at the
+    # block's end, so a run holds one block at its peak.  Blocks of 8
+    # iterations at L = 4: a 24-iteration run draws three.
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 4 * 8)
+    oracle = _EachBlockReleaseCheckingOracle()
+    run_training(strategy, oracle, _cfg(iterations=24))
+    assert (oracle.alive, oracle.calls) == ([False] * 3, [True] * 3)
+
+
 class _WritingOracle(_CountingOracle):
     """An oracle whose `gradients` scales its draws in place."""
 
@@ -745,17 +788,20 @@ def test_divergence_threshold_is_inclusive():
 
 
 _STRAGGLER = CostModel(compute_scale=(1.7976931348623157e308, 1, 1, 1))
+# A straggler whose factor times its compute time overflows as it is drawn.
+_OVERFLOWING_STRAGGLER = replace(_STRAGGLER, compute_mu=1.0)
 
 
 @pytest.mark.parametrize("cost_model, strategy, iteration, total", [
     (_STRAGGLER, Strategy.D1D, 11, "sim_time_s"),
     (CostModel(compute_sigma=1e300), Strategy.D1D, 1, "sim_time_s"),
+    (_OVERFLOWING_STRAGGLER, Strategy.D1D, 1, "sim_time_s"),
     # Gossip records the mean over learners, so sim_time_s stays finite
     # while the straggler's own compute total overflows.
     (_STRAGGLER, Strategy.DPSGD_FIXED, 11, "compute_time_s[0]"),
     (_STRAGGLER, Strategy.ADPSGD_FIXED, 11, "compute_time_s[0]"),
     (_STRAGGLER, Strategy.RAND_PSGD, 11, "compute_time_s[0]"),
-], ids=["straggler_factor_max_float", "compute_sigma_1e300",
+], ids=["straggler_factor_max_float", "compute_sigma_1e300", "straggler_overflowing_as_drawn",
         "straggler_dpsgd_fixed", "straggler_adpsgd_fixed", "straggler_rand_psgd"])
 def test_run_training_rejects_an_overflowed_clock(cost_model, strategy, iteration, total):
     cfg = _cfg(iterations=12, cost_model=cost_model)
@@ -768,6 +814,35 @@ def test_run_training_rejects_an_overflowed_clock(cost_model, strategy, iteratio
             # One iteration fewer, every clock total is still finite and the run completes.
             state = run_training(strategy, _oracle(), replace(cfg, iterations=iteration - 1)).state
             assert state.sim_time_s < math.inf and state.compute_time_s.max() < math.inf
+
+
+@pytest.mark.parametrize("cost_model", [_STRAGGLER, _OVERFLOWING_STRAGGLER],
+                         ids=["straggler", "overflowing_straggler"])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_steps_and_gradient_matrix_draw_a_straggler_clock_without_a_warning(strategy, cost_model):
+    # _block draws the clock's compute times with the gradient draws, so
+    # stepping and gradient_matrix draw them too, under the same errstate.
+    cfg = _cfg(iterations=12, cost_model=cost_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gradient_matrix(_oracle(), np.zeros((6, 4)), cfg, 11)  # a new oracle: a miss
+        oracle = _oracle()
+        state = initial_state(oracle, cfg)
+        for _ in range(cfg.iterations):
+            state = _STEPS[strategy](state, oracle, cfg)
+    if cost_model is _OVERFLOWING_STRAGGLER:
+        assert np.isinf(simulation._last_draws[2][2][:, 0]).all()  # the draw overflowed
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_quadratic_with_a_largest_float_noise_scale_diverges_without_a_warning(strategy):
+    # Its draw overflows as _block scales it; the run diverges at its first update.
+    oracle = quadratic_oracle(dimension=6, condition_number=10.0, noise_scale=1e308, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_training(strategy, oracle, _cfg(batch_size=1))
+    assert np.isinf(simulation._last_draws[2][1]).any()
+    assert result.diverged and result.state.iteration == 0 and result.records == ()
 
 
 @pytest.mark.parametrize("strategy, total", [

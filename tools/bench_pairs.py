@@ -6,8 +6,9 @@
 
 DIR is a checkout (or an exported tree) that holds `perfbench/` and
 `src/ringmix`.  Each workload must be one that the change's BENCHMARK.json
-lists, each named once, and each seed distinct; an unknown or repeated
-name, a reversed range or a repeated seed exits 2 before the first run.
+lists, each named once, each seed distinct and T a positive finite number
+of seconds; an unknown or repeated name, a reversed range, a repeated seed
+or another T exits 2 before the first run.
 For each seed, and for each workload in turn, it runs `perfbench/run.py
 --workload W --seed S --seconds T --trace 0` once from each directory, one
 run at a time; the parent runs first in the first pair and the two sides
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -85,6 +87,17 @@ def parse_seeds(text: str) -> list[int]:
     if repeated:
         raise argparse.ArgumentTypeError(f"repeated seed {', '.join(map(str, repeated))}")
     return seeds
+
+
+def parse_seconds(text: str) -> float:
+    """A run's length in seconds: a positive finite number, else an argparse
+    type error, so `main` exits 2 before any run (perfbench given 0 or nan
+    seconds runs no task and dies with an IndexError)."""
+    seconds = float(text)
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number of seconds, "
+                                         f"got {text!r}")
+    return seconds
 
 
 def _mismatch(line: str) -> list[str] | None:
@@ -209,7 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--workloads", default="train-ring-L32,consensus-mc,sweep-logistic")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=parse_seconds, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
