@@ -103,6 +103,7 @@ class QuadraticObjective:
         Pure noise model: the sampled batch only sets the noise
         magnitude, so neither it nor a shard assignment is drawn here.
         """
+        batch_size = _require("batch_size", batch_size, ">= 1", int)
         noise = np.empty((len(rows), self.dimension))
         for row, rng in zip(noise, seeding._reseated(rows)):
             rng.standard_normal(out=row)
@@ -111,9 +112,11 @@ class QuadraticObjective:
 
     def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
         """Gradients of the columns of Phi plus row l of the `draw`n scaled
-        noise in column l."""
-        Phi = np.asarray(Phi, dtype=float)
-        return self.eigenvalues[:, None] * (Phi - self.optimum[:, None]) + draws.T
+        noise in column l, each operation in place on one fresh array."""
+        G = np.subtract(Phi, self.optimum[:, None], dtype=float)
+        G *= self.eigenvalues[:, None]
+        G += draws.T
+        return G
 
 
 class LogisticObjective:
@@ -178,6 +181,7 @@ class LogisticObjective:
         minibatch `_sample_indices` draws from the l-th shard (all data when
         None) with the Generator of the l-th row's stream.  Each distinct
         shard is checked once, before any draw."""
+        batch_size = _require("batch_size", batch_size, ">= 1", int)
         n = len(rows)
         if shards is None:
             shards = [None] * n

@@ -266,44 +266,46 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     return oracle.gradients(Phi, draws[k - start], cfg.batch_size)
 
 
-def _update(strategy: Strategy, W: np.ndarray, W_prev: np.ndarray, oracle, cfg: RunConfig, k: int,
-            draws: np.ndarray, perm_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Iteration k of `strategy`, as its mixing and gradient say, from the
-    weights W, the one-step-stale W_prev and the iteration's rows of
-    `_block`'s gradient draws and permutation state rows, from which
-    rand_psgd draws p_k as `mixing.permutation_for_step` does: (next
-    weights, gradients)."""
-    mixing, gradient = strategy.mixing, strategy.gradient
-    if gradient == "staleness_mode":
-        gradient = "stale" if cfg.staleness_mode == "async" else "fresh"
-    L = cfg.n_learners
-    if L == 3 and strategy.uses_ring:
-        mixing = "mean"  # the 3-ring's weights are all 1/L, as in apply_mixing
-    G = oracle.gradients(W_prev if gradient == "stale" else W, draws, cfg.batch_size)
-    lr = learning_rate(cfg, k)
-    if mixing == "none":
-        W_next = W - lr * G.mean(axis=1, keepdims=True)
-    elif mixing == "mean":
-        W_next = W.mean(axis=1, keepdims=True) - lr * G
-    else:
-        T = _ring(L)
-        if mixing == "relabelled":
+def _update(strategy: Strategy, oracle, cfg: RunConfig):
+    """`strategy`'s update for a run of `cfg` on `oracle`, its staleness, the
+    3-ring's exact mean and a ring strategy's ring resolved once:
+    update(W, W_prev, k, draws, perm_row, out=None, tmp=None) is iteration k
+    from the weights, the stale ones and row k of `_block`'s two row arrays:
+    (next weights, gradients), written into out, with lr times the gradient
+    term into tmp, (d, L) floats that alias no input (fresh when None)."""
+    stale = {"stale": True, "staleness_mode": cfg.staleness_mode == "async"}.get(strategy.gradient)
+    L, batch_size = cfg.n_learners, cfg.batch_size
+    gradients, T = oracle.gradients, _ring(L) if strategy.uses_ring else None
+    mixing = "mean" if L == 3 and strategy.uses_ring else strategy.mixing  # 3-ring: all 1/L
+
+    def update(W, W_prev, k, draws, perm_row, out=None, tmp=None):
+        G = term = gradients(W_prev if stale else W, draws, batch_size)
+        if mixing == "none":
+            mixed, term = W, np.add.reduce(G, axis=1, keepdims=True)
+            term /= L  # the sum and division of `ndarray.mean`, bit for bit
+        elif mixing == "mean":
+            mixed = np.add.reduce(W, axis=1, keepdims=True, dtype=float)
+            mixed /= L
+        elif mixing == "relabelled":
             perm = next(seeding._reseated(perm_row[None])).permutation(L)
-            T = T.take(perm, 0).take(perm, 1)  # = mixing.conjugate_by_permutation(T, perm)
-        W_next = W @ T - lr * G
-    return W_next, G
+            mixed = np.matmul(W, T.take(perm, 0).take(perm, 1), out=out)  # T conjugated by perm
+        else:
+            mixed = np.matmul(W, T, out=out)
+        return np.subtract(mixed, np.multiply(term, learning_rate(cfg, k), out=tmp), out=out), G
+
+    return update
 
 
 def _step(strategy: Strategy, state: SimState, oracle, cfg: RunConfig) -> SimState:
     """One iteration of `strategy` on `state`: `_update` on row k of `_block`'s
-    draws and permutation rows (the first step in a block draws it whole).
-    SPSGD's one model must be the same in every column."""
+    draws and permutation rows (rand_psgd's p_k as `mixing.permutation_for_step`
+    draws it).  SPSGD's one model must be the same in every column."""
     k, W = state.iteration, state.weights
     if strategy.mixing == "none" and np.any(W != W[:, :1]):
         raise ValueError("SPSGD requires identical weights on all learners")
     start, draws, _, perm_rows = _block(oracle, cfg, k)
-    W_next, G = _update(strategy, W, state.prev_weights, oracle, cfg, k, draws[k - start],
-                        perm_rows[k - start])
+    W_next, G = _update(strategy, oracle, cfg)(W, state.prev_weights, k, draws[k - start],
+                                               perm_rows[k - start])
     return replace(state, weights=W_next, prev_weights=W, iteration=k + 1, last_gradients=G)
 
 
@@ -452,14 +454,17 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     simulated clock overflows: sim_time_s or a learner's compute_time_s
     is not finite.
 
-    The loop keeps the weights, the stale model, the last gradients and
-    the clock totals in arrays and builds a `SimState` only for the result.
-    At the start of each stream block it draws all of the block's
-    randomness at once: every learner's gradient draws, the clock's compute
-    times and the state rows of the permutations' streams (`_block`), then
-    the clock's totals (`_clock`) and its first non-finite one.  The loop
-    runs only the iterations up to it, each array math on its row of the
-    draws (`_update`), and raises the overflow if the last update is healthy.
+    A run resolves its update once (`_update`).  The loop keeps the weights,
+    the stale model, the last gradients and the clock totals in arrays and
+    builds a `SimState` only for the result; an iteration writes its weights
+    into the buffer of those from two iterations back (three rotate) and lr G
+    into a scratch one, two (d, L) arrays more than the result holds.  At the
+    start of each stream block it draws all of the block's randomness at
+    once: every learner's gradient draws, the clock's compute times and the
+    state rows of the permutations' streams (`_block`), then the clock's
+    totals (`_clock`) and its first non-finite one.  The loop runs only the
+    iterations up to it, each the update on its row of the draws, and raises
+    the overflow if the last update is healthy.
     Updates and records run under one errstate per block that ignores
     overflow and invalid, judged by value; a record's loss overflow is silent.
 
@@ -478,6 +483,8 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
     W, W_prev, G = state.weights, state.prev_weights, state.last_gradients
+    spare, tmp = np.empty_like(W), np.empty_like(W)  # the next weights' buffer, lr G's
+    update = _update(strategy, oracle, cfg)
     compute, sim = state.compute_time_s[None], np.array([state.sim_time_s])
     records: list[TraceRecord] = []
     done, diverged = 0, False  # done: healthy iterations
@@ -488,12 +495,12 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
             compute, sim, _ = _clock(strategy, cfg.cost_model, times, compute[-1], sim[-1])
             n, overflow = _check_clock(compute, sim, start)
             for k, (draws, perm_row) in enumerate(zip(block[:n], perm_rows[:n]), start):
-                W_next, G_next = _update(strategy, W, W_prev, oracle, cfg, k, draws, perm_row)
+                W_next, G_next = update(W, W_prev, k, draws, perm_row, spare, tmp)
                 # One reduction: NaN and +-inf fail the comparison too.
-                if not np.abs(W_next).max() <= DIVERGENCE_THRESHOLD:
+                if not np.abs(W_next, out=tmp).max() <= DIVERGENCE_THRESHOLD:
                     diverged = True
                     break
-                W_prev, W, G, done = W, W_next, G_next, k + 1
+                W_prev, W, spare, G, done = W, W_next, W_prev, G_next, k + 1
                 if done % cfg.log_every == 0:
                     records.append(_record(W, done, float(sim[done - start]), oracle, rho))
         block = times = perm_rows = draws = perm_row = None  # the next block's draw may free it

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -228,6 +229,27 @@ def test_a_malformed_run_is_an_errored_run_and_the_pairs_go_on(tmp_path, line):
     errors = [(e["seed"], side, e[side]) for e in summary["errors"] for side in e if side != "seed"]
     assert [e[:2] for e in errors] == [(1, "parent"), (1, "change"), (2, "parent"), (2, "change")]
     assert all(e[2].startswith(f"malformed result {line!r}") for e in errors)
+    assert summary["correct"] == {"parent": False, "change": False}
+
+
+def test_a_run_past_its_timeout_is_killed_as_an_errored_run(tmp_path, monkeypatch):
+    # One hung perfbench run must not stall the sweep: it is killed at
+    # RUN_TIMEOUT_FACTOR x T + RUN_TIMEOUT_SLACK_S and won by neither side.
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    (tree / "perfbench" / "run.py").write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_SLACK_S", 0.3)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tree), "--change", str(tree), "--seeds", "1",
+            "--workloads", "consensus-mc", "--seconds", "0.1", "--out", str(out)]
+    start = time.monotonic()
+    assert bench_pairs.main(argv) == 0
+    assert time.monotonic() - start < 30
+    summary = json.loads(out.read_text())["summary"]["consensus-mc"]
+    assert summary["pairs"] == 0
+    assert summary["errors"] == [{"seed": 1, side: "killed at its timeout of 0.5 s"}
+                                 for side in bench_pairs.SIDES]
     assert summary["correct"] == {"parent": False, "change": False}
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -154,6 +155,42 @@ def test_quadratic_stochastic_gradient_replays_and_averages_out():
 def test_stochastic_gradient_rejects_an_empty_batch(oracle):
     with pytest.raises(ValueError, match="^batch_size: must be >= 1$"):
         oracle.stochastic_gradient(np.zeros(3), stream(1, 2), batch_size=0)
+
+
+@pytest.mark.parametrize("oracle", [quadratic_oracle(3), logistic_oracle(3, 8, 1.0)],
+                         ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("batch_size, failure", [
+    (0, "must be >= 1"), (-1, "must be >= 1"), (1.5, "expected int, got 1.5"),
+    (True, "expected int, got True")])
+def test_draw_checks_batch_size_before_drawing(oracle, batch_size, failure):
+    rows = stream_states((0, 2), np.arange(3))
+    with mock.patch.object(seeding, "_reseated") as reseated, \
+            mock.patch.object(seeding, "bounded_integers") as bounded_integers:
+        with pytest.raises(ValueError, match=f"^batch_size: {re.escape(failure)}$"):
+            oracle.draw(rows, batch_size)
+    assert not reseated.called and not bounded_integers.called
+    assert oracle.draw(rows, np.int64(2)).tobytes() == oracle.draw(rows, 2).tobytes()
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 1.7])
+def test_quadratic_gradients_equal_the_out_of_place_expression(noise_scale):
+    # gradients computes in place on one fresh array; the expression it
+    # replaced is the reference, byte for byte, on any layout and dtype of Phi.
+    oracle = quadratic_oracle(dimension=6, condition_number=20.0, noise_scale=noise_scale, seed=3)
+    L = 4
+    draws = oracle.draw(stream_states((3, 2), np.arange(L)), 5)
+    draws.setflags(write=False)
+    base = stream(3, 1).standard_normal((6, 2 * L))
+    phis = {"C": base[:, :L].copy(), "Fortran": np.asfortranarray(base[:, :L]),
+            "strided": base[:, ::2], "int": np.arange(6 * L).reshape(6, L) - 7,
+            "nested list": base[:, :L].tolist()}
+    for name, Phi in phis.items():
+        before = np.array(Phi)
+        expected = (oracle.eigenvalues[:, None] * (np.asarray(Phi, dtype=float)
+                                                   - oracle.optimum[:, None]) + draws.T)
+        G = oracle.gradients(Phi, draws, 5)
+        assert G.shape == expected.shape and G.tobytes() == expected.tobytes(), name
+        assert np.array_equal(np.array(Phi), before), name
 
 
 def test_logistic_oracle_shape_and_balance():

@@ -580,6 +580,71 @@ def test_stepping_equals_run_training_under_any_row_budget(strategy, run):
                 budget, name)
 
 
+def _arrays(state):
+    """The result arrays of a state that a later run or step could write into."""
+    return [a for a in (state.weights, state.prev_weights, state.last_gradients) if a is not None]
+
+
+_LOGISTIC = logistic_oracle(dimension=6, n_samples=40, separation=1.0, seed=3)
+
+
+@pytest.mark.parametrize("oracle, iterations, lr", [
+    (_oracle(), 7, 0.1), (_oracle(), 8, 0.1), (_oracle(), 40, 1.0), (_LOGISTIC, 7, 0.1),
+    (_LOGISTIC, 8, 0.1)], ids=["odd", "even", "diverging", "logistic-odd", "logistic-even"])
+def test_run_results_share_no_memory_and_replay_after_other_runs(oracle, iterations, lr):
+    # run_training steps on rotating weight buffers: whatever the last
+    # buffer written, divergence included, a result's arrays are its own,
+    # and a run repeated after every other strategy's run gives its bytes.
+    cfg = _cfg(iterations=iterations, lr=lr)
+    results = {strategy: run_training(strategy, oracle, cfg) for strategy in Strategy}
+    assert all(result.diverged == (lr == 1.0) for result in results.values())
+    arrays = [a for result in results.values() for a in _arrays(result.state)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+    for strategy in reversed(Strategy):
+        expected = _outcome(strategy, oracle, cfg, lambda *_: results[strategy])
+        assert _outcome(strategy, oracle, cfg) == expected, strategy
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_step_leaves_its_input_state_unchanged(strategy):
+    # Each step_* call returns fresh arrays, from the start model and from a
+    # run's result (stepping past its last iteration) alike, and never
+    # writes into the state it was given.
+    oracle, cfg = _oracle(), _cfg(iterations=6)
+    for state in (initial_state(oracle, cfg), run_training(strategy, oracle, cfg).state):
+        for _ in range(3):
+            before = [a.copy() for a in _arrays(state)]
+            stepped = _STEPS[strategy](state, oracle, cfg)
+            assert [a.tobytes() for a in _arrays(state)] == [a.tobytes() for a in before]
+            assert stepped.prev_weights is state.weights
+            for a in (stepped.weights, stepped.last_gradients):
+                assert not any(np.shares_memory(a, b) for b in _arrays(state))
+            assert not np.shares_memory(stepped.weights, stepped.last_gradients)
+            state = stepped
+
+
+@pytest.mark.parametrize("n_learners", [1, 2])
+@pytest.mark.parametrize("oracle", [_oracle(), _LOGISTIC], ids=["quadratic", "logistic"])
+def test_barrier_strategies_run_and_step_below_the_smallest_ring(reference, oracle, n_learners):
+    # Only a ring strategy needs n_learners >= 3: spsgd and d1d at L = 1 and
+    # 2 run as the one-learner-at-a-time reference does, and stepping them
+    # reaches the same state; the ring strategies still refuse such an L.
+    cfg = _cfg(n_learners=n_learners, iterations=6, warmup_iters=3)
+    for strategy in (Strategy.SPSGD, Strategy.D1D):
+        expected = _outcome(strategy, oracle, cfg, reference.run_training)
+        assert _outcome(strategy, oracle, cfg) == expected, strategy
+        state, final = initial_state(oracle, cfg), run_training(strategy, oracle, cfg).state
+        for _ in range(cfg.iterations):
+            state = _STEPS[strategy](state, oracle, cfg)
+        assert [a.tobytes() for a in _arrays(state)] == [a.tobytes() for a in _arrays(final)]
+    for strategy in (Strategy.DPSGD_FIXED, Strategy.ADPSGD_FIXED, Strategy.RAND_PSGD):
+        with pytest.raises(ValueError, match="n_learners"):
+            run_training(strategy, oracle, cfg)
+        with pytest.raises(ValueError, match="n_learners"):
+            _STEPS[strategy](initial_state(oracle, cfg), oracle, cfg)
+
+
 class _CountingOracle:
     """A quadratic oracle that logs each `draw` call in `calls` (shared by the
     oracles given the same list) as whether the block cache was empty then.

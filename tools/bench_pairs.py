@@ -12,8 +12,11 @@ or another T exits 2 before the first run.
 For each seed, and for each workload in turn, it runs `perfbench/run.py
 --workload W --seed S --seconds T --trace 0` once from each directory, one
 run at a time; the parent runs first in the first pair and the two sides
-take turns after that.  The three workloads are interleaved pair by pair, so a slow spell
-of a shared host falls on every workload alike.
+take turns after that.  The three workloads are interleaved pair by pair,
+so a slow spell of a shared host falls on every workload alike.  A run
+still going RUN_TIMEOUT_FACTOR x T + RUN_TIMEOUT_SLACK_S seconds after it
+started (360 s at T = 30) is killed and counted as an errored run, so one
+hung run cannot stall the sweep.
 
 The output JSON holds each tree's commit (`trees`, read from its `.git`
 as perfbench's fingerprint reads it, with "+dirty" when the checkout has
@@ -46,6 +49,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# A perfbench run measures for T seconds, then finishes its last task; before
+# that it probes its setup in fresh processes and checks every output.
+RUN_TIMEOUT_FACTOR, RUN_TIMEOUT_SLACK_S = 2, 300.0
 
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
@@ -110,13 +117,17 @@ def _mismatch(line: str) -> list[str] | None:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run from `tree`: its final JSON line with the report
-    line's fingerprint mismatch, or the error, for a nonzero exit, no output
-    or a last line that is not a result."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
+    line's fingerprint mismatch, or the error, for a run killed at its
+    timeout, a nonzero exit, no output or a last line that is not a result."""
+    timeout = RUN_TIMEOUT_FACTOR * seconds + RUN_TIMEOUT_SLACK_S
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return {"error": f"killed at its timeout of {timeout:g} s"}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": proc.stderr.strip()[-2000:] or f"exit {proc.returncode}"}
