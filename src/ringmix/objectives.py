@@ -11,23 +11,24 @@ Two oracle families:
   two-class Gaussian dataset (class means +-separation/2 along a
   random unit direction).  Minibatches are drawn with replacement, so
   the stochastic gradient is exactly unbiased for the full-batch one.
-  The gradient math is stacked over chunks of learners (each chunk's
-  gathered features at most _CHUNK_BYTES) and is bit-identical to a
-  learner-by-learner loop.
 
 Both oracles take a stochastic gradient in two steps, since their
 randomness does not depend on the model.  `draw(rows, batch_size,
-shards)` makes one learner's draws (the quadratic's noise, already times
-noise_scale / sqrt(batch_size); the logistic's minibatch sample indices)
-from the stream of each PCG64 state row (`seeding.stream_states`), the
-logistic's in one vectorized pass (`seeding.bounded_integers`);
-`gradients(Phi, draws, batch_size)` does the math on them.  The training
-loop draws a whole stream block's draws first.  `stochastic_gradient(w,
-rng, batch_size, shard)` is the two on one column, drawn from a caller's
-Generator: the same rng state always yields the same samples and the
-same gradient, bit for bit, and those of a stream's Generator are those
-of its state row.  `gradient_check` closes the loop between the loss and
-gradient code paths with central finite differences.
+shards)` makes each learner's draws from the stream of its PCG64 state
+row (`seeding.stream_states`): the quadratic's noise, already times
+noise_scale / sqrt(batch_size), and the logistic's minibatch indices, in
+one vectorized pass (`seeding.bounded_integers`).  `gradients(Phi, draws,
+batch_size)` does the math on them for a (d, L) Phi, the logistic's
+stacked over chunks of learners and bit-identical to a learner-by-learner
+loop.  `stochastic_gradient(w, rng, batch_size, shard)` is the two on one
+column, drawn from a caller's Generator: the same rng state always yields
+the same gradient, bit for bit, and a stream's Generator that of its row.
+
+Both losses broadcast over leading axes, (..., d) -> (...) for `loss` and
+(..., d, L) -> (..., L) for `loss_columns`, each slice bit-identical to the
+call on it alone and one model's `loss` a float, so the training loop
+records a stack of logged models in one call.  `gradient_check` closes the
+loop between the loss and gradient code with central finite differences.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from ._checks import _require
 
 LOGISTIC_RIDGE = 1e-4  # fixed l2 coefficient for the logistic objective
 
-# LogisticObjective.gradients stacks the minibatch features of
-# chunks of learners, each (chunk, batch_size, d) stack at most this size.
-_CHUNK_BYTES = 32 * 1024
+# LogisticObjective's byte caps on a chunk's stack: (chunk, batch_size, d)
+# minibatch features in `gradients`, (chunk, n_samples, L) margins in the losses.
+_CHUNK_BYTES, _LOSS_CHUNK_BYTES = 32 * 1024, 128 * 1024
 
 # Learner l's data shard is shards[l]: (index, count), or None for all data.
 _Shards = Sequence[tuple[int, int] | None] | None
@@ -53,6 +54,12 @@ _Shards = Sequence[tuple[int, int] | None] | None
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form is stable for large |z| in both directions
     return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _columns(Phi) -> np.ndarray:  # Phi as floats, once checked to be the (d, L) `gradients` takes
+    if (Phi := np.asarray(Phi, dtype=float)).ndim != 2:
+        raise ValueError(f"Phi: expected a (d, L) matrix, got shape {Phi.shape}")
+    return Phi
 
 
 def _one_gradient(oracle, w: np.ndarray, batch_size: int,
@@ -81,13 +88,14 @@ class QuadraticObjective:
             raise ValueError("eigenvalues must be strictly positive and finite")
         self.dimension = len(self.eigenvalues)
 
-    def loss(self, w: np.ndarray) -> float:
+    def loss(self, w: np.ndarray) -> float | np.ndarray:
         dev = np.asarray(w, dtype=float) - self.optimum
-        return 0.5 * float(np.sum(self.eigenvalues * dev * dev))
+        loss = 0.5 * np.add.reduce(self.eigenvalues * dev * dev, axis=-1)
+        return float(loss) if np.ndim(loss) == 0 else loss  # one model's loss: a float
 
     def loss_columns(self, W: np.ndarray) -> np.ndarray:
         dev = W - self.optimum[:, None]
-        return 0.5 * np.einsum("i,il,il->l", self.eigenvalues, dev, dev)
+        return 0.5 * np.einsum("i,...il,...il->...l", self.eigenvalues, dev, dev)
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.eigenvalues * (np.asarray(w, dtype=float) - self.optimum)
@@ -113,7 +121,7 @@ class QuadraticObjective:
     def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:
         """Gradients of the columns of Phi plus row l of the `draw`n scaled
         noise in column l, each operation in place on one fresh array."""
-        G = np.subtract(Phi, self.optimum[:, None], dtype=float)
+        G = np.subtract(_columns(Phi), self.optimum[:, None])
         G *= self.eigenvalues[:, None]
         G += draws.T
         return G
@@ -134,15 +142,29 @@ class LogisticObjective:
             raise ValueError("labels must be +-1")
         self.n_samples, self.dimension = self.features.shape
 
-    def loss(self, w: np.ndarray) -> float:
-        margins = self.labels * (self.features @ np.asarray(w, dtype=float))
-        data_term = float(np.mean(np.logaddexp(0.0, -margins)))
-        return data_term + 0.5 * self.ridge * float(np.dot(w, w))
+    def loss(self, w: np.ndarray) -> float | np.ndarray:
+        w = np.asarray(w, dtype=float)
+        squares = (w[..., None, :] @ w[..., None])[..., 0, 0]  # per model, `np.dot(w, w)`'s ddot
+        loss = self._data_term(w[..., None])[..., 0] + 0.5 * self.ridge * squares
+        return float(loss) if np.ndim(loss) == 0 else loss
 
     def loss_columns(self, W: np.ndarray) -> np.ndarray:
-        margins = self.labels[:, None] * (self.features @ W)
-        data_term = np.mean(np.logaddexp(0.0, -margins), axis=0)
-        return data_term + 0.5 * self.ridge * np.einsum("il,il->l", W, W)
+        return self._data_term(W) + 0.5 * self.ridge * np.einsum("...il,...il->...l", W, W)
+
+    def _data_term(self, W: np.ndarray) -> np.ndarray:
+        """Mean logaddexp(0, -margin), (..., d, L) -> (..., L), over chunks of
+        models with margins in _LOSS_CHUNK_BYTES; per model its own `X @ W`,
+        the exact negation in the labels, and `ndarray.mean`'s sum and division."""
+        *lead, d, L = np.shape(W)
+        models = np.reshape(W, (-1, d, L))
+        out = np.empty((len(models), L))
+        chunk = max(1, _LOSS_CHUNK_BYTES // (8 * self.n_samples * L))
+        for start in range(0, len(models), chunk):
+            margins = self.features @ models[start:start + chunk]
+            margins *= -self.labels[:, None]
+            np.logaddexp(0.0, margins, out=margins)
+            np.add.reduce(margins, axis=-2, out=out[start:start + chunk])
+        return (out / self.n_samples).reshape(*lead, L)
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -204,7 +226,7 @@ class LogisticObjective:
         learner-by-learner loop.  (einsum would sum in another order and
         change the last bits.)
         """
-        Phi = np.asarray(Phi, dtype=float)
+        Phi = _columns(Phi)
         d, L = Phi.shape
         G = np.empty_like(Phi)
         chunk = max(1, _CHUNK_BYTES // (Phi.itemsize * batch_size * d))

@@ -211,8 +211,9 @@ def learning_rate(cfg: RunConfig, k: int) -> float:
     return cfg.lr
 
 
-# Gradient streams per stream block (`_block`).
-_ROW_BUDGET = 4096
+# Gradient streams per stream block (`_block`), and the bytes of the stack of
+# logged weights that `run_training` records at once (`_records`).
+_ROW_BUDGET, _STACK_BYTES = 4096, 128 * 1024
 
 # `_block`'s one cached block, or None: (oracle, (cfg, start, stop), block).
 _last_draws = None
@@ -375,10 +376,11 @@ def mixing_rho(strategy: Strategy, n_learners: int) -> float:
     return second_eigenvalue_ring(n_learners) if strategy.uses_ring else 0.0
 
 
-def consensus_distance(W: np.ndarray) -> float:
-    """max over learners of ||w_l - column mean||_2."""
-    dev = W - W.mean(axis=1, keepdims=True)
-    return float(np.sqrt((dev * dev).sum(axis=0).max()))
+def consensus_distance(W: np.ndarray) -> float | np.ndarray:
+    """max over learners of ||w_l - column mean||_2 per (d, L) slice; one model's is a float."""
+    dev = W - W.mean(axis=-1, keepdims=True)
+    dist = np.sqrt(np.add.reduce(dev * dev, axis=-2).max(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _clock(
@@ -430,17 +432,12 @@ def _check_clock(compute: np.ndarray, sim: np.ndarray, start: int) -> tuple[int,
     return j, f"simulated clock overflowed at iteration {start + j}: {total}"
 
 
-def _record(W: np.ndarray, iteration: int, sim_time_s: float, oracle, rho: float) -> TraceRecord:
-    mean_loss = float(oracle.loss_columns(W).mean())
-    avg_model_loss = float(oracle.loss(W.mean(axis=1)))
-    return TraceRecord(
-        iteration=iteration,
-        sim_time_s=sim_time_s,
-        mean_loss=mean_loss,
-        avg_model_loss=avg_model_loss,
-        consensus_dist=consensus_distance(W),
-        rho=rho,
-    )
+def _records(Ws: np.ndarray, points: list, oracle, rho: float) -> list[TraceRecord]:
+    """Trace records of the stack Ws, (m, d, L), with points[j] = (iteration,
+    sim_time_s) of Ws[j]: each statistic one call on Ws, bit for bit per slice."""
+    mean_loss, avg_model_loss = oracle.loss_columns(Ws).mean(axis=-1), oracle.loss(Ws.mean(axis=-1))
+    return [TraceRecord(k, t, *stats, rho) for (k, t), *stats in zip(
+        points, mean_loss.tolist(), avg_model_loss.tolist(), consensus_distance(Ws).tolist())]
 
 
 def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
@@ -454,31 +451,26 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     simulated clock overflows: sim_time_s or a learner's compute_time_s
     is not finite.
 
-    A run resolves its update once (`_update`).  The loop keeps the weights,
-    the stale model, the last gradients and the clock totals in arrays and
-    builds a `SimState` only for the result; an iteration writes its weights
-    into the buffer of those from two iterations back (three rotate) and lr G
-    into a scratch one, two (d, L) arrays more than the result holds.  At the
-    start of each stream block it draws all of the block's randomness at
-    once: every learner's gradient draws, the clock's compute times and the
-    state rows of the permutations' streams (`_block`), then the clock's
-    totals (`_clock`) and its first non-finite one.  The loop runs only the
-    iterations up to it, each the update on its row of the draws, and raises
-    the overflow if the last update is healthy.
-    Updates and records run under one errstate per block that ignores
-    overflow and invalid, judged by value; a record's loss overflow is silent.
+    A run resolves its update once (`_update`) and keeps its state in arrays,
+    building a `SimState` only for the result: an iteration writes its
+    weights into the buffer of those from two iterations back (three rotate)
+    and lr G into a scratch one.  At the start of each stream block it draws
+    the block's randomness (`_block`) and clock totals (`_clock`), and runs
+    the iterations up to the first non-finite total, raising its overflow if
+    the last update is healthy.  Logged weights are copied into a stack of at
+    most _STACK_BYTES and recorded in one pass (`_records`) when it is full
+    and at the end of each block's loop: under the block's one errstate
+    (overflow and invalid ignored, judged by value), before a divergence or
+    an overflow is acted on.
 
-    The last block stays cached after the run, and `gradient_matrix` and
-    the `step_*` functions read the same cache: one block of at most
-    max(L, 4096) rows of the oracle's draws (8 d bytes a row for the
-    quadratic, 8 batch_size for the logistic), 8 L bytes of compute times
-    and 32 of permutation state per iteration, read-only (1 MiB + 36 KiB at
-    L = d = 32), and the oracle; the loop lets go of a block before drawing
-    the next.  It is keyed by the oracle's identity, the config (equal
-    configs match) and the block's iterations, so strategies run on one
-    oracle and config draw a block that fits the run once, and a run that
-    changes any config field draws again.  An oracle's `draw` must thus
-    depend only on its arguments, and its `gradients` not write into them.
+    The last block stays cached after the run (`_block`), and
+    `gradient_matrix` and the `step_*` functions read it too: at most
+    max(L, 4096) rows of draws (8 d bytes a row for the quadratic, 8
+    batch_size for the logistic) and 8 L + 32 bytes of compute times and
+    permutation state per iteration (1 MiB + 36 KiB at L = d = 32); the loop
+    lets go of a block before drawing the next.  Strategies run on one oracle
+    and an equal config draw a block once, so an oracle's `draw` must depend
+    only on its arguments, and its `gradients` not write into them.
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
@@ -486,6 +478,8 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     spare, tmp = np.empty_like(W), np.empty_like(W)  # the next weights' buffer, lr G's
     update = _update(strategy, oracle, cfg)
     compute, sim = state.compute_time_s[None], np.array([state.sim_time_s])
+    logs = max(1, min(_STACK_BYTES // W.nbytes, cfg.iterations // cfg.log_every))
+    logged, points = np.empty((logs,) + W.shape), []  # weights not yet recorded, their points
     records: list[TraceRecord] = []
     done, diverged = 0, False  # done: healthy iterations
     while done < cfg.iterations and not diverged:
@@ -502,12 +496,19 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
                     break
                 W_prev, W, spare, G, done = W, W_next, W_prev, G_next, k + 1
                 if done % cfg.log_every == 0:
-                    records.append(_record(W, done, float(sim[done - start]), oracle, rho))
+                    logged[len(points)] = W
+                    points.append((done, float(sim[done - start])))
+                    if len(points) == logs:
+                        records += _records(logged[:len(points)], points, oracle, rho)
+                        points = []
+            if points:  # before a divergence or an overflow is acted on
+                records += _records(logged[:len(points)], points, oracle, rho)
+                points = []
         block = times = perm_rows = draws = perm_row = None  # the next block's draw may free it
         # The clock overflows at an iteration only if its update was healthy.
         if overflow and not diverged:
             raise ValueError(overflow)
     state = SimState(W, W_prev, done, compute[done - start].copy(), float(sim[done - start]), G)
     if state.iteration != (records[-1].iteration if records else 0):
-        records.append(_record(W, done, state.sim_time_s, oracle, rho))
+        records += _records(W[None], [(done, state.sim_time_s)], oracle, rho)
     return RunResult(records=tuple(records), diverged=diverged, state=state)

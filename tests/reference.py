@@ -1,6 +1,7 @@
 """Slow references of the optimized paths: `simulation.run_training` and
-the stacked logistic gradients, one learner at a time, and the Monte Carlo
-trials of `spectral`, one trial and one step at a time.
+the stacked logistic gradients, one learner at a time, the Monte Carlo
+trials of `spectral`, one trial and one step at a time, and the oracles'
+losses and the consensus distance, one model at a time.
 
 They are built from the per-stream pieces (public, except the logistic
 `_sample_indices` and `_sigmoid`) and follow the docstrings, not the
@@ -15,7 +16,10 @@ optimized code:
   (L, seed, k))`, and every mixing goes through `apply_mixing`;
 - iteration k's clock is `advance_clock` on `stream(seed, TAG_CLOCK, k)`;
 - Monte Carlo trial t relabels the ring by `sample_permutation` on its own
-  stream `stream(seed, TAG_TRIAL, t)`.
+  stream `stream(seed, TAG_TRIAL, t)`;
+- a trace record takes each statistic of one logged model at a time, by
+  the one-model expressions (`loss`, `loss_columns`, `consensus_distance`)
+  that the library had before it took stacks.
 
 Tests compare them with the optimized paths byte for byte.
 """
@@ -42,7 +46,6 @@ from ringmix.simulation import (
     SimState,
     TraceRecord,
     advance_clock,
-    consensus_distance,
 )
 from ringmix.spectral import frobenius_norm, second_eigenvalue_ring, spectral_norm
 
@@ -78,12 +81,42 @@ def logistic_gradients(oracle, Phi, batch_size, rngs, shards=None):
     return G
 
 
+def loss(oracle, w):
+    """One model's full-batch loss, as a float, by the expressions the
+    oracles used before their losses broadcast over stacks."""
+    w = np.asarray(w, dtype=float)
+    if hasattr(oracle, "eigenvalues"):
+        dev = w - oracle.optimum
+        return 0.5 * float(np.sum(oracle.eigenvalues * dev * dev))
+    margins = oracle.labels * (oracle.features @ w)
+    data_term = float(np.mean(np.logaddexp(0.0, -margins)))
+    return data_term + 0.5 * oracle.ridge * float(np.dot(w, w))
+
+
+def loss_columns(oracle, W):
+    """Each column's full-batch loss of one (d, L) matrix, by the same
+    earlier expressions as `loss`."""
+    if hasattr(oracle, "eigenvalues"):
+        dev = W - oracle.optimum[:, None]
+        return 0.5 * np.einsum("i,il,il->l", oracle.eigenvalues, dev, dev)
+    margins = oracle.labels[:, None] * (oracle.features @ W)
+    data_term = np.mean(np.logaddexp(0.0, -margins), axis=0)
+    return data_term + 0.5 * oracle.ridge * np.einsum("il,il->l", W, W)
+
+
+def consensus_distance(W):
+    """One (d, L) model's consensus distance, by the expression
+    `simulation.consensus_distance` had before it took stacks."""
+    dev = W - W.mean(axis=1, keepdims=True)
+    return float(np.sqrt((dev * dev).sum(axis=0).max()))
+
+
 def _record(oracle, W, iteration, sim_time_s, rho):
     return TraceRecord(
         iteration=iteration,
         sim_time_s=sim_time_s,
-        mean_loss=float(oracle.loss_columns(W).mean()),
-        avg_model_loss=float(oracle.loss(W.mean(axis=1))),
+        mean_loss=float(loss_columns(oracle, W).mean()),
+        avg_model_loss=float(loss(oracle, W.mean(axis=1))),
         consensus_dist=consensus_distance(W),
         rho=rho,
     )

@@ -366,3 +366,63 @@ def test_evaluate_loss_and_gradient_check_validation():
         gradient_check(oracle, w, step=0.0)
     with pytest.raises(ValueError):
         gradient_check(oracle, w, step=math.nan)
+
+
+@st.composite
+def _loss_stacks(draw):
+    """An oracle of either kind, a stack of m weight matrices (m, d, L) with
+    m from 1 to 40 and d and L from 1 to 33, and a logistic loss chunk budget
+    of one to a few models' margins, so that chunk boundaries fall inside
+    the stack."""
+    d, L, m = draw(st.integers(1, 33)), draw(st.integers(1, 33)), draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.sampled_from(["quadratic", "logistic"])) == "quadratic":
+        oracle = quadratic_oracle(dimension=d, condition_number=draw(st.sampled_from([1.0, 50.0])),
+                                  seed=seed)
+        budget = objectives._LOSS_CHUNK_BYTES
+    else:
+        oracle = logistic_oracle(dimension=d, n_samples=draw(st.integers(2, 70)),
+                                 separation=1.5, seed=seed)
+        budget = draw(st.integers(1, 4 * 8 * oracle.n_samples * L))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    return oracle, scale * stream(seed, 7).standard_normal((m, d, L)), budget
+
+
+def _bytes(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_loss_stacks())
+def test_stacked_losses_equal_the_per_slice_calls_byte_for_byte(reference, case):
+    # The losses broadcast over leading axes with each slice's bits: the
+    # trace records a stack of logged models in one call.  One model's call
+    # keeps the expressions of the one-model losses, and its `loss` a float.
+    oracle, Ws, budget = case
+    m, d, L = Ws.shape
+    ws = Ws[:, :, 0]
+    with mock.patch.object(objectives, "_LOSS_CHUNK_BYTES", budget):
+        columns, losses = oracle.loss_columns(Ws), oracle.loss(ws)
+        assert columns.shape == (m, L) and losses.shape == (m,)
+        assert oracle.loss_columns(Ws[None]).tobytes() == columns.tobytes()
+        assert oracle.loss(ws.reshape(1, m, d)).tobytes() == losses.tobytes()
+        for i in range(m):
+            one = oracle.loss(ws[i])
+            assert type(one) is float
+            assert _bytes(losses[i]) == _bytes(one) == _bytes(reference.loss(oracle, ws[i]))
+            expected = reference.loss_columns(oracle, Ws[i])
+            assert columns[i].tobytes() == oracle.loss_columns(Ws[i]).tobytes()
+            assert columns[i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("oracle", [quadratic_oracle(dimension=4, noise_scale=1.0),
+                                    logistic_oracle(dimension=4, n_samples=10, separation=1.0)],
+                         ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("shape", [(4,), (1, 4, 1), (2, 4, 3), ()])
+def test_gradients_take_only_a_d_by_l_phi(oracle, shape):
+    # A 1-d Phi used to broadcast to a (d, d) result in the quadratic.
+    draws = np.ones((1, 4)) if isinstance(oracle, QuadraticObjective) else np.zeros((1, 2), int)
+    message = re.escape(f"Phi: expected a (d, L) matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle.gradients(np.zeros(shape), draws, 2)
+    assert oracle.gradients(np.zeros((4, 1)), draws, 2).shape == (4, 1)

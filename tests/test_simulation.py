@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ringmix import seeding, simulation
+from ringmix import objectives, seeding, simulation
 from ringmix.mixing import (
     apply_mixing,
     build_ring_matrix,
@@ -387,6 +387,21 @@ def test_strategy_facts_are_pinned_and_handled():
         assert Strategy(s.value) is s
 
 
+@pytest.mark.parametrize("shape", [
+    (5, 3, 4, 6), (7, 1, 9), (2, 9, 1), (12, 24, 2), (8, 17, 3), (1, 33, 33)])
+def test_consensus_distance_takes_stacks_slice_by_slice(reference, shape):
+    # Each slice's bits are those of the one-model expression, and one
+    # model's distance is a float.
+    Ws = 3.0 * stream(11, 2).standard_normal(shape)
+    stacked = consensus_distance(Ws)
+    assert stacked.shape == shape[:-2]
+    for idx in np.ndindex(shape[:-2]):
+        one = consensus_distance(Ws[idx])
+        assert type(one) is float
+        expected = np.float64(reference.consensus_distance(Ws[idx])).tobytes()
+        assert np.float64(stacked[idx]).tobytes() == np.float64(one).tobytes() == expected
+
+
 def test_consensus_distance_hand_case():
     W = np.array([[1.0, 3.0], [0.0, 0.0]])
     # Mean column is (2, 0); both columns sit at distance 1.
@@ -556,6 +571,62 @@ def test_run_training_equals_the_one_learner_at_a_time_reference(reference, run)
     for strategy in Strategy:
         expected = _outcome(strategy, oracle, cfg, reference.run_training)
         assert _outcome(strategy, oracle, cfg) == expected, strategy
+
+
+def _stack_bytes(models, oracle, cfg):
+    """A `simulation._STACK_BYTES` that holds `models` logged weight matrices."""
+    return models * 8 * oracle.dimension * cfg.n_learners
+
+
+@pytest.mark.parametrize("oracle", [
+    _oracle(noise=2.0), logistic_oracle(dimension=5, n_samples=48, separation=2.0, seed=3)],
+    ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("log_every", [1, 2, 5])
+def test_stacked_records_equal_the_per_record_reference(reference, oracle, log_every, monkeypatch):
+    # Blocks of 7 iterations at L = 4 and a stack of 3 logged models: the
+    # stack is recorded when full, mid-block, and at each block's end, and at
+    # log_every = 5 the final iteration, 38, is a stack of one.  The logistic
+    # losses take the stack's models two at a time.  The reference records one
+    # model at a time by the one-model expressions.
+    cfg = _cfg(iterations=38, log_every=log_every, lr=0.05, data_partition="sharded")
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 4 * 7)
+    monkeypatch.setattr(simulation, "_STACK_BYTES", _stack_bytes(3, oracle, cfg))
+    monkeypatch.setattr(objectives, "_LOSS_CHUNK_BYTES", 2 * 8 * 48 * 4)
+    for strategy in Strategy:
+        expected = _outcome(strategy, oracle, cfg, reference.run_training)
+        assert _outcome(strategy, oracle, cfg) == expected, strategy
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("at", [4, 5, 6])
+def test_a_divergence_mid_stack_records_the_healthy_iterations_first(strategy, at, monkeypatch):
+    # A stack of 3 logged models: the divergence at iteration at + 1 finds
+    # at % 3 of them not yet recorded, and the trace still ends at `at`.
+    cfg = _cfg(iterations=10)
+    monkeypatch.setattr(simulation, "_STACK_BYTES", _stack_bytes(3, _oracle(), cfg))
+    result = run_training(strategy, _PoisonedOracle(math.nan, at=at), cfg)
+    assert result.diverged and result.state.iteration == at
+    assert [r.iteration for r in result.records] == list(range(1, at + 1))
+    healthy = run_training(strategy, _PoisonedOracle(math.nan, at=at), replace(cfg, iterations=at))
+    assert not healthy.diverged
+    assert repr(result.records) == repr(healthy.records)
+
+
+@pytest.mark.parametrize("models, flushes", [(None, 1), (5, 5), (1, 24)])
+def test_a_logged_run_calls_each_loss_once_per_recorded_stack(models, flushes, monkeypatch):
+    # 24 iterations logged every one: one stack by default, ceil(24 / 5) of
+    # at most 5 models, or 24 stacks of one.
+    oracle, cfg = _oracle(), _cfg(iterations=24, log_every=1)
+    if models is not None:
+        monkeypatch.setattr(simulation, "_STACK_BYTES", _stack_bytes(models, oracle, cfg))
+    with mock.patch.object(QuadraticObjective, "loss_columns", autospec=True,
+                           side_effect=QuadraticObjective.loss_columns) as columns, \
+            mock.patch.object(QuadraticObjective, "loss", autospec=True,
+                              side_effect=QuadraticObjective.loss) as loss:
+        result = run_training(Strategy.RAND_PSGD, oracle, cfg)
+    assert [r.iteration for r in result.records] == list(range(1, 25))
+    assert columns.call_count == loss.call_count == flushes
+    assert columns.call_args_list[0].args[1].shape == (min(models or 24, 24), 6, 4)
 
 
 @settings(max_examples=30, deadline=None)
