@@ -109,7 +109,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, _Diverged) as exc:  # ConfigError, a rejected value, I/O
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED if isinstance(exc, _Diverged) else EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -72,12 +72,39 @@ def _one_gradient(oracle, w: np.ndarray, batch_size: int,
     return oracle.gradients(np.asarray(w, dtype=float)[:, None], draws, batch_size)[:, 0]
 
 
-class QuadraticObjective:
+def _held(array) -> np.ndarray:
+    """A read-only float copy of array, out of reach of the caller's later writes."""
+    held = np.array(array, dtype=float)
+    held.setflags(write=False)
+    return held
+
+
+class _Held:
+    """An oracle that holds what its constructor checked: each of its `_DATA`
+    attributes is set once, in `__init__` (arrays as `_held` copies), and
+    then refuses assignment and deletion, so the oracle's identity is a sound
+    key for `simulation._block`'s held draws.  Methods stay patchable."""
+
+    _DATA: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        if name in self._DATA and name in vars(self):
+            raise AttributeError(f"{type(self).__name__}.{name} is held as constructed")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if name in self._DATA:
+            raise AttributeError(f"{type(self).__name__}.{name} is held as constructed")
+        super().__delattr__(name)
+
+
+class QuadraticObjective(_Held):
     """1/2 (w - w*)' A (w - w*) with diagonal A and additive gradient noise."""
 
+    _DATA = ("eigenvalues", "optimum", "noise_scale", "dimension")
+
     def __init__(self, eigenvalues: np.ndarray, optimum: np.ndarray, noise_scale: float):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.optimum = np.asarray(optimum, dtype=float)
+        self.eigenvalues, self.optimum = _held(eigenvalues), _held(optimum)
         self.noise_scale = float(_require("noise_scale", noise_scale, ">= 0", float))
         if self.eigenvalues.ndim != 1 or self.optimum.shape != self.eigenvalues.shape:
             raise ValueError("eigenvalues and optimum must be 1-d with equal length")
@@ -127,12 +154,13 @@ class QuadraticObjective:
         return G
 
 
-class LogisticObjective:
+class LogisticObjective(_Held):
     """l2-regularized logistic regression on a fixed synthetic dataset."""
 
+    _DATA = ("features", "labels", "ridge", "n_samples", "dimension")
+
     def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float = LOGISTIC_RIDGE):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=float)
+        self.features, self.labels = _held(features), _held(labels)
         self.ridge = float(_require("ridge", ridge, ">= 0", float))
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with labels (n,)")
@@ -261,7 +289,7 @@ def quadratic_oracle(
     eigenvalues = np.logspace(0.0, np.log10(float(condition_number)), dimension)
     if optimum is None:
         optimum = seeding.stream(seed, seeding.TAG_DATA).standard_normal(dimension)
-    return QuadraticObjective(eigenvalues, np.asarray(optimum, dtype=float), noise_scale)
+    return QuadraticObjective(eigenvalues, optimum, noise_scale)
 
 
 def logistic_oracle(

@@ -74,8 +74,10 @@ class Strategy(Enum):
         return self.mixing in ("ring", "relabelled")
 
 
-# A run diverges when its weights go non-finite or any magnitude exceeds this.
+# A run diverges when its weights go non-finite or any magnitude exceeds this;
+# a sum of squares of at most _HEALTHY_SQUARES rules that out (`_healthy`).
 DIVERGENCE_THRESHOLD = 1e12
+_HEALTHY_SQUARES = DIVERGENCE_THRESHOLD**2 / 10
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,24 @@ def gradient_matrix(oracle, Phi: np.ndarray, cfg: RunConfig, k: int) -> np.ndarr
     return oracle.gradients(Phi, draws[k - start], cfg.batch_size)
 
 
+def _healthy(W: np.ndarray, tmp: np.ndarray) -> bool:
+    """`np.abs(W).max() <= DIVERGENCE_THRESHOLD`, with tmp (shaped as W) as
+    scratch: True at once when W's sum of squares, one BLAS dot, is at most
+    _HEALTHY_SQUARES (about 1e23), else the abs-max verdict itself.
+
+    The verdicts agree on every input.  Each term w*w is nonnegative, so
+    under round-to-nearest every partial sum, in any order and with split
+    accumulators or FMA, is at least the rounded square of each term it
+    holds: one |w| > 1e12 puts the sum at 1e24 or more.  A NaN makes the
+    sum NaN, and a +-inf or a square that overflows makes it inf; neither
+    passes the comparison, so those fall through to the abs-max pass too.
+    The run loop calls this under its errstate, so that overflow is not warned."""
+    flat = W.ravel()
+    if flat.dot(flat) <= _HEALTHY_SQUARES:
+        return True
+    return bool(np.abs(W, out=tmp).max() <= DIVERGENCE_THRESHOLD)
+
+
 def _update(strategy: Strategy, oracle, cfg: RunConfig):
     """`strategy`'s update for a run of `cfg` on `oracle`, its staleness, the
     3-ring's exact mean and a ring strategy's ring resolved once:
@@ -359,7 +379,7 @@ _STEP_FUNCTIONS = {
 }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)  # one ring size, as `_block` holds one run key
 def _ring(L: int) -> np.ndarray:
     T = build_ring_matrix(L)
     T.setflags(write=False)
@@ -457,11 +477,12 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     and lr G into a scratch one.  At the start of each stream block it draws
     the block's randomness (`_block`) and clock totals (`_clock`), and runs
     the iterations up to the first non-finite total, raising its overflow if
-    the last update is healthy.  Logged weights are copied into a stack of at
-    most _STACK_BYTES and recorded in one pass (`_records`) when it is full
-    and at the end of each block's loop: under the block's one errstate
-    (overflow and invalid ignored, judged by value), before a divergence or
-    an overflow is acted on.
+    the last update is healthy (`_healthy`).  Logged weights, and the final
+    ones when they are off the cadence, are copied into a stack of at most
+    _STACK_BYTES and recorded in one pass (`_records`) when it is full and at
+    the end of each block's loop: under the block's one errstate (overflow
+    and invalid ignored, judged by value), before a divergence or an
+    overflow is acted on.
 
     The last block stays cached after the run (`_block`), and
     `gradient_matrix` and the `step_*` functions read it too: at most
@@ -470,7 +491,9 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
     permutation state per iteration (1 MiB + 36 KiB at L = d = 32); the loop
     lets go of a block before drawing the next.  Strategies run on one oracle
     and an equal config draw a block once, so an oracle's `draw` must depend
-    only on its arguments, and its `gradients` not write into them.
+    only on its arguments, its `gradients` not write into them, and a custom
+    oracle must not change once it has run: blocks are keyed by its identity
+    (the built-in oracles refuse assignment to their data).
     """
     rho = mixing_rho(strategy, cfg.n_learners)
     state = initial_state(oracle, cfg)
@@ -490,8 +513,7 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
             n, overflow = _check_clock(compute, sim, start)
             for k, (draws, perm_row) in enumerate(zip(block[:n], perm_rows[:n]), start):
                 W_next, G_next = update(W, W_prev, k, draws, perm_row, spare, tmp)
-                # One reduction: NaN and +-inf fail the comparison too.
-                if not np.abs(W_next, out=tmp).max() <= DIVERGENCE_THRESHOLD:
+                if not _healthy(W_next, tmp):
                     diverged = True
                     break
                 W_prev, W, spare, G, done = W, W_next, W_prev, G_next, k + 1
@@ -501,6 +523,9 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
                     if len(points) == logs:
                         records += _records(logged[:len(points)], points, oracle, rho)
                         points = []
+            if (done == cfg.iterations or diverged) and done % cfg.log_every:  # the final record
+                logged[len(points)] = W
+                points.append((done, float(sim[done - start])))
             if points:  # before a divergence or an overflow is acted on
                 records += _records(logged[:len(points)], points, oracle, rho)
                 points = []
@@ -509,6 +534,4 @@ def run_training(strategy: Strategy, oracle, cfg: RunConfig) -> RunResult:
         if overflow and not diverged:
             raise ValueError(overflow)
     state = SimState(W, W_prev, done, compute[done - start].copy(), float(sim[done - start]), G)
-    if state.iteration != (records[-1].iteration if records else 0):
-        records += _records(W[None], [(done, state.sim_time_s)], oracle, rho)
     return RunResult(records=tuple(records), diverged=diverged, state=state)

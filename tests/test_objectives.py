@@ -96,6 +96,48 @@ def test_oracles_reject_mismatched_shapes():
         LogisticObjective(_FEATURES, _LABELS[:3])
 
 
+_QUADRATIC_DATA = ("eigenvalues", "optimum", "noise_scale", "dimension")
+_LOGISTIC_DATA = ("features", "labels", "ridge", "n_samples", "dimension")
+
+
+@pytest.mark.parametrize("build, name", [
+    *[(lambda: quadratic_oracle(3, noise_scale=1.0), name) for name in _QUADRATIC_DATA],
+    *[(lambda: logistic_oracle(3, 8, 1.0), name) for name in _LOGISTIC_DATA],
+], ids=[f"quadratic-{n}" for n in _QUADRATIC_DATA] + [f"logistic-{n}" for n in _LOGISTIC_DATA])
+def test_an_oracles_data_refuses_assignment_and_deletion(build, name):
+    # A run's held block is keyed by the oracle's identity: a changed
+    # noise_scale would be served the noise scaled by the old one.
+    oracle = build()
+    before = getattr(oracle, name)
+    with pytest.raises(AttributeError, match=rf"\.{name} is held as constructed$"):
+        setattr(oracle, name, before)
+    with pytest.raises(AttributeError, match=rf"\.{name} is held as constructed$"):
+        delattr(oracle, name)
+    assert getattr(oracle, name) is before
+
+
+def test_an_oracle_holds_copies_of_its_callers_arrays():
+    eigenvalues, optimum = np.array([1.0, 2.0]), np.zeros(2)
+    quadratic = QuadraticObjective(eigenvalues, optimum, 1.0)
+    features, labels = _FEATURES.copy(), _LABELS.copy()
+    logistic = LogisticObjective(features, labels)
+    for array in (eigenvalues, optimum, features, labels):
+        array[0] = -5.0
+    assert quadratic.eigenvalues.tolist() == [1.0, 2.0] and quadratic.optimum.tolist() == [0, 0]
+    assert np.array_equal(logistic.features, _FEATURES)
+    assert np.array_equal(logistic.labels, _LABELS)
+
+
+@pytest.mark.parametrize("oracle, names", [
+    (quadratic_oracle(3), ("eigenvalues", "optimum")),
+    (logistic_oracle(3, 8, 1.0), ("features", "labels")),
+], ids=["quadratic", "logistic"])
+def test_an_oracles_arrays_are_read_only(oracle, names):
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(oracle, name)[0] = 0.0
+
+
 def test_quadratic_gradient_against_finite_differences():
     oracle = quadratic_oracle(dimension=8, condition_number=20.0, seed=2)
     w = stream(3, 0).standard_normal(8)

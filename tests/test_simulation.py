@@ -508,6 +508,31 @@ def test_diverged_state_equals_a_run_that_stops_at_the_last_healthy_iteration(st
     assert result.state.iteration == healthy.state.iteration == k
 
 
+@pytest.mark.parametrize("iterations, logged", [(3, [2, 3]), (4, [2, 4]), (5, [2, 4, 5])])
+def test_a_final_record_whose_loss_overflows_is_inf_and_not_warned(iterations, logged):
+    # lr 0 keeps the start model, whose loss overflows: the off-cadence final
+    # record is taken under the same errstate as the records on the cadence.
+    oracle = quadratic_oracle(4, condition_number=1e300)
+    cfg = _cfg(iterations=iterations, lr=0.0, init_scale=1e5, log_every=2)
+    result = run_training(Strategy.D1D, oracle, cfg)  # the suite turns warnings into errors
+    assert [r.iteration for r in result.records] == logged
+    assert all(r.mean_loss == r.avg_model_loss == math.inf for r in result.records)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("at, logged", [(0, []), (5, [3, 5]), (8, [3, 6, 8])])
+def test_a_diverged_trace_ends_with_its_last_healthy_iteration(strategy, at, logged, monkeypatch):
+    # Blocks of 8 iterations at L = 4: a divergence at iteration 8 is the
+    # first of the second block, whose final record is that block's row 0.
+    monkeypatch.setattr(simulation, "_ROW_BUDGET", 4 * 8)
+    cfg = _cfg(iterations=12, log_every=3)
+    result = run_training(strategy, _PoisonedOracle(math.nan, at=at), cfg)
+    assert result.diverged and [r.iteration for r in result.records] == logged
+    if at:
+        healthy = run_training(strategy, _PoisonedOracle(math.nan, at=at), replace(cfg, iterations=at))
+        assert result.records == healthy.records
+
+
 def _outcome(strategy, oracle, cfg, run=run_training):
     """Everything `run` (by default run_training) returns, as bytes and reprs,
     or its error."""
@@ -822,6 +847,16 @@ _CHANGED = {"n_learners": 5, "iterations": 6, "lr": 0.2, "batch_size": 3, "seed"
             "data_partition": "sharded", "log_every": 2, "cost_model": CostModel(compute_sigma=0.2)}
 
 
+def test_the_ring_cache_holds_one_ring_size():
+    simulation._ring.cache_clear()
+    for L in (4, 16, 8):
+        run_training(Strategy.DPSGD_FIXED, _oracle(), _cfg(n_learners=L, iterations=2))
+    held = simulation._ring.cache_info()
+    assert held.currsize == 1
+    assert np.array_equal(simulation._ring(8), build_ring_matrix(8))
+    assert simulation._ring.cache_info().hits == held.hits + 1  # the last size is the one held
+
+
 @pytest.mark.parametrize("change", [*_CHANGED, "oracle"])
 def test_a_run_that_changes_one_key_field_draws_its_block_again(change):
     assert set(_CHANGED) == {f.name for f in fields(RunConfig)}
@@ -921,6 +956,66 @@ def test_divergence_threshold_is_inclusive():
     for value, diverged in ((DIVERGENCE_THRESHOLD, False), (above, True)):
         result = run_training(Strategy.D1D, _PoisonedOracle(value, at=0), cfg)
         assert result.diverged is diverged
+
+
+def _ulps_around(x, n=3):
+    """x and the n floats on each side of it, with both signs."""
+    near = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(n):
+            y = np.nextafter(y, direction)
+            near.append(y)
+    return [sign * float(v) for v in near for sign in (1.0, -1.0)]
+
+
+# Weights where the sum of squares and the abs-max verdict could part: signed
+# zeros, subnormals, the threshold and sqrt(_HEALTHY_SQUARES) to a few ulps,
+# non-finite values and finite values whose squares overflow.
+_EDGE_WEIGHTS = sorted({0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf,
+                        1e200, -1e200, 1.7976931348623157e308,
+                        *_ulps_around(DIVERGENCE_THRESHOLD),
+                        *_ulps_around(math.sqrt(simulation._HEALTHY_SQUARES))}) + [math.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), transpose=st.booleans(),
+       scale=st.sampled_from([1.0, 1e10, 4e10, 1e11]), data=st.data())
+def test_healthy_is_the_abs_max_verdict(shape, transpose, scale, data):
+    # Healthy weights up to `scale`, whose squares may still sum past the
+    # bound, with up to four set to an edge weight or to any float.
+    size = shape[0] * shape[1]
+    W = scale * np.array(data.draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size)))
+    edge = st.one_of(st.sampled_from(_EDGE_WEIGHTS), st.floats(-2e12, 2e12), st.floats(width=64))
+    for i in data.draw(st.lists(st.integers(0, size - 1), max_size=4)):
+        W[i] = data.draw(edge)
+    W = W.reshape(shape).T if transpose else W.reshape(shape)  # a non-contiguous view too
+    want = bool(np.abs(W).max() <= DIVERGENCE_THRESHOLD)
+    with np.errstate(over="ignore"):  # as the run loop calls it: a square may overflow
+        assert simulation._healthy(W, np.empty_like(W)) is want
+
+
+def test_healthy_takes_the_abs_max_pass_only_past_the_sum_of_squares_bound():
+    near = math.sqrt(simulation._HEALTHY_SQUARES)
+    with mock.patch.object(np, "abs", wraps=np.abs) as abs_:
+        assert simulation._healthy(np.full((2, 2), near / 4), np.empty((2, 2)))
+        assert not abs_.called
+        assert simulation._healthy(np.full((2, 2), near), np.empty((2, 2)))
+        assert abs_.call_count == 1
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e14])
+def test_only_the_diverging_iteration_takes_the_abs_max_pass(strategy, value):
+    # np.abs is called by `_healthy`'s exact pass alone on a quadratic run.
+    with mock.patch.object(np, "abs", wraps=np.abs) as abs_:
+        healthy = run_training(strategy, _oracle(), _cfg(iterations=40))
+        assert not healthy.diverged and not abs_.called
+        result = run_training(strategy, _PoisonedOracle(value, at=5), _cfg(iterations=10))
+    assert result.diverged and result.state.iteration == 5
+    assert abs_.call_count == 1
+    exploded = abs_.call_args.args[0]  # the buffer iteration 5 wrote into
+    assert not np.abs(exploded).max() <= DIVERGENCE_THRESHOLD
 
 
 _STRAGGLER = CostModel(compute_scale=(1.7976931348623157e308, 1, 1, 1))
