@@ -17,12 +17,15 @@ randomness does not depend on the model.  `draw(rows, batch_size,
 shards)` makes each learner's draws from the stream of its PCG64 state
 row (`seeding.stream_states`): the quadratic's noise, already times
 noise_scale / sqrt(batch_size), and the logistic's minibatch indices, in
-one vectorized pass (`seeding.bounded_integers`).  `gradients(Phi, draws,
-batch_size)` does the math on them for a (d, L) Phi, the logistic's
-stacked over chunks of learners and bit-identical to a learner-by-learner
-loop.  `stochastic_gradient(w, rng, batch_size, shard)` is the two on one
-column, drawn from a caller's Generator: the same rng state always yields
-the same gradient, bit for bit, and a stream's Generator that of its row.
+one vectorized pass (`seeding.bounded_integers`, which computes every
+row's raw PCG64 outputs in closed form and reseats only a row it redraws
+through `integers`), mapped into each row's shard by one gather from a
+table of the distinct shards.  `gradients(Phi, draws, batch_size)` does
+the math on them for a (d, L) Phi, the logistic's stacked over chunks of
+learners and bit-identical to a learner-by-learner loop.
+`stochastic_gradient(w, rng, batch_size, shard)` is the two on one column,
+drawn from a caller's Generator: the same rng state always yields the same
+gradient, bit for bit, and a stream's Generator that of its row.
 
 Both losses broadcast over leading axes, (..., d) -> (...) for `loss` and
 (..., d, L) -> (..., L) for `loss_columns`, each slice bit-identical to the
@@ -83,9 +86,14 @@ class _Held:
     """An oracle that holds what its constructor checked: each of its `_DATA`
     attributes is set once, in `__init__` (arrays as `_held` copies), and
     then refuses assignment and deletion, so the oracle's identity is a sound
-    key for `simulation._block`'s held draws.  Methods stay patchable."""
+    key for `simulation._block`'s held draws.  A copy or an unpickled oracle
+    holds its arrays as `_held` copies too.  Methods stay patchable."""
 
     _DATA: tuple[str, ...] = ()
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            super().__setattr__(name, _held(value) if isinstance(value, np.ndarray) else value)
 
     def __setattr__(self, name, value):
         if name in self._DATA and name in vars(self):
@@ -230,7 +238,8 @@ class LogisticObjective(_Held):
         """(n, batch_size) sample indices for the n state rows: row l is the
         minibatch `_sample_indices` draws from the l-th shard (all data when
         None) with the Generator of the l-th row's stream.  Each distinct
-        shard is checked once, before any draw."""
+        shard is checked once, before any draw, into one row of a layout
+        table that every row gathers from."""
         batch_size = _require("batch_size", batch_size, ">= 1", int)
         n = len(rows)
         if shards is None:
@@ -238,8 +247,9 @@ class LogisticObjective(_Held):
         elif len(shards) != n:
             raise ValueError(f"shards: has {len(shards)} entries, expected one for each "
                              f"of the {n} rows")
-        layout = {shard: self._shard(shard) for shard in dict.fromkeys(shards)}
-        index, count, size = np.array([layout[s] for s in shards], dtype=np.int64).reshape(n, 3).T
+        position = {shard: p for p, shard in enumerate(dict.fromkeys(shards))}
+        layout = np.array([self._shard(shard) for shard in position], dtype=np.int64).reshape(-1, 3)
+        index, count, size = layout[np.fromiter(map(position.__getitem__, shards), np.intp, n)].T
         return index[:, None] + count[:, None] * seeding.bounded_integers(rows, size, batch_size)
 
     def gradients(self, Phi: np.ndarray, draws: np.ndarray, batch_size: int) -> np.ndarray:

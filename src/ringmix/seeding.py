@@ -17,7 +17,10 @@ so a consumer must finish with each stream before it takes the next.  The
 reseat writes numpy's state struct in place; if that write fails its
 check, it goes through the public `bit_generator.state` setter.
 `bounded_integers` draws bounded integers from many state rows at once,
-bit-identical to each stream's `integers`.
+bit-identical to each stream's `integers`: every row's raw 64-bit outputs
+come from PCG64's step and output in closed form (`_raw_outputs`), one
+vectorized pass with no reseat, and only a row it must redraw is reseated
+and drawn by `integers`.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ def stream(*entropy: int) -> np.random.Generator:
 
 # Batched derivation.  numpy's SeedSequence hashing is fixed by its
 # stream-compatibility policy (NEP 19), so it is reimplemented here to
-# derive many streams' seed words in one vectorized pass; so is PCG64's
-# seeding from them (`_seed_in_place`).  `stream` stays the reference they
-# are tested against.  Constants from numpy/random/bit_generator.pyx.
+# derive many streams' seed words in one vectorized pass; so are PCG64's
+# seeding from them (`_seed_in_place`) and its step and output
+# (`_raw_outputs`).  `stream` stays the reference they are tested against.
+# Constants from numpy/random/bit_generator.pyx.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -151,14 +155,25 @@ def seed_words(prefix: tuple[int, ...], *columns) -> np.ndarray:
 # a draw once per process and, when they differ, `_reseated` reseats the
 # same Generator through that setter instead.
 _PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
+_PCG64_MULT = _PCG64_MULT_HI << 64 | _PCG64_MULT_LO
 
 
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64 words (b an int
+    or an array that broadcasts against a), from 32-bit halves."""
     a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
     cross0, cross1 = a0 * b1, a1 * b0
     middle = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
     return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+
+
+def _mul_add(x_lo, x_hi, m_lo, m_hi, a_lo, a_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) halves of x m + a mod 2**128 for uint64 halves that broadcast
+    against each other: the one 128-bit multiply-add of PCG64's seeding and
+    of its step (uint64 arithmetic wraps modulo 2**64)."""
+    product_lo = x_lo * m_lo
+    lo = product_lo + a_lo
+    return lo, _mulhi(x_lo, m_lo) + x_lo * m_hi + x_hi * m_lo + a_hi + (lo < product_lo)
 
 
 def _seed_in_place(words: np.ndarray) -> np.ndarray:
@@ -176,10 +191,7 @@ def _seed_in_place(words: np.ndarray) -> np.ndarray:
     inc_lo, inc_hi = i_lo << 1 | 1, i_hi << 1 | i_lo >> 63
     t_lo = inc_lo + s_lo
     t_hi = inc_hi + s_hi + (t_lo < inc_lo)
-    lo = t_lo * _PCG64_MULT_LO
-    state_lo = lo + inc_lo
-    state_hi = (_mulhi(t_lo, _PCG64_MULT_LO) + t_lo * _PCG64_MULT_HI + t_hi * _PCG64_MULT_LO
-                + inc_hi + (state_lo < lo))
+    state_lo, state_hi = _mul_add(t_lo, t_hi, _PCG64_MULT_LO, _PCG64_MULT_HI, inc_lo, inc_hi)
     for j, column in enumerate((state_lo, state_hi, inc_lo, inc_hi)):
         words[..., j:j + 1] = column
     return words
@@ -259,6 +271,33 @@ def _reseated(rows: np.ndarray) -> Iterator[np.random.Generator]:
         yield rng
 
 
+# Closed-form outputs.  A PCG64 draw steps the state as the LCG
+# s' = (MULT s + inc) mod 2**128 and then outputs XSL-RR of the new state,
+# rotr64(hi ^ lo, hi >> 58) (pcg64.h; fixed by NEP 19 as its seeding is).
+# So output j (from 0) of a freshly seeded {state, inc} is XSL-RR of
+# A_{j+1} state + C_{j+1} inc, where A_k = MULT**k and C_k = sum_{i<k} MULT**i
+# (an LCG's jump ahead), and every output of every row is one pass.
+
+def _jumps(outputs: int) -> np.ndarray:
+    """uint64 halves A_lo, A_hi, C_lo, C_hi of A_k and C_k for k = 1 .. outputs,
+    as the rows of a (4, outputs) array."""
+    a, c, jumps = 1, 0, []
+    for _ in range(outputs):
+        a, c = a * _PCG64_MULT % 2**128, (c * _PCG64_MULT + 1) % 2**128
+        jumps.append((a % 2**64, a >> 64, c % 2**64, c >> 64))
+    return np.array(jumps, dtype=np.uint64).reshape(outputs, 4).T
+
+
+def _raw_outputs(rows: np.ndarray, outputs: int) -> np.ndarray:
+    """`random_raw(outputs)` of the stream of each state row (`stream_states`),
+    as one (len(rows), outputs) uint64 array computed over the whole grid."""
+    a_lo, a_hi, c_lo, c_hi = _jumps(outputs)
+    state_lo, state_hi, inc_lo, inc_hi = (rows[:, j:j + 1] for j in range(4))
+    lo, hi = _mul_add(state_lo, state_hi, a_lo, a_hi, *_mul_add(inc_lo, inc_hi, c_lo, c_hi, 0, 0))
+    word, rotation = hi ^ lo, hi >> 58
+    return word >> rotation | word << ((64 - rotation) & 63)
+
+
 def bounded_integers(rows: np.ndarray, bounds, count: int) -> np.ndarray:
     """`integers(0, bounds[i], count)` of the stream of each state row i
     (`stream_states`), as one (len(rows), count) int64 array.
@@ -266,19 +305,18 @@ def bounded_integers(rows: np.ndarray, bounds, count: int) -> np.ndarray:
     A Generator draws below a bound n <= 2**32 by Lemire's method: each
     32-bit word w (the low half of a 64-bit output, then its high half)
     gives (w n) >> 32, unless the product's low word is below 2**32 % n,
-    when it takes another word.  Here each row's ceil(count / 2) outputs
-    are read by one `random_raw` call right after its reseat, which holds
-    no cached half-word, and the multiply runs over the whole block at
-    once.  A row with a rejected word, or with a bound over 2**32, is
-    reseated again and drawn by `integers` itself.  A bound of 1 gives 0.
+    when it takes another word.  Here each row's first ceil(count / 2)
+    outputs, which a freshly seeded stream reads with no cached half-word,
+    are computed in closed form for the whole block at once
+    (`_raw_outputs`), and so is the multiply; no row is reseated for them.
+    Only a row with a rejected word, or with a bound over 2**32, is reseated
+    (`_reseated`) and drawn by `integers` itself.  A bound of 1 gives 0.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.shape != (len(rows),) or (bounds.size and bounds.min() < 1):
         raise ValueError(f"bounds must hold one integer >= 1 for each of the {len(rows)} rows")
     outputs = -(-count // 2)
-    bit_generator = _shared_rng()[0].bit_generator
-    raw = np.array([bit_generator.random_raw(outputs) for _ in _reseated(rows)],
-                   dtype=np.uint64).reshape(len(rows), outputs)
+    raw = _raw_outputs(rows, outputs)
     words = np.stack((raw & _MASK32, raw >> 32), axis=-1).reshape(len(rows), 2 * outputs)[:, :count]
     n = np.minimum(bounds, 2**32).astype(np.uint64)[:, None]
     products = words * n  # below 2**64: both factors are at most 2**32

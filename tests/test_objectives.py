@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import re
 from unittest import mock
 
@@ -136,6 +137,31 @@ def test_an_oracles_arrays_are_read_only(oracle, names):
     for name in names:
         with pytest.raises(ValueError, match="read-only"):
             getattr(oracle, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("oracle, names", [
+    (quadratic_oracle(3, noise_scale=1.0), _QUADRATIC_DATA),
+    (logistic_oracle(3, 8, 1.0), _LOGISTIC_DATA),
+], ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda oracle: pickle.loads(pickle.dumps(oracle))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_unpickled_oracle_holds_its_data_as_constructed(oracle, names, duplicate):
+    twin = duplicate(oracle)
+    for name in names:
+        value = getattr(twin, name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+            assert np.array_equal(value, getattr(oracle, name))
+        with pytest.raises(AttributeError, match=rf"\.{name} is held as constructed$"):
+            setattr(twin, name, value)
+    # Sharded, so the logistic draws through its shard layout.
+    cfg = RunConfig(n_learners=4, iterations=6, lr=0.1, batch_size=3, seed=2,
+                    data_partition="sharded")
+    runs = [run_training(Strategy.RAND_PSGD, o, cfg) for o in (oracle, twin)]
+    assert runs[0].records == runs[1].records
+    assert runs[0].state.weights.tobytes() == runs[1].state.weights.tobytes()
 
 
 def test_quadratic_gradient_against_finite_differences():

@@ -160,6 +160,32 @@ def test_training_is_unchanged_when_the_reseat_falls_back(request):
         assert getattr(fallback.state, field).tobytes() == getattr(fast.state, field).tobytes()
 
 
+@pytest.mark.parametrize("misread", [0, 1], ids=["header", "state"])
+def test_reseat_falls_back_to_the_state_setter_when_its_views_misread_the_state(misread):
+    seeding._shared_rng.cache_clear()
+    reads, frombuffer = [], np.frombuffer
+
+    def misreading_frombuffer(buffer, dtype):
+        reads.append(view := frombuffer(buffer, dtype=dtype))
+        return view + 1 if len(reads) == misread + 1 else view  # a copy that reads wrong
+
+    try:
+        with mock.patch.object(np, "frombuffer", misreading_frombuffer):
+            assert seeding._shared_rng()[1] is None
+        assert len(reads) == misread + 1
+        index = np.arange(6)[:, None]
+        with mock.patch.object(seeding, "_set_state", wraps=seeding._set_state) as set_state:
+            noise = quadratic_oracle(3, noise_scale=2.0).draw(stream_states((4, TAG_GRADIENT),
+                                                                            *index.T), 4)
+            assert set_state.call_count == len(index)
+            redraw = _redrawn_rows((7, TAG_GRADIENT), index, [2**31 + 1, 2**32 + 1] * 3, 8)
+            assert redraw >= 3 and set_state.call_count == len(index) + redraw
+        for row, (l,) in zip(noise, index.tolist()):
+            assert np.array_equal(row, stream(4, TAG_GRADIENT, l).standard_normal(3) * (2.0 / 2))
+    finally:
+        seeding._shared_rng.cache_clear()
+
+
 def test_reseat_guard_rejects_a_write_that_misses_the_state():
     rng = stream(1)
     rng.integers(0, 2**32, 1)  # caches a half-word
@@ -212,9 +238,8 @@ def _redrawn_rows(prefix, index, bounds, count):
         picks = bounded_integers(stream_states(prefix, *index.T), bounds, count)
     assert picks.dtype == np.int64
     assert np.array_equal(picks, _integers_by_stream(prefix, index, bounds, count))
-    first, redraw = (len(call.args[0]) for call in reseated.call_args_list)
-    assert first == len(index)
-    return redraw
+    (redrawn,) = (call.args[0] for call in reseated.call_args_list)
+    return len(redrawn)
 
 
 @pytest.mark.parametrize("count", [1, 7, 8])
@@ -241,7 +266,27 @@ def test_bounded_integers_are_unchanged_when_the_reseat_falls_back(failed_guard)
     index = np.arange(12)[:, None]
     bounds = [2**31 + 1, 128, 2**32 + 1] * 4
     redraw = _redrawn_rows((7, TAG_GRADIENT), index, bounds, 8)
-    assert len(failed_guard) == len(index) + redraw
+    assert len(failed_guard) == redraw
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=st.lists(_ENTROPY_INT, max_size=3).map(tuple),
+    index=_index_rows(),
+    words=st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4), max_size=4),
+    outputs=st.integers(1, 40),
+)
+def test_closed_form_outputs_are_the_raw_outputs_after_a_reseat(prefix, index, words, outputs):
+    random = np.array(words, dtype=np.uint64).reshape(len(words), 4)
+    random[:, 2] |= 1  # a PCG64 increment is odd
+    carry = seeding._seed_in_place(np.full((1, 4), 2**64 - 1, dtype=np.uint64))  # as the guard's
+    rows = np.concatenate([_per_row(stream_states, prefix, index), random, carry])
+    raw = seeding._raw_outputs(rows, outputs)
+    assert raw.dtype == np.uint64 and raw.shape == (len(rows), outputs)
+    reference = np.random.Generator(np.random.PCG64(0))
+    for row, outputs_of_row in zip(rows, raw, strict=True):
+        seeding._set_state(reference, row)
+        assert np.array_equal(outputs_of_row, reference.bit_generator.random_raw(outputs))
 
 
 def test_bounded_integers_reject_a_bound_below_one_or_a_bound_count_off_the_rows():
